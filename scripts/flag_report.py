@@ -7,8 +7,9 @@ Usage: python3 scripts/flag_report.py [--window 4] [--json]
 import argparse
 import json
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stagger.flag import flag_verify
 

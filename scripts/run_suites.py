@@ -8,8 +8,9 @@ Usage: python3 scripts/run_suites.py [--samples 200] [--seeds 1,2,3]
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stagger.sstruct import SConfig, axiom_suite
 from stagger.stag import tstructure_suite

@@ -13,13 +13,11 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .grmod import (
     canonical_decompose,
-    ext1_group,
     fmt_module,
-    hom_group,
     internal_hom,
     present,
     tensor,
@@ -36,8 +34,6 @@ from .sstruct import (
     step,
 )
 from .derived import (
-    FormalObject,
-    derived_hom,
     dualize,
     fmt_formal,
     li_star,

@@ -27,11 +27,17 @@ The chain layer (``ChainComplex``, ``free_embed``, ``cone``,
 ``normal_form``) exists so that triangle-level claims can be audited
 honestly: a formal object is embedded as an honest complex of free modules,
 maps are checked to be chain maps, and ``normal_form`` recovers the
-cohomology with an independent per-weight rank certificate.
+cohomology with an independent per-weight rank certificate.  An entry
+(i, j) of a ``MonoMatrix`` can be nonzero only where row_w[i] >= col_w[j],
+so the columns of weight >= w vanish outside the rows of weight >= w: the
+rank of the weight-w component is the rank of those columns alone.  It
+only grows as w falls, so one sweep inserting the columns by descending
+weight into an echelon basis yields the rank at every weight at once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -550,7 +556,8 @@ def normal_form(c: ChainComplex, certify: bool = True) -> FormalObject:
     image of d_{k-1} and the relations rho_k, presented by a second syzygy
     computation and decomposed to canonical form.  When ``certify`` is on,
     every reconstructed weight dimension is checked against
-    dim ker - dim im computed purely from matrix ranks.
+    dim ker - dim im computed purely from matrix ranks, taken for all
+    weights from one column sweep per matrix (``_certify_degree``).
     """
     errs = c.validate()
     if errs:
@@ -579,14 +586,45 @@ def normal_form(c: ChainComplex, certify: bool = True) -> FormalObject:
     return FormalObject(comps)
 
 
-def _rank_at(mat: MonoMatrix, w: int) -> int:
-    """Rank of the weight-w component of the matrix."""
-    from .grmod import _rank as _rk
-
-    rows = [i for i, rw in enumerate(mat.row_weights) if rw >= w]
-    cols = [j for j, cw in enumerate(mat.col_weights) if cw >= w]
-    dense = [[mat.get(i, j) for j in cols] for i in rows]
-    return _rk(dense)
+def _weight_ranks(mat: MonoMatrix, lo: int, hi: int) -> List[int]:
+    """Ranks of the weight-w components of ``mat`` as ranks[w - lo], for
+    lo <= w <= hi, from one sweep over the columns by descending weight
+    (see the module docstring).  Each nonzero column becomes one dense
+    vector, reduced in place against the basis, which keeps one vector per
+    pivot row, normalized to 1 at that row.
+    """
+    cw = mat.col_weights
+    cols: Dict[int, List[Tuple[int, Q]]] = {}
+    for (i, j), c in mat.entries.items():
+        if cw[j] >= lo:
+            cols.setdefault(j, []).append((i, c))
+    order = sorted(cols, key=lambda j: -cw[j])
+    nrows = mat.nrows
+    basis: Dict[int, List[Q]] = {}
+    ranks: List[int] = []
+    pos = 0
+    for w in range(hi, lo - 1, -1):
+        while pos < len(order) and cw[order[pos]] >= w:
+            vec = [Q(0)] * nrows
+            for i, c in cols[order[pos]]:
+                vec[i] = c
+            pos += 1
+            for r in range(nrows):
+                c = vec[r]
+                if c == 0:
+                    continue
+                piv = basis.get(r)
+                if piv is None:
+                    for t in range(r, nrows):
+                        vec[t] /= c
+                    basis[r] = vec
+                    break
+                for t in range(r, nrows):
+                    if piv[t] != 0:
+                        vec[t] -= c * piv[t]
+        ranks.append(len(basis))
+    ranks.reverse()
+    return ranks
 
 
 def _certify_degree(c: ChainComplex, k: int, h: GradedModule) -> None:
@@ -595,7 +633,8 @@ def _certify_degree(c: ChainComplex, k: int, h: GradedModule) -> None:
     dim H^k_w = (dim term_k_w - dim im(rho_k)_w - dim im(d_k)_w)
                 - dim im(d_{k-1})_w,
     where images are computed relative to the target's relations by plain
-    rank arithmetic.
+    rank arithmetic.  The ranks of rho_k, [d_k | rho_{k+1}], rho_{k+1} and
+    [d_{k-1} | rho_k] at every weight come from one sweep each.
     """
     pk = c.term(k)
     if not pk.gens:
@@ -607,22 +646,19 @@ def _certify_degree(c: ChainComplex, k: int, h: GradedModule) -> None:
     dk = c.diffs.get(k)
     dprev = c.diffs.get(k - 1)
     pk1 = c.term(k + 1)
-    for w in range(lo, hi + 1):
-        dim_mk = pk.weight_dim(w)
-        # image of d_k inside M_{k+1} at weight w
-        if dk is not None:
-            hs = dk.mat.hstack(pk1.rel)
-            im_dk = _rank_at(hs, w) - _rank_at(pk1.rel, w)
-        else:
-            im_dk = 0
-        dim_ker = dim_mk - im_dk
-        if dprev is not None:
-            # image of d_{k-1} inside M_k at weight w
-            hs2 = dprev.mat.hstack(pk.rel)
-            im_prev = _rank_at(hs2, w) - _rank_at(pk.rel, w)
-        else:
-            im_prev = 0
-        want = dim_ker - im_prev
+    rel_k = _weight_ranks(pk.rel, lo, hi)
+    im_dk = im_prev = [0] * (hi - lo + 1)
+    if dk is not None:  # image of d_k inside M_{k+1}
+        im_dk = [a - b for a, b in zip(
+            _weight_ranks(dk.mat.hstack(pk1.rel), lo, hi),
+            _weight_ranks(pk1.rel, lo, hi))]
+    if dprev is not None:  # image of d_{k-1} inside M_k
+        im_prev = [a - b for a, b in zip(
+            _weight_ranks(dprev.mat.hstack(pk.rel), lo, hi), rel_k)]
+    gens = sorted(pk.gens)
+    for t, w in enumerate(range(lo, hi + 1)):
+        want = (len(gens) - bisect_left(gens, w) - rel_k[t]
+                - im_dk[t] - im_prev[t])
         got = weight_dim(h, w)
         if want != got:
             raise AssertionError(

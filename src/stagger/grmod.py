@@ -46,6 +46,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
+_Q0 = Q(0)  # shared zero coefficient; Fraction is immutable
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ class MonoMatrix:
         self.entries[(i, j)] = c
 
     def get(self, i: int, j: int) -> Q:
-        return self.entries.get((i, j), Q(0))
+        return self.entries.get((i, j), _Q0)
 
     def copy(self) -> "MonoMatrix":
         m = MonoMatrix(self.row_weights, self.col_weights)
@@ -279,39 +280,12 @@ class MonoMatrix:
         out.entries = {k: v for k, v in acc.items() if v != 0}
         return out
 
-    def scaled(self, c) -> "MonoMatrix":
-        c = Q(c)
-        out = MonoMatrix(self.row_weights, self.col_weights)
-        if c != 0:
-            out.entries = {k: c * v for k, v in self.entries.items()}
-        return out
-
-    def coeff_rows(self, rows: Sequence[int], cols: Sequence[int]) -> List[List[Q]]:
-        """Dense coefficient submatrix (used for weight-component ranks)."""
-        return [[self.get(i, j) for j in cols] for i in rows]
-
     def __repr__(self) -> str:  # debugging aid
         return "MonoMatrix(%r, %r, %r)" % (
             self.row_weights,
             self.col_weights,
             self.entries,
         )
-
-
-def block_matrix(
-    row_weights: Sequence[int],
-    col_weights: Sequence[int],
-    blocks: Iterable[Tuple[int, int, MonoMatrix, Q]],
-) -> MonoMatrix:
-    """Assemble a matrix from (row_offset, col_offset, block, scalar) pieces."""
-    out = MonoMatrix(row_weights, col_weights)
-    for roff, coff, blk, c in blocks:
-        c = Q(c)
-        if c == 0:
-            continue
-        for (i, j), v in blk.entries.items():
-            out.set(roff + i, coff + j, out.get(roff + i, coff + j) + c * v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +369,6 @@ class Presentation:
 
     def weight_relcols(self, w: int) -> List[int]:
         return [j for j, v in enumerate(self.rel.col_weights) if v >= w]
-
-    def weight_dim(self, w: int) -> int:
-        rows = self.weight_rows(w)
-        cols = self.weight_relcols(w)
-        return len(rows) - _rank(self.rel.coeff_rows(rows, cols))
 
     def element_is_zero(self, col: Dict[int, Q], w: int) -> bool:
         """Is the element (column over gens, homogeneous of weight w) zero?"""
@@ -611,12 +580,6 @@ class GradedMap:
         if other.dst is not self.src and other.dst.gens != self.src.gens:
             raise ValueError("composition mismatch")
         return GradedMap(other.src, self.dst, self.mat.compose(other.mat))
-
-    def weight_matrix(self, w: int) -> List[List[Q]]:
-        """Coefficient matrix of the lifted map on generator spans at weight w."""
-        rows = self.dst.weight_rows(w)
-        cols = self.src.weight_rows(w)
-        return self.mat.coeff_rows(rows, cols)
 
     def __repr__(self) -> str:
         return "GradedMap(%r -> %r)" % (self.src.gens, self.dst.gens)

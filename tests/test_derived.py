@@ -2,11 +2,16 @@
 derived hom, chain complexes, cones and normal forms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from stagger.grmod import F, T, V, gm, module_map
+from stagger import derived
+from stagger.grmod import (
+    F, MonoMatrix, T, V, _rank, direct_sum, gm, module_map, present,
+)
 from stagger.derived import (
+    ChainComplex,
     FormalObject,
     chain_map_on_embeds,
     cone,
@@ -23,7 +28,8 @@ from stagger.derived import (
     ri_flat,
     std_truncate,
 )
-from stagger.sstruct import SITE_X, site_z
+from stagger.sstruct import SConfig, SITE_X, site_z
+from stagger.stag import Perversity, stag_truncate
 from stagger import sampling
 
 
@@ -194,6 +200,82 @@ def test_cone_of_x_multiplication():
     f = module_map(F(0), F(1), {(0, 0): 1})
     _, _, phi = chain_map_on_embeds(formal(F(0)), formal(F(1)), {0: f})
     assert normal_form(cone(phi)) == formal(T(1, 1), 0)
+
+
+def test_normal_form_of_presented_terms():
+    # terms with relations: T(0,2) -> T(0,1) is onto with kernel T(-1,1)
+    P2, P1 = present(T(0, 2)), present(T(0, 1))
+    d = module_map(T(0, 2), T(0, 1), {(0, 0): 1})
+    assert normal_form(ChainComplex({0: P2})) == formal(T(0, 2), 0)
+    c = ChainComplex({0: P2, 1: P1}, {0: d})
+    assert c.validate() == []
+    assert normal_form(c) == formal(T(-1, 1), 0)
+
+
+def _random_mono(rng, row_weights, ncols):
+    """Homogeneous matrix with Fraction entries, repeated column weights
+    and, half the time, one zero column."""
+    cw = [rng.randint(-4, 3) for _ in range(ncols)]
+    m = MonoMatrix(row_weights, cw)
+    zero_col = rng.randrange(ncols) if ncols and rng.random() < 0.5 else None
+    for i, rw in enumerate(row_weights):
+        for j in range(ncols):
+            if j != zero_col and rw >= cw[j] and rng.random() < 0.6:
+                m.set(i, j, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return m
+
+
+def test_weight_ranks_match_dense_reference():
+    """The one-sweep ranks equal dense ranks of the (rows >= w) x (cols >= w)
+    coefficient submatrix, the reference the certificate used to compute."""
+    rng = random.Random(21)
+    cases = [MonoMatrix([], []), MonoMatrix([1, 0], []),
+             MonoMatrix([], [2, -1])]
+    for _ in range(300):
+        rw = [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))]
+        a = _random_mono(rng, rw, rng.randint(0, 6))
+        cases.append(a)
+        cases.append(a.hstack(_random_mono(rng, rw, rng.randint(0, 6))))
+    for m in cases:
+        ws = list(m.row_weights) + list(m.col_weights) or [0]
+        lo, hi = min(ws) - 2, max(ws) + 2
+        inner = sorted(rng.randint(lo, hi) for _ in range(2))
+        for lo, hi in ((lo, hi), inner):  # full window, and one that cuts
+            ranks = derived._weight_ranks(m, lo, hi)
+            assert len(ranks) == hi - lo + 1
+            for w in range(lo, hi + 1):
+                rows = [i for i, rw in enumerate(m.row_weights) if rw >= w]
+                cols = [j for j, cw in enumerate(m.col_weights) if cw >= w]
+                dense = [[m.get(i, j) for j in cols] for i in rows]
+                assert ranks[w - lo] == _rank(dense), (m, w)
+
+
+def _drop_one_summand(M):
+    if M.free:
+        return gm(M.free[1:], M.torsion)
+    return gm((), M.torsion[1:])
+
+
+@pytest.mark.parametrize("corrupt, where", [
+    (lambda M: direct_sum(M, V(0)), "degree -1 weight 0"),
+    (_drop_one_summand, "degree 0 weight 1"),
+])
+def test_certificate_rejects_wrong_homology(monkeypatch, corrupt, where):
+    real = derived.canonical_decompose
+    monkeypatch.setattr(derived, "canonical_decompose",
+                        lambda p: corrupt(real(p)))
+    f = module_map(F(0), F(1), {(0, 0): 1})
+    _, _, phi = chain_map_on_embeds(formal(F(0)), formal(F(1)), {0: f})
+    with pytest.raises(AssertionError,
+                       match="homology certificate failed at " + where + ":"):
+        normal_form(cone(phi))
+
+    tr = stag_truncate(SConfig("weight"), Perversity(0, 1),
+                       formal(F(2), 0), 0)
+    errs = tr.audit()
+    assert len(errs) == 1
+    assert errs[0].startswith(
+        "cone homology certificate: homology certificate failed at degree")
 
 
 def test_std_truncate_partition():
