@@ -17,10 +17,8 @@ from .grmod import (
     ZERO,
     canonical_decompose,
     direct_sum,
-    ext1_group,
     fmt_module,
     gm,
-    hom_group,
     internal_hom,
     module_map,
     present,

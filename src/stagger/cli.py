@@ -151,128 +151,137 @@ def _diff_payload(kind: str, expr_in: str, fast, slow, minimized) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _checked(args, kind: str, subject, fast, oracle, render,
+             answer=lambda v: v, audit=None, shrink: bool = False) -> int:
+    """Run a verb whose answer the brute-force oracle can cross-check.
+
+    ``fast(subject)`` is the verb's result and ``audit(result)`` lists its
+    own self-check failures (exit 2).  With --oracle, ``answer(result)``
+    (the result itself by default) must equal ``oracle(subject, result)``;
+    on a mismatch the input is shrunk to a minimal disagreement when
+    ``shrink`` is set (otherwise echoed back), the diff is emitted and the
+    exit code is 2.  Otherwise ``render(result)`` gives the payload and
+    the text lines.
+    """
+    val = fast(subject)
+    errs = audit(val) if audit is not None else []
+    if errs:
+        _emit(args, {"violations": errs})
+        return 2
+    if args.oracle:
+        got, ref = answer(val), oracle(subject, val)
+        if got != ref:
+            minimized = args.expr
+            if shrink:
+                def fails(m) -> bool:
+                    v = fast(m)
+                    return answer(v) != oracle(m, v)
+                minimized = fmt_module(_shrink_module(subject, fails))
+            _emit(args, _diff_payload(kind, args.expr, got, ref, minimized))
+            return 2
+    _emit(args, *render(val))
+    return 0
+
+
 def _cmd_decompose(args) -> int:
     text = args.expr.strip()
     if text.startswith("{"):
         p = presentation_from_json(json.loads(text))
     else:
         p = present(parse_module(text))
-    M = canonical_decompose(p)
-    if args.oracle:
-        slow = oracle_decompose(p)
-        if slow != M:
-            _emit(args, _diff_payload("decompose", args.expr,
-                                      fmt_module(M), fmt_module(slow),
-                                      args.expr))
-            return 2
-    _emit(args, {"module": fmt_module(M)}, [fmt_module(M)])
-    return 0
+    return _checked(
+        args, "decompose", p, fast=canonical_decompose, answer=fmt_module,
+        oracle=lambda q, _M: fmt_module(oracle_decompose(q)),
+        render=lambda M: ({"module": fmt_module(M)}, [fmt_module(M)]),
+    )
 
 
 def _cmd_member(args) -> int:
     site = _parse_site(args.site)
     cfg = SConfig(args.z_mode)
     direction, w = _direction(args)
-    M = parse_module(args.expr)
-    val = member(site, cfg, direction, w, M)
-    if args.oracle:
-        slow = oracle_member(site, cfg, direction, w, M)
-        if slow != val:
-            small = _shrink_module(
-                M,
-                lambda m: member(site, cfg, direction, w, m)
-                != oracle_member(site, cfg, direction, w, m),
-            )
-            _emit(args, _diff_payload("member", args.expr, val, slow,
-                                      fmt_module(small)))
-            return 2
-    _emit(args, {"member": val, "site": str(site),
-                 "direction": direction, "w": w},
-          [str(val).lower()])
-    return 0
+    return _checked(
+        args, "member", parse_module(args.expr), shrink=True,
+        fast=lambda m: member(site, cfg, direction, w, m),
+        oracle=lambda m, _v: oracle_member(site, cfg, direction, w, m),
+        render=lambda v: ({"member": v, "site": str(site),
+                           "direction": direction, "w": w},
+                          [str(v).lower()]),
+    )
 
 
 def _cmd_sigma(args) -> int:
     site = _parse_site(args.site)
     cfg = SConfig(args.z_mode)
     direction, w = _direction(args)
-    M = parse_module(args.expr)
-    wit = sigma(site, cfg, direction, w, M)
-    errs = wit.verify()
-    if errs:
-        _emit(args, {"violations": errs})
-        return 2
-    if args.oracle:
-        slow = oracle_max_sub(site, cfg, wit.cut, M)
-        if slow != wit.sub:
-            small = _shrink_module(
-                M,
-                lambda m: sigma(site, cfg, direction, w, m).sub
-                != oracle_max_sub(site, cfg, wit.cut, m),
-            )
-            _emit(args, _diff_payload("sigma", args.expr,
-                                      fmt_module(wit.sub), fmt_module(slow),
-                                      fmt_module(small)))
-            return 2
-    _emit(args, {"sub": fmt_module(wit.sub),
-                 "quotient": fmt_module(wit.quotient)},
-          ["sub: %s" % fmt_module(wit.sub),
-           "quotient: %s" % fmt_module(wit.quotient)])
-    return 0
+    return _checked(
+        args, "sigma", parse_module(args.expr), shrink=True,
+        fast=lambda m: sigma(site, cfg, direction, w, m),
+        audit=lambda wit: wit.verify(),
+        answer=lambda wit: fmt_module(wit.sub),
+        oracle=lambda m, wit: fmt_module(oracle_max_sub(site, cfg, wit.cut,
+                                                        m)),
+        render=lambda wit: ({"sub": fmt_module(wit.sub),
+                             "quotient": fmt_module(wit.quotient)},
+                            ["sub: %s" % fmt_module(wit.sub),
+                             "quotient: %s" % fmt_module(wit.quotient)]),
+    )
 
 
 def _cmd_step(args) -> int:
     site = _parse_site(args.site)
     cfg = SConfig(args.z_mode)
-    M = parse_module(args.expr)
-    val = step(site, cfg, M)
-    if args.oracle:
-        slow = oracle_step(site, cfg, M)
-        if slow != val:
-            small = _shrink_module(
-                M,
-                lambda m: step(site, cfg, m) != oracle_step(site, cfg, m),
-            )
-            _emit(args, _diff_payload("step", args.expr, val, slow,
-                                      fmt_module(small)))
-            return 2
-    _emit(args, {"step": val}, [str(val)])
-    return 0
+    return _checked(
+        args, "step", parse_module(args.expr), shrink=True,
+        fast=lambda m: step(site, cfg, m),
+        oracle=lambda m, _v: oracle_step(site, cfg, m),
+        render=lambda v: ({"step": v}, [str(v)]),
+    )
 
 
-def _cmd_tensor(args) -> int:
+def _cmd_trunc(args) -> int:
+    cfg = SConfig(args.z_mode)
+    p = _parse_perversity(args.perversity)
+
+    def oracle(_F, tr) -> str:
+        # the oracle agrees by accepting both parts into their aisles
+        ok = oracle_aisle(cfg, p.pU, p.pZ,
+                          tr.below.shift(args.n).components, "le0") \
+            and oracle_aisle(cfg, p.pU, p.pZ,
+                             tr.above.shift(args.n + 1).components, "ge0")
+        return fmt_formal(tr.below) if ok else "aisle membership refused"
+
+    return _checked(
+        args, "trunc", parse_formal(args.expr, default_degree=args.shift),
+        fast=lambda F: stag_truncate(cfg, p, F, args.n),
+        audit=lambda tr: tr.audit(),
+        answer=lambda tr: fmt_formal(tr.below), oracle=oracle,
+        render=lambda tr: ({"below": formal_to_json(tr.below),
+                            "above": formal_to_json(tr.above),
+                            "level": args.n},
+                           ["below: %s" % fmt_formal(tr.below),
+                            "above: %s" % fmt_formal(tr.above)]),
+    )
+
+
+def _cmd_module_pair(args) -> int:
+    """tensor and chom: a bifunctor applied to two modules."""
     M = parse_module(args.expr)
     N = parse_module(args.expr2)
-    _emit(args, {"module": fmt_module(tensor(M, N))},
-          [fmt_module(tensor(M, N))])
+    R = tensor(M, N) if args.verb == "tensor" else internal_hom(M, N)
+    _emit(args, {"module": fmt_module(R)}, [fmt_module(R)])
     return 0
 
 
-def _cmd_chom(args) -> int:
-    M = parse_module(args.expr)
-    N = parse_module(args.expr2)
-    _emit(args, {"module": fmt_module(internal_hom(M, N))},
-          [fmt_module(internal_hom(M, N))])
-    return 0
-
-
-def _cmd_dual(args) -> int:
+def _cmd_functor(args) -> int:
+    """dual, li and riflat: a functor applied to a formal object."""
     F = parse_formal(args.expr, default_degree=args.shift)
-    D = dualize(F)
-    _emit(args, {"formal": formal_to_json(D)}, [fmt_formal(D)])
-    return 0
-
-
-def _cmd_li(args) -> int:
-    F = parse_formal(args.expr, default_degree=args.shift)
-    G = li_star(F, args.n)
-    _emit(args, {"formal": formal_to_json(G)}, [fmt_formal(G)])
-    return 0
-
-
-def _cmd_riflat(args) -> int:
-    F = parse_formal(args.expr, default_degree=args.shift)
-    G = ri_flat(F, args.n)
+    if args.verb == "dual":
+        G = dualize(F)
+    elif args.verb == "li":
+        G = li_star(F, args.n)
+    else:
+        G = ri_flat(F, args.n)
     _emit(args, {"formal": formal_to_json(G)}, [fmt_formal(G)])
     return 0
 
@@ -281,33 +290,6 @@ def _cmd_gammaz(args) -> int:
     F = parse_formal(args.expr, default_degree=args.shift)
     G = r_gamma_z(F)
     _emit(args, {"gamma": str(G)}, [str(G)])
-    return 0
-
-
-def _cmd_trunc(args) -> int:
-    cfg = SConfig(args.z_mode)
-    p = _parse_perversity(args.perversity)
-    F = parse_formal(args.expr, default_degree=args.shift)
-    tr = stag_truncate(cfg, p, F, args.n)
-    errs = tr.audit()
-    if errs:
-        _emit(args, {"violations": errs})
-        return 2
-    if args.oracle:
-        ok = oracle_aisle(cfg, p.pU, p.pZ,
-                          tr.below.shift(args.n).components, "le0") \
-            and oracle_aisle(cfg, p.pU, p.pZ,
-                             tr.above.shift(args.n + 1).components, "ge0")
-        if not ok:
-            _emit(args, _diff_payload("trunc", args.expr,
-                                      fmt_formal(tr.below),
-                                      "aisle membership refused",
-                                      args.expr))
-            return 2
-    _emit(args, {"below": formal_to_json(tr.below),
-                 "above": formal_to_json(tr.above), "level": args.n},
-          ["below: %s" % fmt_formal(tr.below),
-           "above: %s" % fmt_formal(tr.above)])
     return 0
 
 
@@ -378,27 +360,19 @@ def _suite_exit(args, rep) -> int:
     return 0 if rep.ok else 2
 
 
-def _cmd_axioms(args) -> int:
-    cfg = SConfig(args.z_mode)
-    return _suite_exit(args, axiom_suite(cfg, seed=_seed(args),
-                                         samples=args.samples))
-
-
-def _cmd_tsuite(args) -> int:
-    cfg = SConfig(args.z_mode)
-    return _suite_exit(args, tstructure_suite(cfg, seed=_seed(args),
-                                              samples=args.samples))
-
-
-def _cmd_oracle_suite(args) -> int:
-    return _suite_exit(args, agreement_suite(seed=_seed(args),
-                                             samples=args.samples))
+def _cmd_suite(args) -> int:
+    """axioms, tsuite and oracle-suite: a seeded randomized suite."""
+    seed = _seed(args)
+    if args.verb == "oracle-suite":
+        return _suite_exit(args, agreement_suite(seed=seed,
+                                                 samples=args.samples))
+    suite = axiom_suite if args.verb == "axioms" else tstructure_suite
+    return _suite_exit(args, suite(SConfig(args.z_mode), seed=seed,
+                                   samples=args.samples))
 
 
 def _cmd_flag_verify(args) -> int:
-    rep = flag_verify(window=args.window)
-    _emit(args, rep.to_json(), rep.summary_lines())
-    return 0 if rep.ok else 2
+    return _suite_exit(args, flag_verify(window=args.window))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +382,7 @@ def _cmd_flag_verify(args) -> int:
 
 def _add_common(sp, site=False, mode=True, perversity=False, expr=1,
                 direction=False, n=None, shift=False, oracle=False,
-                suite=False):
+                suite=False, extra=()):
     if site:
         sp.add_argument("--site", default="X",
                         help="X, U, Z, or Zn (default X)")
@@ -438,70 +412,55 @@ def _add_common(sp, site=False, mode=True, perversity=False, expr=1,
         sp.add_argument("expr", help="module expression or formal object")
     if expr >= 2:
         sp.add_argument("expr2", help="second module expression")
+    for flag, kw in extra:
+        sp.add_argument(flag, **kw)
+
+
+_THICKENING = ("thickening", 1)
+
+# verb -> (handler, options of _add_common), in the order of --help
+_VERBS = {
+    "decompose": (_cmd_decompose, dict(oracle=True, mode=False)),
+    "member": (_cmd_member, dict(site=True, direction=True, oracle=True)),
+    "sigma": (_cmd_sigma, dict(site=True, direction=True, oracle=True)),
+    "step": (_cmd_step, dict(site=True, oracle=True)),
+    "tensor": (_cmd_module_pair, dict(expr=2, mode=False)),
+    "chom": (_cmd_module_pair, dict(expr=2, mode=False)),
+    "dual": (_cmd_functor, dict(shift=True, mode=False)),
+    "li": (_cmd_functor, dict(shift=True, mode=False, n=_THICKENING)),
+    "riflat": (_cmd_functor, dict(shift=True, mode=False, n=_THICKENING)),
+    "gammaz": (_cmd_gammaz, dict(shift=True, mode=False)),
+    "trunc": (_cmd_trunc, dict(perversity=True, shift=True, oracle=True,
+                               n=("truncation level", 0))),
+    "heart": (_cmd_heart, dict(perversity=True, shift=True)),
+    "jh": (_cmd_jh, dict(perversity=True, shift=True)),
+    "simples": (_cmd_simples, dict(perversity=True, expr=0, extra=[
+        ("--n-lo", dict(type=int, default=-5, dest="n_lo")),
+        ("--n-hi", dict(type=int, default=5, dest="n_hi")),
+    ])),
+    "ic": (_cmd_ic, dict(perversity=True, expr=0, extra=[
+        ("--orbit", dict(required=True, choices=["U", "Z"])),
+        ("--param", dict(required=True, type=int,
+                         help="rank for U, skyscraper weight for Z")),
+    ])),
+    "geometry": (_cmd_geometry, dict(expr=0)),
+    "validate-p": (_cmd_validate_p, dict(perversity=True, expr=0)),
+    "axioms": (_cmd_suite, dict(expr=0, suite=True)),
+    "tsuite": (_cmd_suite, dict(expr=0, suite=True)),
+    "oracle-suite": (_cmd_suite, dict(expr=0, suite=True, mode=False)),
+    "flag-verify": (_cmd_flag_verify, dict(expr=0, mode=False, extra=[
+        ("--window", dict(type=int, default=4)),
+    ])),
+}
 
 
 def build_parser() -> _Parser:
     ap = _Parser(prog="stagger", description=__doc__)
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    sp = sub.add_parser("decompose"); _add_common(sp, oracle=True, mode=False)
-    sp.set_defaults(fn=_cmd_decompose)
-    sp = sub.add_parser("member")
-    _add_common(sp, site=True, direction=True, oracle=True)
-    sp.set_defaults(fn=_cmd_member)
-    sp = sub.add_parser("sigma")
-    _add_common(sp, site=True, direction=True, oracle=True)
-    sp.set_defaults(fn=_cmd_sigma)
-    sp = sub.add_parser("step"); _add_common(sp, site=True, oracle=True)
-    sp.set_defaults(fn=_cmd_step)
-    sp = sub.add_parser("tensor"); _add_common(sp, expr=2, mode=False)
-    sp.set_defaults(fn=_cmd_tensor)
-    sp = sub.add_parser("chom"); _add_common(sp, expr=2, mode=False)
-    sp.set_defaults(fn=_cmd_chom)
-    sp = sub.add_parser("dual"); _add_common(sp, shift=True, mode=False)
-    sp.set_defaults(fn=_cmd_dual)
-    sp = sub.add_parser("li")
-    _add_common(sp, shift=True, mode=False, n=("thickening", 1))
-    sp.set_defaults(fn=_cmd_li)
-    sp = sub.add_parser("riflat")
-    _add_common(sp, shift=True, mode=False, n=("thickening", 1))
-    sp.set_defaults(fn=_cmd_riflat)
-    sp = sub.add_parser("gammaz"); _add_common(sp, shift=True, mode=False)
-    sp.set_defaults(fn=_cmd_gammaz)
-    sp = sub.add_parser("trunc")
-    _add_common(sp, perversity=True, shift=True, oracle=True,
-                n=("truncation level", 0))
-    sp.set_defaults(fn=_cmd_trunc)
-    sp = sub.add_parser("heart"); _add_common(sp, perversity=True, shift=True)
-    sp.set_defaults(fn=_cmd_heart)
-    sp = sub.add_parser("jh"); _add_common(sp, perversity=True, shift=True)
-    sp.set_defaults(fn=_cmd_jh)
-    sp = sub.add_parser("simples")
-    _add_common(sp, perversity=True, expr=0)
-    sp.add_argument("--n-lo", type=int, default=-5, dest="n_lo")
-    sp.add_argument("--n-hi", type=int, default=5, dest="n_hi")
-    sp.set_defaults(fn=_cmd_simples)
-    sp = sub.add_parser("ic")
-    _add_common(sp, perversity=True, expr=0)
-    sp.add_argument("--orbit", required=True, choices=["U", "Z"])
-    sp.add_argument("--param", required=True, type=int,
-                    help="rank for U, skyscraper weight for Z")
-    sp.set_defaults(fn=_cmd_ic)
-    sp = sub.add_parser("geometry"); _add_common(sp, expr=0)
-    sp.set_defaults(fn=_cmd_geometry)
-    sp = sub.add_parser("validate-p")
-    _add_common(sp, perversity=True, expr=0)
-    sp.set_defaults(fn=_cmd_validate_p)
-    sp = sub.add_parser("axioms"); _add_common(sp, expr=0, suite=True)
-    sp.set_defaults(fn=_cmd_axioms)
-    sp = sub.add_parser("tsuite"); _add_common(sp, expr=0, suite=True)
-    sp.set_defaults(fn=_cmd_tsuite)
-    sp = sub.add_parser("oracle-suite")
-    _add_common(sp, expr=0, suite=True, mode=False)
-    sp.set_defaults(fn=_cmd_oracle_suite)
-    sp = sub.add_parser("flag-verify"); _add_common(sp, expr=0, mode=False)
-    sp.add_argument("--window", type=int, default=4)
-    sp.set_defaults(fn=_cmd_flag_verify)
+    for verb, (fn, opts) in _VERBS.items():
+        sp = sub.add_parser(verb)
+        _add_common(sp, **opts)
+        sp.set_defaults(fn=fn)
     return ap
 
 
@@ -509,13 +468,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except _ArgError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except (ParseError, json.JSONDecodeError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (_ArgError, ParseError, ValueError) as e:
+        # malformed input; json.JSONDecodeError is a ValueError too
         print("error: %s" % e, file=sys.stderr)
         return 1
 

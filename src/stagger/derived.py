@@ -112,11 +112,20 @@ def formal(M: GradedModule, k: int = 0) -> FormalObject:
     return FormalObject({k: M})
 
 
+def _accumulate(comps: Dict[int, GradedModule], k: int,
+                m: GradedModule) -> None:
+    """Add m to the module at degree k of ``comps``; zero modules are
+    skipped."""
+    if m.is_zero:
+        return
+    comps[k] = direct_sum(comps[k], m) if k in comps else m
+
+
 def formal_sum(*objs: FormalObject) -> FormalObject:
     comps: Dict[int, GradedModule] = {}
     for o in objs:
         for k, m in o.components.items():
-            comps[k] = direct_sum(comps[k], m) if k in comps else m
+            _accumulate(comps, k, m)
     return FormalObject(comps)
 
 
@@ -136,17 +145,12 @@ def dualize(F: FormalObject) -> FormalObject:
     An involution: D o D = id.
     """
     comps: Dict[int, GradedModule] = {}
-
-    def add(k: int, m: GradedModule) -> None:
-        if m.is_zero:
-            return
-        comps[k] = direct_sum(comps[k], m) if k in comps else m
-
     for k, m in F.components.items():
         if m.free:
-            add(-k, gm([-d for d in m.free]))
+            _accumulate(comps, -k, gm([-d for d in m.free]))
         if m.torsion:
-            add(1 - k, gm([], [(n - g, n) for g, n in m.torsion]))
+            _accumulate(comps, 1 - k,
+                        gm([], [(n - g, n) for g, n in m.torsion]))
     return FormalObject(comps)
 
 
@@ -181,15 +185,9 @@ def li_star(F: FormalObject, n: int) -> FormalObject:
     if n < 1:
         raise ValueError("thickening must be >= 1")
     comps: Dict[int, GradedModule] = {}
-
-    def add(k: int, m: GradedModule) -> None:
-        if m.is_zero:
-            return
-        comps[k] = direct_sum(comps[k], m) if k in comps else m
-
     for k, m in F.components.items():
-        add(k, _mod_xn(m, n))
-        add(k - 1, _ker_xn(m, n).twist(-n))
+        _accumulate(comps, k, _mod_xn(m, n))
+        _accumulate(comps, k - 1, _ker_xn(m, n).twist(-n))
     return FormalObject(comps)
 
 
@@ -198,15 +196,9 @@ def ri_flat(F: FormalObject, n: int) -> FormalObject:
     if n < 1:
         raise ValueError("thickening must be >= 1")
     comps: Dict[int, GradedModule] = {}
-
-    def add(k: int, m: GradedModule) -> None:
-        if m.is_zero:
-            return
-        comps[k] = direct_sum(comps[k], m) if k in comps else m
-
     for k, m in F.components.items():
-        add(k, _ker_xn(m, n))
-        add(k + 1, _mod_xn(m, n).twist(n))
+        _accumulate(comps, k, _ker_xn(m, n))
+        _accumulate(comps, k + 1, _mod_xn(m, n).twist(n))
     return FormalObject(comps)
 
 
@@ -274,10 +266,7 @@ def r_gamma_z(F: FormalObject) -> GammaObject:
     of (F(d)/x^n)(n) = T(d+n, n) as the thickening grows)."""
     out = GammaObject()
     for k, m in F.components.items():
-        t = m.torsion_part()
-        if not t.is_zero:
-            prev = out.torsion.get(k, ZERO)
-            out.torsion[k] = direct_sum(prev, t) if not prev.is_zero else t
+        _accumulate(out.torsion, k, m.torsion_part())
         if m.free:
             out.cofree[k + 1] = out.cofree.get(k + 1, ()) + tuple(
                 CoFree(d + 1) for d in sorted(m.free)
@@ -548,14 +537,14 @@ def cone(phi: ChainMap) -> ChainComplex:
     return ChainComplex(terms=terms, diffs=diffs)
 
 
-def normal_form(c: ChainComplex, certify: bool = True) -> FormalObject:
+def normal_form(c: ChainComplex) -> FormalObject:
     """Cohomology of a complex of presented modules, with a rank certificate.
 
     Per degree k: kernel generators are the syzygies of [d_k | rho_{k+1}]
     restricted to the source block; H^k is those generators modulo the
     image of d_{k-1} and the relations rho_k, presented by a second syzygy
-    computation and decomposed to canonical form.  When ``certify`` is on,
-    every reconstructed weight dimension is checked against
+    computation and decomposed to canonical form.  Every reconstructed
+    weight dimension is then checked against
     dim ker - dim im computed purely from matrix ranks, taken for all
     weights from one column sweep per matrix (``_certify_degree``).
     """
@@ -581,8 +570,7 @@ def normal_form(c: ChainComplex, certify: bool = True) -> FormalObject:
         h = canonical_decompose(Presentation(ker.col_weights, syz))
         if not h.is_zero:
             comps[k] = h
-        if certify:
-            _certify_degree(c, k, h)
+        _certify_degree(c, k, h)
     return FormalObject(comps)
 
 

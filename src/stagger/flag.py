@@ -28,7 +28,7 @@ the strictness hypotheses for the perversity (0, 1) under either reading.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .grmod import gm
 from .sstruct import SConfig, member, site_z

@@ -41,7 +41,7 @@ Quick sanity examples:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -618,8 +618,6 @@ class KernelImageCokernel:
     kernel: GradedModule
     image: GradedModule
     cokernel: GradedModule
-    # generators of the kernel inside the source (columns over src generators)
-    kernel_gens: MonoMatrix = field(repr=False, default=None)  # type: ignore
 
 
 def submodule_presentation(p: Presentation, elems: MonoMatrix) -> Presentation:
@@ -653,11 +651,11 @@ def kernel_image_cokernel(f: GradedMap) -> KernelImageCokernel:
     big = free_kernel(f.mat.hstack(f.dst.rel))
     kgens = big.restrict_rows(range(len(f.src.gens)))
     kernel = canonical_decompose(submodule_presentation(f.src, kgens))
-    return KernelImageCokernel(kernel, image, coker, kgens)
+    return KernelImageCokernel(kernel, image, coker)
 
 
 # ---------------------------------------------------------------------------
-# hom / ext closed forms (with bases)
+# hom / ext closed forms
 # ---------------------------------------------------------------------------
 
 
@@ -703,42 +701,6 @@ def _xn_cokernel_dim(N: GradedModule, g: int, n: int) -> int:
         hit = 1 if (h >= g > h - l) and (g - n > h - l) else 0
         d += tgt - hit
     return d
-
-
-def hom_group(M: GradedModule, N: GradedModule) -> Tuple[int, List[GradedMap]]:
-    """(dimension, explicit basis) of Hom(M, N).
-
-    Basis maps are single-entry matrices between the canonical presentations:
-    for a free source generator, one map per basis vector of N in its weight;
-    for a torsion source generator T(g,n), one map per torsion summand of N
-    whose weight-g line is killed by x^n.
-    """
-    ps, pd = present(M), present(N)
-    nfree_m, nfree_n = len(M.free), len(N.free)
-    basis: List[GradedMap] = []
-
-    def single(i: int, j: int) -> GradedMap:
-        mat = MonoMatrix(pd.gens, ps.gens)
-        mat.set(i, j, Q(1))
-        return GradedMap(ps, pd, mat)
-
-    for j, a in enumerate(M.free):
-        for i, b in enumerate(N.free):
-            if a <= b:
-                basis.append(single(i, j))
-        for t, (h, l) in enumerate(N.torsion):
-            if h >= a > h - l:
-                basis.append(single(nfree_n + t, j))
-    for s, (g, n) in enumerate(M.torsion):
-        j = nfree_m + s
-        for t, (h, l) in enumerate(N.torsion):
-            if h >= g > h - l and g - n <= h - l:
-                basis.append(single(nfree_n + t, j))
-    return len(basis), basis
-
-
-def ext1_group(M: GradedModule, N: GradedModule) -> int:
-    return ext1_dim(M, N)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from .grmod import (
     GradedModule,
@@ -18,9 +18,8 @@ from .grmod import (
     MonoMatrix,
     Presentation,
     gm,
-    module_map,
+    kernel_image_cokernel,
     present,
-    weight_dim,
 )
 
 Q = Fraction
@@ -48,37 +47,6 @@ def random_module(rng: random.Random, allow_free: bool = True,
 def random_torsion_module(rng: random.Random, max_len: int = MAX_LEN,
                           nonzero: bool = False) -> GradedModule:
     return random_module(rng, allow_free=False, max_len=max_len, nonzero=nonzero)
-
-
-def random_map(rng: random.Random, M: GradedModule, N: GradedModule,
-               density: float = 0.5) -> GradedMap:
-    """A random well-defined degree-0 map M -> N.
-
-    Entries are only placed where the homogeneity and well-definedness rules
-    allow them: a torsion generator T(g,n) may hit a torsion target T(h,l)
-    only when n + (h - g) >= l, and never a free target.
-    """
-    entries = {}
-    src_kinds: List[Tuple[str, int, int]] = [("F", d, 0) for d in M.free] + [
-        ("T", g, n) for g, n in M.torsion
-    ]
-    dst_kinds: List[Tuple[str, int, int]] = [("F", d, 0) for d in N.free] + [
-        ("T", h, l) for h, l in N.torsion
-    ]
-    for j, (sk, a, n) in enumerate(src_kinds):
-        for i, (dk, b, l) in enumerate(dst_kinds):
-            if b < a:
-                continue  # negative exponent
-            if dk == "T" and b - a >= l:
-                continue  # entry is zero in the target
-            if sk == "T":
-                if dk == "F":
-                    continue  # x^n * image must vanish, impossible in free
-                if n + (b - a) < l:
-                    continue  # not killed by x^n
-            if rng.random() < density:
-                entries[(i, j)] = rng.choice(_COEFFS)
-    return module_map(M, N, entries, validated=False)
 
 
 def random_element_matrix(rng: random.Random, M: GradedModule,
@@ -116,8 +84,6 @@ def random_sub_quotient(rng: random.Random, M: GradedModule):
     Realized through kernel_image_cokernel of the map +F(w) -> M picking the
     random elements, so the triple is exact by construction.
     """
-    from .grmod import kernel_image_cokernel, GradedMap
-
     elems = random_element_matrix(rng, M)
     src = Presentation(elems.col_weights)
     f = GradedMap(src, present(M), elems)

@@ -25,6 +25,10 @@ a free module is free and free modules never lie in C_{<=cut} for cut < 0;
 for cut >= 0 the sub is literally "all elements of weight <= cut", which is
 x-stable and generated in weights <= cut.  The brute-force oracle re-derives
 the same submodule by exhaustive weight-subspace search.
+
+The weight-mode cut of a single summand F(d) or T(g,l) at a weight lives in
+one place, ``cut_summand``; ``sigma`` and the staggered truncation
+(``stag._truncation_pieces``) both build their pieces from it.
 """
 
 from __future__ import annotations
@@ -41,13 +45,14 @@ from .grmod import (
     MonoMatrix,
     T,
     ZERO,
-    direct_sum,
     ext1_dim,
     fmt_module,
     gm,
     hom_dim,
+    internal_hom,
     kernel_image_cokernel,
     present,
+    tensor,
     weight_dim,
 )
 from .report import SuiteReport
@@ -167,8 +172,6 @@ def max_ge(site: Site, cfg: SConfig, M: GradedModule) -> Optional[int]:
     ws = list(M.socle_weights())
     if site.kind == "X" and M.rank:
         ws.append(0)
-    if site.kind == "Z":
-        return min(ws)
     return min(ws)
 
 
@@ -228,6 +231,44 @@ class SigmaWitness:
         return errs
 
 
+def summand_pieces(M: GradedModule) -> List[Tuple]:
+    """The summands of M as pieces ('F', d) and ('T', g, l), in canonical
+    generator order (free first, then torsion)."""
+    return [("F", d) for d in M.free] + [("T", g, l) for g, l in M.torsion]
+
+
+def pieces_module(pieces: List[Tuple]) -> GradedModule:
+    """The direct sum of the pieces ('F', d) and ('T', g, l)."""
+    return gm(
+        [p[1] for p in pieces if p[0] == "F"],
+        [(p[1], p[2]) for p in pieces if p[0] == "T"],
+    )
+
+
+def cut_summand(piece: Tuple, c: int) -> Tuple[Optional[Tuple], Optional[Tuple]]:
+    """Cut one summand at weight c: (sub, quotient), either None when zero.
+
+    This is the single home of the weight-mode cut, used by ``sigma`` and
+    by the staggered truncation.  The sub is the part of the summand in
+    weights <= c (x-stable, generated in weight <= c) and the quotient the
+    rest:
+
+      F(d):   d <= c gives (F(d), None), else (F(c), T(d, d - c));
+      T(g,l): g <= c gives (T(g,l), None), else (T(c, l - (g - c)), or
+              None when that length is < 1, and T(g, min(l, g - c))).
+    """
+    if piece[0] == "F":
+        d = piece[1]
+        if d <= c:
+            return piece, None
+        return ("F", c), ("T", d, d - c)
+    _t, g, l = piece
+    if g <= c:
+        return piece, None
+    keep = l - (g - c)
+    return (("T", c, keep) if keep >= 1 else None), ("T", g, min(l, g - c))
+
+
 def _canonical_positions(pieces: List[Tuple]) -> List[int]:
     """Index of each piece ('F', d) or ('T', g, n) in the canonical order."""
     frees = sorted(
@@ -252,56 +293,32 @@ def sigma(site: Site, cfg: SConfig, direction: str, w: int,
     check_on_site(site, M)
     cut = w if direction == "le" else w - 1
 
-    # summands of M in canonical generator order (free first, then torsion)
-    summands: List[Tuple] = [("F", d) for d in M.free] + [
-        ("T", g, n) for g, n in M.torsion
-    ]
-    sub_pieces: List[Tuple] = []   # (piece, M-summand index, exponent gap)
+    sub_pieces: List[Tuple] = []   # (piece, M-summand index)
     quot_pieces: List[Tuple] = []  # (piece, M-summand index)
-
     trivial_like = cfg.z_mode == "trivial" or site.kind == "U"
-    for idx, s in enumerate(summands):
+    for idx, s in enumerate(summand_pieces(M)):
         if trivial_like:
-            if cut >= 0:
-                sub_pieces.append((s, idx, 0))
-            else:
-                quot_pieces.append((s, idx))
-            continue
-        if s[0] == "F":
-            d = s[1]
-            if cut >= 0:
-                if d <= cut:
-                    sub_pieces.append((s, idx, 0))
-                else:
-                    sub_pieces.append((("F", cut), idx, d - cut))
-                    quot_pieces.append((("T", d, d - cut), idx))
-            else:
-                quot_pieces.append((s, idx))
+            # rank-or-nothing: the sign of the cut keeps or drops a summand
+            sub, quot = (s, None) if cut >= 0 else (None, s)
+        elif s[0] == "F" and cut < 0:
+            # on X no free piece lies in C_{<=cut} for cut < 0
+            sub, quot = None, s
         else:
-            _t, g, n = s
-            if g <= cut:
-                sub_pieces.append((s, idx, 0))
-            else:
-                keep = n - (g - cut)
-                if keep >= 1:
-                    sub_pieces.append((("T", cut, keep), idx, g - cut))
-                quot_pieces.append((("T", g, min(n, g - cut)), idx))
+            sub, quot = cut_summand(s, cut)
+        if sub is not None:
+            sub_pieces.append((sub, idx))
+        if quot is not None:
+            quot_pieces.append((quot, idx))
 
-    sub = gm(
-        [p[1] for p, _i, _k in sub_pieces if p[0] == "F"],
-        [(p[1], p[2]) for p, _i, _k in sub_pieces if p[0] == "T"],
-    )
-    quot = gm(
-        [p[1] for p, _i in quot_pieces if p[0] == "F"],
-        [(p[1], p[2]) for p, _i in quot_pieces if p[0] == "T"],
-    )
+    sub = pieces_module([p for p, _i in sub_pieces])
+    quot = pieces_module([p for p, _i in quot_pieces])
 
     pm, psub, pquot = present(M), present(sub), present(quot)
-    sub_pos = _canonical_positions([p for p, _i, _k in sub_pieces])
+    sub_pos = _canonical_positions([p for p, _i in sub_pieces])
     quot_pos = _canonical_positions([p for p, _i in quot_pieces])
 
     inc = MonoMatrix(pm.gens, psub.gens)
-    for (piece, midx, _gap), col in zip(sub_pieces, sub_pos):
+    for (piece, midx), col in zip(sub_pieces, sub_pos):
         inc.set(midx, col, Q(1))
     proj = MonoMatrix(pquot.gens, pm.gens)
     for (piece, midx), row in zip(quot_pieces, quot_pos):
@@ -457,21 +474,16 @@ def axiom_suite(cfg: SConfig, seed: int = 1, samples: int = 200,
         B6 = sampling.random_module(rng, nonzero=True)
         c = rep.check("S6_tensor_le")
         wa, wb = min_le(SITE_X, cfg, A6), min_le(SITE_X, cfg, B6)
-        tensor6 = None
         if wa is not None and wb is not None:
-            from .grmod import tensor as _tensor
-
-            tensor6 = _tensor(A6, B6)
+            tensor6 = tensor(A6, B6)
             c.record(
                 member(SITE_X, cfg, "le", wa + wb, tensor6),
                 "tensor left C_{<=%d}: %s (x) %s = %s"
                 % (wa + wb, fmt_module(A6), fmt_module(B6), fmt_module(tensor6)),
             )
         c = rep.check("S6_internal_hom")
-        from .grmod import internal_hom as _ih
-
         gb = max_ge(SITE_X, cfg, B6)
-        H6 = _ih(A6, B6)
+        H6 = internal_hom(A6, B6)
         if wa is not None and gb is not None:
             c.record(
                 member(SITE_X, cfg, "ge", gb - wa, H6),
@@ -499,9 +511,7 @@ def axiom_suite(cfg: SConfig, seed: int = 1, samples: int = 200,
         gza, gzb = max_ge(zsite, cfg, AZ), max_ge(zsite, cfg, BZ)
         c = rep.check("S8_tensor_Zn")
         if gza is not None and gzb is not None:
-            from .grmod import tensor as _tensor
-
-            TZ = _tensor(AZ, BZ)
+            TZ = tensor(AZ, BZ)
             c.record(
                 member(zsite, cfg, "ge", gza + gzb, TZ),
                 "S8 failed: %s (x) %s on Z%d" % (fmt_module(AZ), fmt_module(BZ), n),

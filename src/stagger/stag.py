@@ -16,7 +16,9 @@ The Li* conditions stabilize once n exceeds every torsion length in sight,
 so membership is decided with the bound max-length + 1 (the suite re-checks
 with a larger bound).
 
-Truncation is computed summand by summand and certified at the chain level:
+Truncation is computed summand by summand (in weight mode each summand is
+cut by ``sstruct.cut_summand``, the one home of the cut rule that sigma
+uses too) and certified at the chain level:
 the below-part is embedded as a complex of free modules, mapped into the
 embedding of the object, and the cone's normal form must reproduce the
 above-part on the nose.  The same machinery gives kernels and cokernels in
@@ -26,24 +28,18 @@ the heart, and a Jordan-Holder peeling with auditable mono witnesses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .grmod import (
     F as Fmod,
-    GradedModule,
     MonoMatrix,
     T as Tmod,
     ZERO,
-    direct_sum,
-    fmt_module,
     gm,
     module_map,
-    present,
-    weight_dim,
 )
 from .derived import (
-    ChainComplex,
     ChainMap,
     FormalObject,
     GradedMap,
@@ -68,9 +64,12 @@ from .sstruct import (
     Site,
     _canonical_positions,
     check_on_site,
+    cut_summand,
     max_ge,
     member,
+    pieces_module,
     site_z,
+    summand_pieces,
 )
 from . import sampling
 
@@ -324,91 +323,68 @@ def _truncation_pieces(cfg: SConfig, p: Perversity, Fo: FormalObject,
                        n: int):
     """Per-summand truncation decision.
 
-    Returns (below_pieces, above_pieces) where below_pieces[k] is a list of
-    (piece, witness) with piece ('F', d) or ('T', g, l) contributing to the
-    below-part at degree k, and witness one of
+    Returns (below_pieces, above_pieces), each mapping a degree k to a list
+    of (piece, witness) with piece ('F', d) or ('T', g, l) contributing to
+    that part at degree k.  Above-pieces carry no witness (None); a
+    below-piece's witness is one of
 
       ('sub', k_src, idx)  -- a submodule of summand idx of F at degree
                               k_src = k (generator-block map), or
       ('rot', k_src, idx)  -- the rotated free case: the piece sits one
                               degree above a free summand and its relation
                               column maps onto that summand's generator.
+
+    In weight mode a summand is cut at c = pZ + n - k by
+    ``sstruct.cut_summand``, except a free summand above degree pU + n,
+    which rotates; trivial mode moves whole summands by sign rules.
     """
     below: Dict[int, list] = {}
     above: Dict[int, list] = {}
 
-    def putb(k, piece, wit):
-        below.setdefault(k, []).append((piece, wit))
-
-    def puta(k, piece):
-        above.setdefault(k, []).append(piece)
+    def put(part, k, piece, wit=None):
+        part.setdefault(k, []).append((piece, wit))
 
     weight = cfg.z_mode == "weight"
     for k in sorted(Fo.components):
-        m = Fo.components[k]
         c = p.pZ + n - k
-        idx = 0
-        for d in m.free:
+        for idx, s in enumerate(summand_pieces(Fo.components[k])):
             if not weight:
-                if k <= p.pU + n:
-                    putb(k, ("F", d), ("sub", k, idx))
-                else:
-                    puta(k, ("F", d))
-            elif k <= p.pU + n:
-                if d <= c:
-                    putb(k, ("F", d), ("sub", k, idx))
-                else:
-                    putb(k, ("F", c), ("sub", k, idx))
-                    puta(k, ("T", d, d - c))
-            else:
-                v = c - 1
+                # sign rules: a summand stays below up to its orbit's level
+                level = p.pU if s[0] == "F" else p.pZ
+                sub, quot = (s, None) if k <= level + n else (None, s)
+            elif s[0] == "F" and k > p.pU + n:
+                # rotated: 0 -> F(d) -> F(v) -> T(v, v - d) -> 0 puts the
+                # cokernel one degree up in the below-part
+                d, v = s[1], c - 1
                 if d >= v:
-                    puta(k, ("F", d))
+                    put(above, k, s)
                 else:
-                    putb(k + 1, ("T", v, v - d), ("rot", k, idx))
-                    puta(k, ("F", v))
-            idx += 1
-        for g, l in m.torsion:
-            if not weight:
-                if k <= p.pZ + n:
-                    putb(k, ("T", g, l), ("sub", k, idx))
-                else:
-                    puta(k, ("T", g, l))
+                    put(below, k + 1, ("T", v, v - d), ("rot", k, idx))
+                    put(above, k, ("F", v))
+                continue
             else:
-                if g <= c:
-                    putb(k, ("T", g, l), ("sub", k, idx))
-                else:
-                    keep = l - (g - c)
-                    if keep >= 1:
-                        putb(k, ("T", c, keep), ("sub", k, idx))
-                    puta(k, ("T", g, min(l, g - c)))
-            idx += 1
+                sub, quot = cut_summand(s, c)
+            if sub is not None:
+                put(below, k, sub, ("sub", k, idx))
+            if quot is not None:
+                put(above, k, quot)
     return below, above
 
 
-def _pieces_to_formal(pieces: Dict[int, list], with_wit: bool) -> FormalObject:
-    comps = {}
-    for k, lst in pieces.items():
-        ps = [p for p, _w in lst] if with_wit else lst
-        mod = gm(
-            [p[1] for p in ps if p[0] == "F"],
-            [(p[1], p[2]) for p in ps if p[0] == "T"],
-        )
-        if not mod.is_zero:
-            comps[k] = mod
-    return FormalObject(comps)
+def _pieces_to_formal(pieces: Dict[int, list]) -> FormalObject:
+    return FormalObject({k: pieces_module([pp for pp, _w in lst])
+                         for k, lst in pieces.items()})
 
 
 def _truncation_witness(cfg: SConfig, p: Perversity, Fo: FormalObject,
                         n: int) -> Tuple[FormalObject, FormalObject, ChainMap]:
     """Below/above parts plus the chain-level inclusion below -> F."""
     below_p, above_p = _truncation_pieces(cfg, p, Fo, n)
-    below = _pieces_to_formal(below_p, True)
-    above = _pieces_to_formal(above_p, False)
+    below = _pieces_to_formal(below_p)
+    above = _pieces_to_formal(above_p)
 
     Cb = free_embed(below)
     CF = free_embed(Fo)
-    pres_f = {k: present(m) for k, m in Fo.components.items()}
 
     # canonical positions of the below pieces inside each component
     pos: Dict[int, List[int]] = {}
@@ -419,8 +395,8 @@ def _truncation_witness(cfg: SConfig, p: Perversity, Fo: FormalObject,
 
     maps: Dict[int, GradedMap] = {}
     for k in Cb.degrees():
-        ngb, nrb = Cb.blocks[k]
-        ngf, nrf = CF.blocks.get(k, (0, 0))
+        ngb = Cb.blocks[k][0]
+        ngf = CF.blocks.get(k, (0, 0))[0]
         mat = MonoMatrix(CF.term(k).gens, Cb.term(k).gens)
         # generator block: sub-pieces at degree k
         for (piece, wit), col in zip(below_p.get(k, []), pos.get(k, [])):
@@ -459,8 +435,8 @@ def stag_truncate(cfg: SConfig, p: Perversity, Fo: FormalObject,
     below_p, above_p = _truncation_pieces(cfg, p, Fo, n)
     return TriangleDecomp(
         cfg=cfg, p=p, level=n, total=Fo,
-        below=_pieces_to_formal(below_p, True),
-        above=_pieces_to_formal(above_p, False),
+        below=_pieces_to_formal(below_p),
+        above=_pieces_to_formal(above_p),
     )
 
 

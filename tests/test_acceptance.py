@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from stagger.grmod import F as Fmod, T as Tmod, V, ext1_group, gm
+from stagger.grmod import F as Fmod, T as Tmod, V, ext1_dim, gm
 from stagger.derived import (
     FormalObject,
     derived_hom,
@@ -82,7 +82,7 @@ def test_criterion_04_remark_vectors():
     assert member(SITE_X, W, "ge", 0, Fmod(-2)) is True
     assert member(SITE_X, W, "ge", 0, Tmod(-2, 1)) is False
     assert ri_flat(formal(Fmod(-2), 0), 1) == formal(V(-1), 1)
-    assert ext1_group(Tmod(-1, 1), Fmod(-2)) == 1
+    assert ext1_dim(Tmod(-1, 1), Fmod(-2)) == 1
     _ok(4, "x^2 A in C_{>=0}, its skyscraper not; Ri^flat(x^2 A) = V(-1)[-1]")
 
 

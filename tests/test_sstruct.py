@@ -4,16 +4,18 @@ import random
 
 import pytest
 
-from stagger.grmod import F, T, V, gm
+from stagger.grmod import F, T, V, gm, weight_dim
 from stagger.sstruct import (
     SConfig,
     SITE_U,
     SITE_X,
     axiom_suite,
     check_on_site,
+    cut_summand,
     max_ge,
     member,
     min_le,
+    pieces_module,
     sigma,
     site_z,
     step,
@@ -71,6 +73,40 @@ def test_member_u_ignores_torsion_shape():
         check_on_site(SITE_U, T(0, 1))
     with pytest.raises(ValueError):
         check_on_site(site_z(2), T(0, 3))
+
+
+# ---------------------------------------------------------------------------
+# the summand cut
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["F", "T"])
+def test_cut_summand_contract(kind):
+    # every F(d) and T(g,l) with d, g in [-6, 6], l in 1..4, cut at every
+    # c in [-8, 8]: the pieces split the summand weight by weight, the sub
+    # lies in C_{<=c} on X (free summands only for c >= 0, the only way
+    # sigma cuts them) and the quotient in C_{>=c+1}
+    if kind == "F":
+        summands = [("F", d) for d in range(-6, 7)]
+    else:
+        summands = [("T", g, l) for g in range(-6, 7) for l in range(1, 5)]
+    cases = 0
+    for piece in summands:
+        M = pieces_module([piece])
+        for c in range(-8, 9):
+            sub, quot = cut_summand(piece, c)
+            S = pieces_module([sub] if sub is not None else [])
+            Qt = pieces_module([quot] if quot is not None else [])
+            # a piece is None exactly when it is zero
+            assert (sub is None, quot is None) == (S.is_zero, Qt.is_zero)
+            for w in range(-16, 10):
+                assert weight_dim(S, w) + weight_dim(Qt, w) == \
+                    weight_dim(M, w), (piece, c, w)
+            if kind == "T" or c >= 0:
+                assert member(SITE_X, W, "le", c, S), (piece, c)
+            assert member(SITE_X, W, "ge", c + 1, Qt), (piece, c)
+            cases += 1
+    assert cases == len(summands) * 17
 
 
 # ---------------------------------------------------------------------------
