@@ -43,10 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
 _Q0 = Q(0)  # shared zero coefficient; Fraction is immutable
+_Q1 = Q(1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,54 +433,67 @@ def canonical_decompose(p: Presentation) -> GradedModule:
     A pivot x^0 cancels a generator against a relation; a pivot x^k (k >= 1)
     contributes T(row weight, k); rows never chosen as pivots survive as
     free summands.  Zero or dependent relation columns are simply dropped.
+
+    Index layout: ``rows[i]`` maps column -> coefficient for the nonzeros of
+    row i, ``cols[j]`` is the set of rows with a nonzero in column j, and a
+    heap holds the pivot key ``(exponent, i, j)`` of every entry as it
+    becomes nonzero (keys of entries that died since are skipped when
+    popped).  A pivot step costs one row operation per nonzero of the pivot
+    column, each touching only the nonzeros of the pivot row, plus one
+    heap push per fill-in; retiring the pivot deletes only the pivot row.
+    Clearing the pivot row needs no arithmetic: the column operations
+    against the isolated pivot column change no other entry.
     """
-    ent: Dict[Tuple[int, int], Q] = dict(p.rel.entries)
     rw, cw = p.rel.row_weights, p.rel.col_weights
-    active_rows = set(range(len(rw)))
-    active_cols = set(range(len(cw)))
-    free: List[int] = []
+    rows: List[Dict[int, Q]] = [{} for _ in rw]
+    cols: List[set] = [set() for _ in cw]
+    for (i, j), c in p.rel.entries.items():
+        rows[i][j] = c
+        cols[j].add(i)
+    heap = [(rw[i] - cw[j], i, j) for (i, j) in p.rel.entries]
+    heapify(heap)
+    retired = [False] * len(rw)
     tors: List[Tuple[int, int]] = []
 
-    # column index -> nonzero rows bookkeeping for speed
-    while True:
-        pivot = None
-        best = None
-        for (i, j), c in ent.items():
-            k = rw[i] - cw[j]
-            key = (k, i, j)
-            if best is None or key < best:
-                best = key
-                pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        k0 = rw[i0] - cw[j0]
-        c0 = ent[(i0, j0)]
-        # clear column j0 with row operations (row_i -= (c/c0) x^(...) row_i0)
-        col_rows = [i for (i, j) in ent if j == j0 and i != i0]
-        if col_rows:
-            pivot_row = {j: c for (i, j), c in ent.items() if i == i0}
-            for i in col_rows:
-                lam = ent[(i, j0)] / c0
-                for j, cpj in pivot_row.items():
-                    key = (i, j)
-                    nv = ent.get(key, Q(0)) - lam * cpj
-                    if nv == 0:
-                        ent.pop(key, None)
+    while heap:
+        k0, i0, j0 = heappop(heap)
+        prow = rows[i0]
+        c0 = prow.get(j0)
+        if c0 is None:
+            continue
+        col = cols[j0]
+        col.discard(i0)
+        nc0 = -c0
+        # clear column j0 with row operations (row_i += (c/-c0) x^(...) row_i0)
+        for i in col:
+            row = rows[i]
+            lam = row.pop(j0) / nc0
+            wi = rw[i]
+            for j, cpj in prow.items():
+                if j == j0:
+                    continue
+                old = row.get(j)
+                if old is None:
+                    row[j] = lam * cpj
+                    cols[j].add(i)
+                    heappush(heap, (wi - cw[j], i, j))
+                else:
+                    nv = old + lam * cpj
+                    if nv:
+                        row[j] = nv
                     else:
-                        ent[key] = nv
-        # row i0 entries outside j0 die by column operations against the now
-        # isolated pivot column; no other entry changes.
-        for j in [j for (i, j) in list(ent) if i == i0 and j != j0]:
-            del ent[(i0, j)]
-        del ent[(i0, j0)]
-        active_rows.discard(i0)
-        active_cols.discard(j0)
+                        del row[j]
+                        cols[j].discard(i)
+        col.clear()
+        for j in prow:
+            cols[j].discard(i0)
+        rows[i0] = {}
+        retired[i0] = True
         if k0 >= 1:
             tors.append((rw[i0], k0))
         # k0 == 0: generator cancels against relation, nothing survives
 
-    free.extend(rw[i] for i in active_rows)
+    free = [w for w, gone in zip(rw, retired) if not gone]
     return GradedModule(tuple(sorted(free)), tuple(sorted(tors)))
 
 
@@ -499,40 +514,69 @@ def free_kernel(mat: MonoMatrix) -> MonoMatrix:
     >= 0 by pivot choice), and the pivot column is frozen.  Columns still
     active at the end have become identically zero and their accumulated
     transforms form the kernel basis.
+
+    Index layout: ``cols[j]`` and the transform ``v[j]`` map row ->
+    coefficient for the nonzeros of column j, and ``rows[r]`` is the set of
+    active columns with a nonzero in row r.  A column operation reads only
+    the nonzeros of the pivot column (in ``cols`` and in ``v``), so a row
+    costs one pass over those per cleared entry; freezing the pivot column
+    removes it from the row sets of its own nonzeros.
     """
-    ent: Dict[Tuple[int, int], Q] = dict(mat.entries)
     rw, cw = mat.row_weights, mat.col_weights
-    v = MonoMatrix.identity(cw)
-    active = list(range(len(cw)))
+    ncols = len(cw)
+    cols: List[Dict[int, Q]] = [{} for _ in cw]
+    rows: List[set] = [set() for _ in rw]
+    for (i, j), c in mat.entries.items():
+        cols[j][i] = c
+        rows[i].add(j)
+    v: List[Dict[int, Q]] = [{j: _Q1} for j in range(ncols)]
+    active = [True] * ncols
 
     for r in range(len(rw)):
-        row_entries = [(j, ent[(r, j)]) for j in active if (r, j) in ent]
-        if not row_entries:
+        row = rows[r]
+        if not row:
             continue
         # least exponent in this row among active columns
-        q, cq = min(row_entries, key=lambda t: (rw[r] - cw[t[0]], t[0]))
-        for j, cj in row_entries:
+        q = min(row, key=lambda j: (rw[r] - cw[j], j))
+        colq, vq = cols[q], v[q]
+        ncq = -colq[r]
+        for j in list(row):
             if j == q:
                 continue
-            mu = cj / cq
-            # col_j -= mu * x^(cw[q]-cw[j]) * col_q, in mat and in v
-            for (i, jj) in [key for key in list(ent) if key[1] == q]:
-                key = (i, j)
-                nv = ent.get(key, Q(0)) - mu * ent[(i, q)]
-                if nv == 0:
-                    ent.pop(key, None)
+            colj, vj = cols[j], v[j]
+            mu = colj[r] / ncq
+            # col_j += mu * x^(cw[q]-cw[j]) * col_q, in mat and in v
+            for i, c in colq.items():
+                old = colj.get(i)
+                if old is None:
+                    colj[i] = mu * c
+                    rows[i].add(j)
                 else:
-                    ent[key] = nv
-            for (i, jj) in [key for key in list(v.entries) if key[1] == q]:
-                key = (i, j)
-                nv = v.entries.get(key, Q(0)) - mu * v.entries[(i, q)]
-                if nv == 0:
-                    v.entries.pop(key, None)
+                    nv = old + mu * c
+                    if nv:
+                        colj[i] = nv
+                    else:
+                        del colj[i]
+                        rows[i].discard(j)
+            for i, c in vq.items():
+                old = vj.get(i)
+                if old is None:
+                    vj[i] = mu * c
                 else:
-                    v.entries[key] = nv
-        active.remove(q)
+                    nv = old + mu * c
+                    if nv:
+                        vj[i] = nv
+                    else:
+                        del vj[i]
+        for i in colq:
+            rows[i].discard(q)
+        active[q] = False
 
-    return v.restrict_cols(active)
+    keep = [j for j in range(ncols) if active[j]]
+    out = MonoMatrix(cw, [cw[j] for j in keep])
+    out.entries = {(i, k): c for k, j in enumerate(keep)
+                   for i, c in v[j].items()}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -643,13 +687,19 @@ def kernel_image_cokernel(f: GradedMap) -> KernelImageCokernel:
     * kernel: elements of the source whose lift maps into the target
       relations; obtained from the kernel of [f | rel_dst] on free covers,
       then presented as a submodule of the source.
+
+    The kernel of [f | rel_dst] is computed once: its top block (rows = the
+    source generators) is both the image's relation matrix (the syzygies of
+    the image columns modulo rel_dst, as in ``submodule_presentation``) and
+    the kernel's generators.  So a call costs two ``free_kernel`` runs (that
+    one and the kernel's own syzygies) and three ``canonical_decompose`` runs.
     """
     coker = canonical_decompose(
         Presentation(f.dst.gens, f.dst.rel.hstack(f.mat))
     )
-    image = canonical_decompose(submodule_presentation(f.dst, f.mat))
     big = free_kernel(f.mat.hstack(f.dst.rel))
     kgens = big.restrict_rows(range(len(f.src.gens)))
+    image = canonical_decompose(Presentation(f.src.gens, kgens))
     kernel = canonical_decompose(submodule_presentation(f.src, kgens))
     return KernelImageCokernel(kernel, image, coker)
 

@@ -554,7 +554,7 @@ class JHReport:
                 errs.append("step %d: witness not mono in the heart" % i)
             if kc.cokernel != st.after:
                 errs.append("step %d: quotient mismatch" % i)
-            if normal_form(cone(st.chain)) != st.after:
+            if kc.cone != st.after:
                 errs.append("step %d: cone differs from recorded quotient" % i)
             if not _is_simple_shape(cfg, p, st.label, st.simple):
                 errs.append("step %d: peeled piece is not the labeled simple" % i)

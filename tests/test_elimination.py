@@ -1,0 +1,308 @@
+"""Exact elimination at size: ``free_kernel`` and ``canonical_decompose``.
+
+Contract tests run on random homogeneous matrices; the pinned outputs in
+``golden/elim_*.json`` fix the exact kernel bases, decompositions and
+kernel/image/cokernel triples on seeded scrambled presentations with 20,
+40 and 80 generators and on random small maps.  The goldens were captured
+from the earlier elimination that rescanned the whole entry dict at every
+step, before ``grmod`` indexed the nonzeros; ``_scrambled`` and
+``_random_map`` rebuild the same inputs.
+"""
+
+import ast
+import json
+import os
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from stagger.grmod import (
+    GradedMap,
+    MonoMatrix,
+    Presentation,
+    _rank,
+    canonical_decompose,
+    fmt_module,
+    free_kernel,
+    gm,
+    kernel_image_cokernel,
+    module_map,
+    present,
+    weight_dim,
+)
+from stagger.oracle import oracle_decompose
+
+HERE = os.path.dirname(__file__)
+GOLDEN = os.path.join(HERE, "golden")
+SRC = os.path.join(HERE, os.pardir, "src", "stagger")
+
+COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
+          Fraction(1, 2), Fraction(-2, 3))
+UNITS = (Fraction(2, 3), Fraction(-3, 2), Fraction(5))
+DENSITY = 0.4   # share of the homogeneously allowed entries left nonzero
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+
+def _scrambled(seed, n):
+    """A known module with ``n`` generators and a scrambled presentation.
+
+    The canonical presentation is mixed by homogeneous elementary row and
+    column operations and by row scalings with non-integer units until
+    DENSITY of the homogeneously allowed entries are nonzero.  Returns
+    (module, scrambled presentation, isomorphism onto ``present(module)``,
+    wide matrix ``[rel | rel C]`` whose kernel has rank ``width(C)``).
+    """
+    rng = random.Random("elim-%d-%d" % (seed, n))
+    nfree = rng.randint(n // 5, n // 2)
+    M = gm([rng.randint(-6, 6) for _ in range(nfree)],
+           [(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n - nfree)])
+    canon = present(M)
+    gens, colw = canon.gens, canon.rel.col_weights
+    rel = [[Fraction(0)] * len(colw) for _ in gens]
+    for (i, j), c in canon.rel.entries.items():
+        rel[i][j] = c
+    uinv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    goal = DENSITY * sum(1 for g in gens for v in colw if g >= v)
+    for _ in range(40 * n):
+        if sum(1 for row in rel for c in row if c) >= goal:
+            break
+        kind = rng.random()
+        if kind < 0.45:
+            # row_i += c x^(g_i - g_j) row_j; U^-1 gets col_j -= c col_i
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i == j or gens[i] < gens[j]:
+                continue
+            c = rng.choice(COEFFS)
+            rel[i] = [a + c * b for a, b in zip(rel[i], rel[j])]
+            for row in uinv:
+                row[j] -= c * row[i]
+        elif kind < 0.9 and colw:
+            # col_k += c x^(v_l - v_k) col_l
+            k, l = rng.randrange(len(colw)), rng.randrange(len(colw))
+            if k == l or colw[l] < colw[k]:
+                continue
+            c = rng.choice(COEFFS)
+            for row in rel:
+                row[k] += c * row[l]
+        else:
+            # row_i *= u; U^-1 gets col_i /= u
+            i, u = rng.randrange(n), rng.choice(UNITS)
+            rel[i] = [a * u for a in rel[i]]
+            for row in uinv:
+                row[i] /= u
+    relm = MonoMatrix(gens, colw, _sparse(rel))
+    p = Presentation(gens, relm)
+    iso = GradedMap(p, canon, MonoMatrix(gens, gens, _sparse(uinv)))
+    width = max(2, n // 10)
+    ucol = [min(colw, default=0) - rng.randint(0, 2) for _ in range(width)]
+    wide = relm.hstack(MonoMatrix(gens, ucol))
+    for m in range(width):
+        cm = [rng.choice(COEFFS) if rng.random() < 0.5 else 0 for _ in colw]
+        for i in range(n):
+            wide.set(i, len(colw) + m,
+                     sum(rel[i][k] * cm[k] for k in range(len(colw))))
+    return M, p, iso, wide
+
+
+def _sparse(rows):
+    return {(i, j): c for i, row in enumerate(rows)
+            for j, c in enumerate(row) if c}
+
+
+def _random_matrix(rng):
+    """Random homogeneous matrix: repeated weights, Fraction entries, some
+    rows and columns forced to zero, and 0-row / 0-column shapes."""
+    nr, nc = rng.randint(0, 7), rng.randint(0, 7)
+    rw = [rng.randint(-3, 3) for _ in range(nr)]
+    cw = [rng.randint(-5, 3) for _ in range(nc)]
+    zero_rows = {i for i in range(nr) if rng.random() < 0.15}
+    zero_cols = {j for j in range(nc) if rng.random() < 0.15}
+    dens = rng.random()
+    m = MonoMatrix(rw, cw)
+    for i in range(nr):
+        for j in range(nc):
+            if (i not in zero_rows and j not in zero_cols and rw[i] >= cw[j]
+                    and rng.random() < dens):
+                m.set(i, j, rng.choice(COEFFS))
+    return m
+
+
+def _random_map(rng):
+    """Random well-defined map between small canonical modules.
+
+    A free source generator may go anywhere homogeneity allows; a torsion
+    source generator T(g, n) only to torsion targets T(h, l) with
+    h - g + n >= l, where x^n kills the image.
+    """
+    def module():
+        return gm([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))],
+                  [(rng.randint(-4, 4), rng.randint(1, 3))
+                   for _ in range(rng.randint(0, 3))])
+    M, N = module(), module()
+    src, dst = present(M), present(N)
+    entries = {}
+    for j, g in enumerate(src.gens):
+        n = None if j < len(M.free) else M.torsion[j - len(M.free)][1]
+        for i, h in enumerate(dst.gens):
+            if h < g or rng.random() < 0.4:
+                continue
+            if n is not None:
+                if i < len(N.free) or h - g + n < N.torsion[i - len(N.free)][1]:
+                    continue
+            entries[(i, j)] = rng.choice(COEFFS)
+    return module_map(M, N, entries)
+
+
+# ---------------------------------------------------------------------------
+# free_kernel contract
+# ---------------------------------------------------------------------------
+
+
+def _coeff_rank(m):
+    """Rank over k[x]: entries are monomials with forced exponents, so it is
+    the rank of the coefficient matrix (x = 1)."""
+    return _rank([[m.get(i, j) for j in range(m.ncols)]
+                  for i in range(m.nrows)])
+
+
+def _check_kernel(m, ker):
+    assert ker.row_weights == m.col_weights
+    assert m.compose(ker).is_zero()
+    assert ker.ncols == m.ncols - _coeff_rank(m)
+    assert all(type(c) is Fraction for c in ker.entries.values())
+    # each kernel column is 1 at its own source column and 0 at the other
+    # kernel columns' (their own columns increase with the kernel index)
+    own = -1
+    for k in range(ker.ncols):
+        own = next((i for i in range(own + 1, ker.nrows)
+                    if ker.get(i, k) == 1
+                    and ker.col_weights[k] == ker.row_weights[i]
+                    and all(ker.get(i, kk) == 0
+                            for kk in range(ker.ncols) if kk != k)), None)
+        assert own is not None, "kernel column %d has no unit row" % k
+
+
+def test_free_kernel_contract_random():
+    rng = random.Random(404)
+    shapes = set()
+    for _ in range(400):
+        m = _random_matrix(rng)
+        shapes.add((m.nrows == 0, m.ncols == 0))
+        _check_kernel(m, free_kernel(m))
+    assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("n", [5, 10, 20])
+def test_free_kernel_contract_scrambled(n):
+    for seed in range(3):
+        _M, p, iso, wide = _scrambled(seed, n)
+        _check_kernel(wide, free_kernel(wide))
+        _check_kernel(p.rel, free_kernel(p.rel))
+        big = iso.mat.hstack(iso.dst.rel)
+        _check_kernel(big, free_kernel(big))
+
+
+# ---------------------------------------------------------------------------
+# oracle agreement and kernel / image / cokernel identities
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [5, 10, 15, 20])
+def test_decompose_agrees_with_oracle_scrambled(n):
+    for seed in range(2):
+        M, p, _iso, _wide = _scrambled(seed, n)
+        got = canonical_decompose(p)
+        assert got == M
+        assert oracle_decompose(p) == got
+
+
+def test_kernel_image_cokernel_identities():
+    rng = random.Random(808)
+    for _ in range(150):
+        f = _random_map(rng)
+        kic = kernel_image_cokernel(f)
+        M, N = f.src.module, f.dst.module
+        ws = [w for X in (M, N) for w in X.occupied_window()]
+        for w in range(min(ws) - 6, max(ws) + 2):
+            assert weight_dim(kic.kernel, w) + weight_dim(kic.image, w) \
+                == weight_dim(M, w)
+            assert weight_dim(kic.image, w) + weight_dim(kic.cokernel, w) \
+                == weight_dim(N, w)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+# ---------------------------------------------------------------------------
+
+
+def _matrix_record(m):
+    return {"col_weights": list(m.col_weights),
+            "entries": sorted([i, j, str(c)] for (i, j), c in m.entries.items())}
+
+
+def _kic_record(f):
+    kic = kernel_image_cokernel(f)
+    return [fmt_module(kic.kernel), fmt_module(kic.image),
+            fmt_module(kic.cokernel)]
+
+
+def _scrambled_record(n):
+    M, p, iso, wide = _scrambled(0, n)
+    return {
+        "module": fmt_module(M),
+        "decompose": fmt_module(canonical_decompose(p)),
+        "wide_kernel": _matrix_record(free_kernel(wide)),
+        "iso_kernel": _matrix_record(free_kernel(iso.mat.hstack(iso.dst.rel))),
+        "kic": _kic_record(iso),
+    }
+
+
+def _random_maps_record():
+    rng = random.Random(909)
+    return [_kic_record(_random_map(rng)) for _ in range(80)]
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name)) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("n", [20, 40, 80])
+def test_elimination_golden_scrambled(n):
+    got = _scrambled_record(n)
+    assert got == _golden("elim_scrambled_%d.json" % n)
+    assert got["decompose"] == got["module"]
+    assert got["kic"] == ["0", got["module"], "0"]
+
+
+def test_kernel_image_cokernel_golden_random_maps():
+    assert _random_maps_record() == _golden("elim_kic_maps.json")
+
+
+# ---------------------------------------------------------------------------
+# stdlib only
+# ---------------------------------------------------------------------------
+
+
+def test_package_imports_stdlib_only():
+    names = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+    assert "grmod.py" in names
+    for name in names:
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods = [node.module]
+            else:
+                continue
+            for mod in mods:
+                assert mod.split(".")[0] in sys.stdlib_module_names, \
+                    "%s imports %s" % (name, mod)

@@ -1,14 +1,16 @@
 """Staggered t-structures: aisles, truncation triangles, the heart,
 simple objects and Jordan-Holder filtrations."""
 
+import dataclasses
 import random
 
 import pytest
 
 from stagger.grmod import F as Fmod, T as Tmod, V, gm, module_map
-from stagger.derived import FormalObject, derived_hom, dualize, formal
+from stagger.derived import FormalObject, derived_hom, dualize, formal, formal_sum
 from stagger.sstruct import SConfig, SITE_X
 from stagger.stag import (
+    JHReport,
     Perversity,
     aisle_member,
     dual_perversity,
@@ -214,6 +216,24 @@ def test_jh_composite_multiset_invariant():
     alt = jh_factors(W, P01, big, _order="alt")
     assert sorted(alt.factors) == sorted(rep.factors)
     assert alt.audit(W, P01) == []
+
+
+def test_jh_audit_reports_tampered_steps():
+    obj = FormalObject({0: gm([1, -1]), 1: V(0)})
+    rep = jh_factors(W, P01, obj)
+    assert rep.audit(W, P01) == []
+    i = 1
+    st = rep.steps[i]
+    wrong = formal_sum(st.after, formal(V(7), 3))
+    steps = list(rep.steps)
+    steps[i] = dataclasses.replace(st, after=wrong)
+    errs = JHReport(rep.obj, rep.factors, steps).audit(W, P01)
+    assert "step %d: quotient mismatch" % i in errs
+    assert "step %d: cone differs from recorded quotient" % i in errs
+    steps = list(rep.steps)
+    steps[i] = dataclasses.replace(st, before=wrong)
+    errs = JHReport(rep.obj, rep.factors, steps).audit(W, P01)
+    assert "step %d starts at the wrong object" % i in errs
 
 
 def test_jh_random_heart_objects():
