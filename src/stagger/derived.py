@@ -32,7 +32,9 @@ cohomology with an independent per-weight rank certificate.  An entry
 so the columns of weight >= w vanish outside the rows of weight >= w: the
 rank of the weight-w component is the rank of those columns alone.  It
 only grows as w falls, so one sweep inserting the columns by descending
-weight into an echelon basis yields the rank at every weight at once.
+weight into an echelon basis yields the rank at every weight at once.  The
+sweep keeps every column and basis vector sparse, as a {row: coefficient}
+dict of its nonzeros; no column is ever expanded to a dense vector.
 """
 
 from __future__ import annotations
@@ -577,39 +579,43 @@ def normal_form(c: ChainComplex) -> FormalObject:
 def _weight_ranks(mat: MonoMatrix, lo: int, hi: int) -> List[int]:
     """Ranks of the weight-w components of ``mat`` as ranks[w - lo], for
     lo <= w <= hi, from one sweep over the columns by descending weight
-    (see the module docstring).  Each nonzero column becomes one dense
-    vector, reduced in place against the basis, which keeps one vector per
-    pivot row, normalized to 1 at that row.
+    (see the module docstring).  Each nonzero column becomes one sparse
+    vector {row: coefficient} holding only nonzeros; it is reduced in place
+    at its lowest nonzero row against the basis, which keeps one such vector
+    per pivot row, normalized to 1 at that row.  Entries that cancel to 0
+    are deleted, so no step reads or divides a zero.
     """
     cw = mat.col_weights
-    cols: Dict[int, List[Tuple[int, Q]]] = {}
+    cols: Dict[int, Dict[int, Q]] = {}
     for (i, j), c in mat.entries.items():
         if cw[j] >= lo:
-            cols.setdefault(j, []).append((i, c))
+            cols.setdefault(j, {})[i] = c
     order = sorted(cols, key=lambda j: -cw[j])
-    nrows = mat.nrows
-    basis: Dict[int, List[Q]] = {}
+    basis: Dict[int, Dict[int, Q]] = {}
     ranks: List[int] = []
     pos = 0
     for w in range(hi, lo - 1, -1):
         while pos < len(order) and cw[order[pos]] >= w:
-            vec = [Q(0)] * nrows
-            for i, c in cols[order[pos]]:
-                vec[i] = c
+            vec = cols[order[pos]]
             pos += 1
-            for r in range(nrows):
+            while vec:
+                r = min(vec)
                 c = vec[r]
-                if c == 0:
-                    continue
                 piv = basis.get(r)
                 if piv is None:
-                    for t in range(r, nrows):
+                    for t in vec:
                         vec[t] /= c
                     basis[r] = vec
                     break
-                for t in range(r, nrows):
-                    if piv[t] != 0:
-                        vec[t] -= c * piv[t]
+                for t, v in piv.items():
+                    if t in vec:
+                        x = vec[t] - c * v
+                        if x:
+                            vec[t] = x
+                        else:
+                            del vec[t]
+                    else:
+                        vec[t] = -c * v
         ranks.append(len(basis))
     ranks.reverse()
     return ranks

@@ -27,12 +27,14 @@ the heart, and a Jordan-Holder peeling with auditable mono witnesses.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .grmod import (
     F as Fmod,
+    GradedModule,
     MonoMatrix,
     T as Tmod,
     ZERO,
@@ -88,7 +90,7 @@ class Perversity:
         return "(%d,%d)" % (self.pU, self.pZ)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeometryReport:
     mode: str
     cod_u: int
@@ -112,12 +114,17 @@ class GeometryReport:
         }
 
 
+@functools.lru_cache(maxsize=None)
 def geometry_report(cfg: SConfig) -> GeometryReport:
     """Codimension and altitude of each orbit, computed not asserted.
 
     Codimension of Z is the concentration degree of Ri^flat(omega_X) over
     the thickenings; altitude is the largest w with the orbit's dualizing
     module in C_{>=w}.  Both are checked stable over n = 1..4.
+
+    The report depends on the mode alone, so it is computed, with all of
+    these checks, on the first call for each ``SConfig``; later calls
+    return that same (frozen) report.  A failed check stores nothing.
     """
     omega = formal(Fmod(0))
     ru = restrict_u(omega)
@@ -541,7 +548,13 @@ class JHReport:
 
     def audit(self, cfg: SConfig, p: Perversity) -> List[str]:
         """Verify each peel: valid chain mono with zero heart-kernel whose
-        cone is the next stage, the peeled piece a genuine simple."""
+        cone is the next stage, the peeled piece a genuine simple.
+
+        The peel writes each quotient in closed form; this audit is its
+        certificate: per step it computes ``normal_form(cone(chain))``,
+        with the homology rank certificate, and compares it with the
+        recorded ``after``.
+        """
         errs: List[str] = []
         cur = self.obj
         for i, st in enumerate(self.steps):
@@ -574,9 +587,28 @@ def _is_simple_shape(cfg: SConfig, p: Perversity, label: str,
     return False
 
 
+def _swap_summand(H: FormalObject, k: int, drop: GradedModule,
+                  add: GradedModule = ZERO) -> FormalObject:
+    """H with the summands of ``drop`` taken out of its degree-k component
+    and those of ``add`` put in."""
+    m = H.components[k]
+    free, tors = list(m.free), list(m.torsion)
+    for d in drop.free:
+        free.remove(d)
+    for t in drop.torsion:
+        tors.remove(t)
+    comps = dict(H.components)
+    comps[k] = gm(free + list(add.free), tors + list(add.torsion))
+    return FormalObject(comps)
+
+
 def _peel_torsion(cfg: SConfig, p: Perversity, H: FormalObject,
                   n: int) -> JHStep:
-    """Peel the direct summand T(n,1) @ (pZ - n) (a shifted simple)."""
+    """Peel the direct summand T(n,1) @ (pZ - n) (a shifted simple).
+
+    The quotient is H without that summand, written down directly;
+    ``JHReport.audit`` certifies it against the cone's normal form.
+    """
     k = p.pZ - n
     m = H.components[k]
     tidx = next(
@@ -586,18 +618,19 @@ def _peel_torsion(cfg: SConfig, p: Perversity, H: FormalObject,
     S = formal(Tmod(n, 1), k)
     fmap = module_map(Tmod(n, 1), m, {(gen_index, 0): 1})
     _a, _b, ch = chain_map_on_embeds(S, H, {k: fmap})
-    after = normal_form(cone(ch))
-    return JHStep(label="SZ(%d)" % n, simple=S, before=H, after=after,
-                  chain=ch)
+    return JHStep(label="SZ(%d)" % n, simple=S, before=H,
+                  after=_swap_summand(H, k, Tmod(n, 1)), chain=ch)
 
 
 def _peel_free(cfg: SConfig, p: Perversity, H: FormalObject,
                d: int) -> JHStep:
     """Peel from a free summand F(d) @ pU (d in {-1, 0, 1}).
 
-    d = 0: the summand is the simple OX; d = 1: OX embeds via x with
-    quotient SZ(1); d = -1: SZ(0) embeds via the Ext component, with
-    quotient the summand replaced by F(0).
+    d = 0: the summand is the simple OX, and the quotient drops it; d = 1:
+    OX embeds via x with quotient SZ(1), so F(1) becomes T(1,1); d = -1:
+    SZ(0) embeds via the Ext component, and F(-1) becomes F(0).  The
+    quotient is written down in that closed form; ``JHReport.audit``
+    certifies it against the cone's normal form.
     """
     a = p.pU
     m = H.components[a]
@@ -607,6 +640,7 @@ def _peel_free(cfg: SConfig, p: Perversity, H: FormalObject,
         fmap = module_map(Fmod(0), m, {(fidx, 0): 1})
         _x, _y, ch = chain_map_on_embeds(S, H, {a: fmap})
         label = "OX"
+        after = _swap_summand(H, a, Fmod(d), Tmod(1, 1) if d else ZERO)
     elif d == -1:
         S = formal(Tmod(0, 1), a + 1)
         Cs = free_embed(S)
@@ -624,9 +658,9 @@ def _peel_free(cfg: SConfig, p: Perversity, H: FormalObject,
         )
         ch = ChainMap(Cs, CH, maps)
         label = "SZ(0)"
+        after = _swap_summand(H, a, Fmod(-1), Fmod(0))
     else:
         raise ValueError("free heart summands have generator in {-1, 0, 1}")
-    after = normal_form(cone(ch))
     return JHStep(label=label, simple=S, before=H, after=after, chain=ch)
 
 
@@ -639,6 +673,10 @@ def jh_factors(cfg: SConfig, p: Perversity, Fo: FormalObject,
     SZ(0), F(0) is OX itself, F(1) contains OX with quotient SZ(1).  The
     '_order' knob re-runs the peel with different preferences; the factor
     multiset is an invariant and the suite checks it.
+
+    Each quotient (the next stage) is written in closed form from the
+    simples of a strict perversity, not computed; ``JHReport.audit``
+    certifies every one by the normal form of the witness's cone.
     """
     _require_strict(cfg, p)
     if not (aisle_member(cfg, p, Fo, "le0")

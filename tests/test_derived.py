@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from stagger import derived
+from stagger import derived, stag
 from stagger.grmod import (
     F, MonoMatrix, T, V, _rank, direct_sum, gm, module_map, present,
 )
@@ -225,6 +225,57 @@ def _random_mono(rng, row_weights, ncols):
     return m
 
 
+def _cancelling_mono(rng, nrows):
+    """A homogeneous matrix whose later columns include exact linear
+    combinations of earlier ones of weight >= theirs (they reduce to exactly
+    0) and such combinations plus one stray entry (they cancel in part)."""
+    rw = [rng.randint(-3, 3) for _ in range(nrows)]
+    cw, cols = [], []
+    for _ in range(rng.randint(nrows // 2, nrows + 5)):
+        w = rng.randint(-4, 3)
+        col = {}
+        older = [c for v, c in zip(cw, cols) if v >= w and c]
+        kind = rng.random()
+        if older and kind < 0.6:
+            for c in rng.sample(older, min(len(older), rng.randint(2, 4))):
+                a = Fraction(rng.choice((1, -1, 2, -3)), rng.randint(1, 3))
+                for i, v in c.items():
+                    col[i] = col.get(i, 0) + a * v
+            if kind < 0.2:
+                room = [i for i, r in enumerate(rw) if r >= w]
+                if room:
+                    i = rng.choice(room)
+                    col[i] = col.get(i, 0) + 1
+        else:
+            for i, r in enumerate(rw):
+                if r >= w and rng.random() < 0.3:
+                    col[i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        cw.append(w)
+        cols.append({i: v for i, v in col.items() if v})
+    m = MonoMatrix(rw, cw)
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            m.set(i, j, v)
+    return m
+
+
+def _certify_wide_cone_matrices():
+    """The hstacked [d_k | rel_{k+1}] matrices of one chain-level truncation
+    cone of a wide object (6-12 free and 6-12 torsion summands per degree),
+    the matrices the homology certificate sweeps."""
+    rng = random.Random(5)
+    Fo = FormalObject({
+        k: gm([rng.randint(-6, 6) for _ in range(rng.randint(6, 12))],
+              [(rng.randint(-6, 6), rng.randint(1, 4))
+               for _ in range(rng.randint(6, 12))])
+        for k in range(-2, 3)
+    })
+    _b, _a, chain = stag._truncation_witness(
+        SConfig("weight"), Perversity(0, 1), Fo, 0)
+    c = cone(chain)
+    return [c.diffs[k].mat.hstack(c.term(k + 1).rel) for k in sorted(c.diffs)]
+
+
 def test_weight_ranks_match_dense_reference():
     """The one-sweep ranks equal dense ranks of the (rows >= w) x (cols >= w)
     coefficient submatrix, the reference the certificate used to compute."""
@@ -236,6 +287,10 @@ def test_weight_ranks_match_dense_reference():
         a = _random_mono(rng, rw, rng.randint(0, 6))
         cases.append(a)
         cases.append(a.hstack(_random_mono(rng, rw, rng.randint(0, 6))))
+    # 20-60 rows with columns that cancel exactly, and a wide cone's [d | rel]
+    crng = random.Random(57)
+    cases += [_cancelling_mono(crng, n) for n in (20, 20, 30, 40, 60)]
+    cases += _certify_wide_cone_matrices()
     for m in cases:
         ws = list(m.row_weights) + list(m.col_weights) or [0]
         lo, hi = min(ws) - 2, max(ws) + 2

@@ -2,17 +2,23 @@
 simple objects and Jordan-Holder filtrations."""
 
 import dataclasses
+import json
+import os
 import random
 
 import pytest
 
+from stagger import stag
 from stagger.grmod import F as Fmod, T as Tmod, V, gm, module_map
-from stagger.derived import FormalObject, derived_hom, dualize, formal, formal_sum
-from stagger.sstruct import SConfig, SITE_X
+from stagger.derived import (
+    FormalObject, cone, derived_hom, dualize, formal, formal_sum, normal_form,
+)
+from stagger.sstruct import SConfig, SITE_X, site_z
 from stagger.stag import (
     JHReport,
     Perversity,
     aisle_member,
+    aisle_member_z,
     dual_perversity,
     geometry_report,
     heart_kernel_cokernel,
@@ -45,6 +51,31 @@ def test_geometry_weight_mode():
 def test_geometry_trivial_mode():
     g = geometry_report(TR)
     assert (g.alt_z, g.scod_z, g.scod_u) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("cfg", [W, TR], ids=["weight", "trivial"])
+def test_geometry_report_is_computed_once_per_mode(cfg):
+    geometry_report.cache_clear()
+    g = geometry_report(cfg)
+    assert geometry_report.cache_info().misses == 1
+    assert g == geometry_report.__wrapped__(cfg)  # a fresh computation
+    assert geometry_report(SConfig(cfg.z_mode)) is g
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.alt_z = 7
+    # aisle_member_z's upper aisle reads the same stored report
+    hits = geometry_report.cache_info().hits
+    aisle_member_z(cfg, P01, site_z(2), formal(Tmod(0, 1), 0), "ge0")
+    info = geometry_report.cache_info()
+    assert (info.misses, info.hits) == (1, hits + 1)
+
+
+def test_geometry_report_first_call_runs_the_checks(monkeypatch):
+    spread = FormalObject({1: Tmod(0, 1), 2: Tmod(1, 1)})
+    monkeypatch.setattr(stag, "ri_flat", lambda F, n: spread)
+    geometry_report.cache_clear()
+    with pytest.raises(AssertionError, match="not concentrated on Z_1"):
+        geometry_report(W)
+    assert geometry_report.cache_info().currsize == 0
 
 
 def test_perversity_validation():
@@ -275,6 +306,61 @@ def test_jh_random_heart_objects():
         for k, ks in comps.items():
             want.extend(["SZ(%d)" % (1 - k)] * len(ks))
         assert sorted(rep.factors) == sorted(want)
+
+
+def _heart_object(rng, p, length):
+    """A heart object of Jordan-Holder length ``length`` for the strict
+    perversity p = (a, a+1): F(0) @ a (one factor), F(-1) and F(1) @ a (two
+    each) and the shifted skyscrapers T(n,1) @ (a+1-n) (one each)."""
+    free, tors = [], {}
+    left = length
+    while left > 0:
+        r = rng.random()
+        if left >= 2 and r < 0.3:
+            free.append(rng.choice((-1, 1)))
+            left -= 2
+        elif r < 0.5:
+            free.append(0)
+            left -= 1
+        else:
+            n = rng.randint(-3, 3)
+            tors.setdefault(p.pZ - n, []).append((n, 1))
+            left -= 1
+    comps = {k: gm([], ts) for k, ts in tors.items()}
+    comps[p.pU] = gm(free, tors.get(p.pU, []))
+    return FormalObject(comps)
+
+
+def _jh_peel_cases():
+    """(p, order, object) for every blessed weight-mode perversity, both
+    peel orders, and heart objects of length 1 to 40."""
+    rng = random.Random(55)
+    for p in stag._blessed_perversities(W):
+        for length in (1, 2, 40) + tuple(rng.randint(3, 39) for _ in range(4)):
+            H = _heart_object(rng, p, length)
+            for order in ("default", "alt"):
+                yield p, order, H
+
+
+def _jh_record(rep, p, order):
+    return {"p": [p.pU, p.pZ], "order": order, "object": str(rep.obj),
+            "factors": rep.factors, "after": [str(s.after) for s in rep.steps]}
+
+
+def test_jh_closed_form_peel():
+    """Every closed-form quotient is the normal form of its witness's cone,
+    and factors and quotients equal the goldens (``golden/jh_peel.json``,
+    computed with each quotient taken from that cone)."""
+    path = os.path.join(os.path.dirname(__file__), "golden", "jh_peel.json")
+    with open(path) as fh:
+        golden = json.load(fh)
+    cases = list(_jh_peel_cases())
+    assert len(cases) == len(golden)
+    for (p, order, H), want in zip(cases, golden):
+        rep = jh_factors(W, p, H, _order=order)
+        assert _jh_record(rep, p, order) == want
+        for st in rep.steps:
+            assert st.after == normal_form(cone(st.chain)), (p, order, H)
 
 
 def test_jh_nonstrict_perversity_rejected():
