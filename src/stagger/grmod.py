@@ -232,13 +232,6 @@ class MonoMatrix:
 
     # -- construction helpers ------------------------------------------
 
-    @classmethod
-    def identity(cls, weights: Sequence[int]) -> "MonoMatrix":
-        m = cls(weights, weights)
-        for i in range(len(m.row_weights)):
-            m.entries[(i, i)] = Q(1)
-        return m
-
     def hstack(self, other: "MonoMatrix") -> "MonoMatrix":
         if self.row_weights != other.row_weights:
             raise ValueError("hstack: row weights differ")
@@ -256,14 +249,6 @@ class MonoMatrix:
         for (i, j), c in self.entries.items():
             if i in pos:
                 out.entries[(pos[i], j)] = c
-        return out
-
-    def restrict_cols(self, cols: Sequence[int]) -> "MonoMatrix":
-        pos = {c: k for k, c in enumerate(cols)}
-        out = MonoMatrix(self.row_weights, [self.col_weights[c] for c in cols])
-        for (i, j), c in self.entries.items():
-            if j in pos:
-                out.entries[(i, pos[j])] = c
         return out
 
     def compose(self, other: "MonoMatrix") -> "MonoMatrix":
@@ -630,12 +615,12 @@ class GradedMap:
 
 
 def module_map(M: GradedModule, N: GradedModule,
-               entries: Dict[Tuple[int, int], Q],
-               validated: bool = True) -> GradedMap:
+               entries: Dict[Tuple[int, int], Q]) -> GradedMap:
     """Map between canonical modules; entries over their canonical generators.
 
     Entries landing in a torsion target with exponent >= its length are
-    silently dropped (they are zero in the target).
+    silently dropped (they are zero in the target).  A map that does not
+    respect the relations raises ``ValueError``.
     """
     ps, pd = present(M), present(N)
     mat = MonoMatrix(pd.gens, ps.gens)
@@ -649,7 +634,7 @@ def module_map(M: GradedModule, N: GradedModule,
             if k >= ln:
                 continue
         mat.set(i, j, c)
-    return GradedMap(ps, pd, mat, validated=validated)
+    return GradedMap(ps, pd, mat, validated=True)
 
 
 # ---------------------------------------------------------------------------

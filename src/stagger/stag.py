@@ -12,9 +12,13 @@ perversity the staggered aisles are
   F in D^{>=0}  iff  the Serre dual D(F) lies in D^{<=0} for the dual
                      perversity (this is the definition, not a theorem).
 
-The Li* conditions stabilize once n exceeds every torsion length in sight,
-so membership is decided with the bound max-length + 1 (the suite re-checks
-with a larger bound).
+The Li* condition has a closed form, one inequality per summand.  In degree
+k, Li*_n sends F(d) to T(d, n) and T(g, l) to T(g, min(l, n)), weights kept,
+and puts ker x^n (-n), of generator weights min(g, g - l + n) - n <= g - 1,
+in degree k - 1.  So n = 1 binds: in weight mode every generator weight of
+H^k must be <= pZ - k (then the Tor term meets pZ - k + 1 for every n); in
+trivial mode H^k must vanish for k > pZ.  T8 of the suite checks this
+against the looped definition.
 
 Truncation is computed summand by summand (in weight mode each summand is
 cut by ``sstruct.cut_summand``, the one home of the cut rule that sigma
@@ -219,29 +223,39 @@ def _require_strict(cfg: SConfig, p: Perversity) -> PerversityReport:
 # ---------------------------------------------------------------------------
 
 
-def aisle_member(cfg: SConfig, p: Perversity, F: FormalObject, which: str,
-                 bound: Optional[int] = None) -> bool:
+def aisle_member(cfg: SConfig, p: Perversity, F: FormalObject,
+                 which: str) -> bool:
     """Membership of F in D^{<=0} ('le0') or D^{>=0} ('ge0') on X."""
     if which == "ge0":
-        return aisle_member(cfg, dual_perversity(cfg, p), dualize(F), "le0",
-                            bound=bound)
+        return aisle_member(cfg, dual_perversity(cfg, p), dualize(F), "le0")
     if which != "le0":
         raise ValueError("which must be 'le0' or 'ge0'")
     _require_valid(cfg, p)
-    if F.is_zero:
-        return True
-    for k, m in F.components.items():
-        if m.rank and k > p.pU:
-            return False
-    if bound is None:
-        L = max(m.max_torsion_length() for m in F.components.values())
-        bound = L + 1
-    for n in range(1, bound + 1):
-        G = li_star(F, n)
-        for j, h in G.components.items():
-            if not member(site_z(n), cfg, "le", p.pZ - j, h):
-                return False
-    return True
+    return all(_le0_component(cfg, p, k, m) for k, m in F.components.items())
+
+
+def _le0_component(cfg: SConfig, p: Perversity, k: int,
+                   m: GradedModule) -> bool:
+    """The closed-form D^{<=0} condition on H^k = m (module docstring)."""
+    if m.rank and k > p.pU:
+        return False
+    if cfg.z_mode == "weight":
+        return all(w <= p.pZ - k for w in m.gen_weights())
+    return m.is_zero or k <= p.pZ
+
+
+def _aisle_member_looped(cfg: SConfig, p: Perversity, F: FormalObject,
+                         which: str, bound: int) -> bool:
+    """The aisles by the Li*_n definition, n = 1..bound (T8's reference)."""
+    if which == "ge0":
+        return _aisle_member_looped(cfg, dual_perversity(cfg, p), dualize(F),
+                                    "le0", bound)
+    _require_valid(cfg, p)
+    if any(m.rank and k > p.pU for k, m in F.components.items()):
+        return False
+    return all(member(site_z(n), cfg, "le", p.pZ - j, h)
+               for n in range(1, bound + 1)
+               for j, h in li_star(F, n).components.items())
 
 
 def aisle_member_z(cfg: SConfig, p: Perversity, site: Site, F: FormalObject,
@@ -268,13 +282,12 @@ def aisle_member_z(cfg: SConfig, p: Perversity, site: Site, F: FormalObject,
 
 
 def aisle_member_level(cfg: SConfig, p: Perversity, F: FormalObject,
-                       direction: str, n: int,
-                       bound: Optional[int] = None) -> bool:
+                       direction: str, n: int) -> bool:
     """F in D^{<=n} / D^{>=n}: shift so the question is at level 0
     (D^{<=n} = D^{<=0}[-n], so F is a member iff F[n] is in D^{<=0})."""
-    G = F.shift(n)
-    return aisle_member(cfg, p, G, "le0" if direction == "le" else "ge0",
-                        bound=bound)
+    if direction not in ("le", "ge"):
+        raise ValueError("direction must be 'le' or 'ge'")
+    return aisle_member(cfg, p, F.shift(n), direction + "0")
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +752,8 @@ def tstructure_suite(cfg: SConfig, seed: int = 1, samples: int = 200
     Orthogonality, truncation triangles (with chain-level audit), shift
     nesting, duality exchange of the truncations, stability of the lower
     aisle under standard truncation, pushforward compatibility from the
-    thickenings, boundedness, and stabilization of the Li* bound.
+    thickenings, boundedness, and (T8) the closed-form aisles against the
+    looped Li* definition up to n = longest torsion length + 4.
     """
     rep = SuiteReport(suite="tstructure", seed=seed, samples=samples,
                       mode=cfg.z_mode)
@@ -827,13 +841,12 @@ def tstructure_suite(cfg: SConfig, seed: int = 1, samples: int = 200
                             for nn in range(-W, W + 1))
         c.record(ok, "boundedness failed on %s (p=%s)" % (Fo, p))
 
-        # stabilization: a larger Li* bound gives the same answer
+        # the closed form against the Li* loop, well past every length
         c = rep.check("T8_bound_stability")
         L = max([m.max_torsion_length() for m in Fo.components.values()] + [0])
-        ok = aisle_member(cfg, p, Fo, "le0") == \
-            aisle_member(cfg, p, Fo, "le0", bound=L + 4)
-        ok = ok and aisle_member(cfg, p, Fo, "ge0") == \
-            aisle_member(cfg, p, Fo, "ge0", bound=L + 4)
-        c.record(ok, "Li* bound not stable on %s" % Fo)
+        ok = all(aisle_member(cfg, p, Fo, w)
+                 == _aisle_member_looped(cfg, p, Fo, w, L + 4)
+                 for w in ("le0", "ge0"))
+        c.record(ok, "aisle closed form != Li* loop on %s (p=%s)" % (Fo, p))
 
     return rep

@@ -114,6 +114,56 @@ def test_aisle_anchors():
     assert not aisle_member(W, P01, formal(V(2), -2), "ge0")
 
 
+def _valid_perversities(cfg):
+    cands = [Perversity(pU, pZ) for pU in range(-3, 4)
+             for pZ in range(pU - 1, pU + 4)]
+    return [p for p in cands if validate_perversity(cfg, p).valid]
+
+
+def _near_boundary_object(rng, p):
+    """Degrees -4..4, torsion lengths <= 7; weights sit near the bound
+    pZ - k of their degree on half the draws, anywhere in [-8, 8] else."""
+    comps = {}
+    near = rng.random() < 0.5
+    for k in range(-4, 5):
+        if rng.random() < 0.25:
+            def w():
+                return (p.pZ - k + rng.randint(-2, 1) if near
+                        else rng.randint(-8, 8))
+            m = gm([w() for _ in range(rng.randint(0, 2))],
+                   [(w(), rng.randint(1, 7)) for _ in range(rng.randint(0, 3))])
+            if not m.is_zero:
+                comps[k] = m
+    return FormalObject(comps)
+
+
+def test_aisle_closed_form_matches_li_star_loop():
+    rng = random.Random(6)
+    long_anchors = [formal(Tmod(0, 2000), 0), formal(Tmod(2, 2000), 1),
+                    FormalObject({0: gm([0], [(1, 2000)]),
+                                  -1: Tmod(-3, 1999)})]
+    pairs = 0
+    for cfg in (W, TR):
+        for p in _valid_perversities(cfg):
+            objs = [_near_boundary_object(rng, p) for _ in range(300)]
+            if p.pU == 0:
+                objs += long_anchors
+            for Fo in objs:
+                L = max([m.max_torsion_length()
+                         for m in Fo.components.values()] + [0])
+                for which in ("le0", "ge0"):
+                    got = aisle_member(cfg, p, Fo, which)
+                    ref = stag._aisle_member_looped(cfg, p, Fo, which, L + 4)
+                    assert got == ref, (cfg.z_mode, p, str(Fo), which)
+                    pairs += 1
+    assert pairs >= 20000
+
+
+def test_aisle_member_level_rejects_unknown_direction():
+    with pytest.raises(ValueError, match="direction"):
+        stag.aisle_member_level(W, P01, formal(Fmod(0), 0), "lt", 0)
+
+
 def test_heart_requires_strictness():
     with pytest.raises(ValueError):
         simples(TR, P01, 0, 1)
@@ -377,6 +427,32 @@ def test_jh_nonstrict_perversity_rejected():
 def test_tstructure_suite_clean(mode):
     rep = tstructure_suite(SConfig(mode), seed=1, samples=60)
     assert rep.ok, "\n".join(rep.summary_lines())
+
+
+def _mutant(real, name):
+    """A wrong closed form of ``stag._le0_component``."""
+    def mutant(cfg, p, k, m):
+        if name == "free_rank_dropped":
+            # pU = k switches the free-rank test off, the weight test stays
+            return real(cfg, Perversity(k, p.pZ), k, m)
+        if cfg.z_mode == name:  # off by one in the bound of this mode
+            return real(cfg, Perversity(p.pU, p.pZ + 1), k, m)
+        return real(cfg, p, k, m)
+    return mutant
+
+
+@pytest.mark.parametrize("name,mode", [("weight", "weight"),
+                                       ("trivial", "trivial"),
+                                       ("free_rank_dropped", "weight")])
+def test_suites_catch_a_wrong_aisle_closed_form(monkeypatch, name, mode):
+    from stagger.oracle import agreement_suite
+
+    monkeypatch.setattr(stag, "_le0_component",
+                        _mutant(stag._le0_component, name))
+    rep = tstructure_suite(SConfig(mode), seed=1, samples=60)
+    assert rep.checks["T8_bound_stability"].violations
+    rep = agreement_suite(seed=1, samples=200)
+    assert rep.checks["agree_aisle"].violations
 
 
 def test_truncation_other_perversities():
