@@ -27,21 +27,14 @@ The chain layer (``ChainComplex``, ``free_embed``, ``cone``,
 ``normal_form``) exists so that triangle-level claims can be audited
 honestly: a formal object is embedded as an honest complex of free modules,
 maps are checked to be chain maps, and ``normal_form`` recovers the
-cohomology with an independent per-weight rank certificate.  An entry
-(i, j) of a ``MonoMatrix`` can be nonzero only where row_w[i] >= col_w[j],
-so the columns of weight >= w vanish outside the rows of weight >= w: the
-rank of the weight-w component is the rank of those columns alone.  It
-only grows as w falls, so one sweep inserting the columns by descending
-weight into an echelon basis yields the rank at every weight at once.  The
-sweep keeps every column and basis vector sparse, as a {row: coefficient}
-dict of its nonzeros; no column is ever expanded to a dense vector.
+cohomology with an independent per-weight rank certificate, taken from
+the sparse descending-weight sweep of ``grmod._weight_ranks``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .grmod import (
@@ -50,6 +43,7 @@ from .grmod import (
     MonoMatrix,
     Presentation,
     ZERO,
+    _weight_ranks,
     canonical_decompose,
     direct_sum,
     ext1_dim,
@@ -59,11 +53,10 @@ from .grmod import (
     hom_dim,
     present,
     pres_direct_sum,
+    submodule_presentation,
     weight_dim,
 )
 from .sstruct import Site, check_on_site
-
-Q = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -567,58 +560,12 @@ def normal_form(c: ChainComplex) -> FormalObject:
         dprev = c.diffs.get(k - 1)
         prev_mat = dprev.mat if dprev is not None else \
             MonoMatrix(pk.gens, ())
-        big = ker.hstack(prev_mat).hstack(pk.rel)
-        syz = free_kernel(big).restrict_rows(range(ker.ncols))
-        h = canonical_decompose(Presentation(ker.col_weights, syz))
+        h = canonical_decompose(submodule_presentation(
+            Presentation(pk.gens, prev_mat.hstack(pk.rel)), ker))
         if not h.is_zero:
             comps[k] = h
         _certify_degree(c, k, h)
     return FormalObject(comps)
-
-
-def _weight_ranks(mat: MonoMatrix, lo: int, hi: int) -> List[int]:
-    """Ranks of the weight-w components of ``mat`` as ranks[w - lo], for
-    lo <= w <= hi, from one sweep over the columns by descending weight
-    (see the module docstring).  Each nonzero column becomes one sparse
-    vector {row: coefficient} holding only nonzeros; it is reduced in place
-    at its lowest nonzero row against the basis, which keeps one such vector
-    per pivot row, normalized to 1 at that row.  Entries that cancel to 0
-    are deleted, so no step reads or divides a zero.
-    """
-    cw = mat.col_weights
-    cols: Dict[int, Dict[int, Q]] = {}
-    for (i, j), c in mat.entries.items():
-        if cw[j] >= lo:
-            cols.setdefault(j, {})[i] = c
-    order = sorted(cols, key=lambda j: -cw[j])
-    basis: Dict[int, Dict[int, Q]] = {}
-    ranks: List[int] = []
-    pos = 0
-    for w in range(hi, lo - 1, -1):
-        while pos < len(order) and cw[order[pos]] >= w:
-            vec = cols[order[pos]]
-            pos += 1
-            while vec:
-                r = min(vec)
-                c = vec[r]
-                piv = basis.get(r)
-                if piv is None:
-                    for t in vec:
-                        vec[t] /= c
-                    basis[r] = vec
-                    break
-                for t, v in piv.items():
-                    if t in vec:
-                        x = vec[t] - c * v
-                        if x:
-                            vec[t] = x
-                        else:
-                            del vec[t]
-                    else:
-                        vec[t] = -c * v
-        ranks.append(len(basis))
-    ranks.reverse()
-    return ranks
 
 
 def _certify_degree(c: ChainComplex, k: int, h: GradedModule) -> None:

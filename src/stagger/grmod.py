@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
@@ -224,9 +225,6 @@ class MonoMatrix:
     def ncols(self) -> int:
         return len(self.col_weights)
 
-    def column(self, j: int) -> Dict[int, Q]:
-        return {i: c for (i, jj), c in self.entries.items() if jj == j}
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -276,50 +274,93 @@ class MonoMatrix:
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra on Fraction matrices (weight components)
+# sparse echelon sweep: per-weight ranks and relation spans
 # ---------------------------------------------------------------------------
+#
+# An entry (i, j) of a ``MonoMatrix`` can be nonzero only where
+# row_w[i] >= col_w[j], so the columns of weight >= w vanish outside the rows
+# of weight >= w: the rank of the weight-w component is the rank of those
+# columns alone.  It only grows as w falls, so one sweep inserting the columns
+# by descending weight into an echelon basis yields the rank at every weight
+# at once.  The same sweep decides membership in the image of a relation
+# matrix: an element of weight w is in it iff it reduces to zero against the
+# relation columns of weight >= w.  The sweep keeps every column and basis
+# vector sparse, as a {row: coefficient} dict of its nonzeros; no column is
+# ever expanded to a dense vector.
 
 
-def _rank(rows: List[List[Q]]) -> int:
-    """Row rank by Gaussian elimination, destructive on a copy."""
-    mat = [list(r) for r in rows]
-    if not mat or not mat[0]:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(mat):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
+def _columns_by_weight(mat: MonoMatrix, lo: int) -> List[Tuple[int, Dict[int, Q]]]:
+    """The nonzero columns of weight >= lo as (weight, {row: coefficient}),
+    by descending weight."""
+    cw = mat.col_weights
+    cols: Dict[int, Dict[int, Q]] = {}
+    for (i, j), c in mat.entries.items():
+        if cw[j] >= lo:
+            cols.setdefault(j, {})[i] = c
+    return [(cw[j], cols[j]) for j in sorted(cols, key=lambda j: -cw[j])]
+
+
+def _echelon_insert(basis: Dict[int, Dict[int, Q]], vec: Dict[int, Q]) -> bool:
+    """Reduce ``vec`` in place against ``basis`` and insert what is left;
+    returns whether the basis grew.
+
+    ``basis`` keeps one vector per pivot row, its lowest nonzero row,
+    normalized to 1 there.  ``vec`` is reduced at its lowest nonzero row
+    until that row has no basis vector, then normalized and inserted.
+    Entries that cancel to 0 are deleted, so no step reads or divides a zero.
+    """
+    while vec:
+        r = min(vec)
+        c = vec[r]
+        piv = basis.get(r)
         if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col] / pv
-                row = mat[r]
-                prow = mat[rank]
-                for c in range(col, ncols):
-                    row[c] -= f * prow[c]
-        rank += 1
-        col += 1
-    return rank
+            if c != 1:  # a pivot already 1 needs no normalizing
+                for t in vec:
+                    vec[t] /= c
+            basis[r] = vec
+            return True
+        for t, v in piv.items():
+            if t in vec:
+                x = vec[t] - c * v
+                if x:
+                    vec[t] = x
+                else:
+                    del vec[t]
+            else:
+                vec[t] = -c * v
+    return False
 
 
-def _in_column_span(cols: List[List[Q]], vec: List[Q]) -> bool:
-    """Is vec in the span of the given column vectors (all length-n lists)?"""
-    if all(v == 0 for v in vec):
+def _weight_ranks(mat: MonoMatrix, lo: int, hi: int) -> List[int]:
+    """Ranks of the weight-w components of ``mat`` as ranks[w - lo], for
+    lo <= w <= hi, from one sweep over the columns by descending weight:
+    the rank at w counts the basis vectors added by columns of weight >= w."""
+    grew = [0] * (hi - lo + 1)
+    basis: Dict[int, Dict[int, Q]] = {}
+    for v, vec in _columns_by_weight(mat, lo):
+        if _echelon_insert(basis, vec):
+            grew[min(v, hi) - lo] += 1
+    return list(accumulate(reversed(grew)))[::-1]
+
+
+def _in_relation_span(rel: MonoMatrix, elems: MonoMatrix) -> bool:
+    """Is every column of ``elems`` (homogeneous elements over the rows of
+    ``rel``) in the image of ``rel``?  At each element weight the relation
+    columns of that weight or above go into the basis first; an element that
+    would still grow the basis is not in the span."""
+    if not elems.entries:
         return True
-    if not cols:
-        return False
-    a = [[cols[j][i] for j in range(len(cols))] for i in range(len(vec))]
-    b = [row + [vec[i]] for i, row in enumerate(a)]
-    return _rank(a) == _rank(b)
+    lo = min(elems.col_weights)
+    rels = _columns_by_weight(rel, lo)
+    basis: Dict[int, Dict[int, Q]] = {}
+    pos = 0
+    for w, vec in _columns_by_weight(elems, lo):
+        while pos < len(rels) and rels[pos][0] >= w:
+            _echelon_insert(basis, rels[pos][1])
+            pos += 1
+        if _echelon_insert(basis, vec):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -350,24 +391,6 @@ class Presentation:
     @property
     def nrel(self) -> int:
         return self.rel.ncols
-
-    def weight_rows(self, w: int) -> List[int]:
-        return [i for i, g in enumerate(self.gens) if g >= w]
-
-    def weight_relcols(self, w: int) -> List[int]:
-        return [j for j, v in enumerate(self.rel.col_weights) if v >= w]
-
-    def element_is_zero(self, col: Dict[int, Q], w: int) -> bool:
-        """Is the element (column over gens, homogeneous of weight w) zero?"""
-        rows = self.weight_rows(w)
-        cols = self.weight_relcols(w)
-        relcols = [[self.rel.get(i, j) for i in rows] for j in cols]
-        vec = [col.get(i, Q(0)) for i in rows]
-        # entries on rows of weight < w cannot occur in a weight-w element
-        for i, c in col.items():
-            if c != 0 and self.gens[i] < w:
-                raise ValueError("element has a component below its weight")
-        return _in_column_span(relcols, vec)
 
     def __repr__(self) -> str:
         return "Presentation(gens=%r, nrel=%d)" % (self.gens, self.nrel)
@@ -591,18 +614,10 @@ class GradedMap:
             raise ValueError("map does not respect relations")
 
     def is_well_defined(self) -> bool:
-        comp = self.mat.compose(self.src.rel)
-        for j in range(comp.ncols):
-            if not self.dst.element_is_zero(comp.column(j), comp.col_weights[j]):
-                return False
-        return True
+        return _in_relation_span(self.dst.rel, self.mat.compose(self.src.rel))
 
     def is_zero_map(self) -> bool:
-        for j in range(self.mat.ncols):
-            col = self.mat.column(j)
-            if col and not self.dst.element_is_zero(col, self.mat.col_weights[j]):
-                return False
-        return True
+        return _in_relation_span(self.dst.rel, self.mat)
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self o other."""

@@ -7,11 +7,14 @@ from fractions import Fraction
 import pytest
 
 from stagger import derived, stag
+from stagger.oracle import _mat_rank
 from stagger.grmod import (
-    F, MonoMatrix, T, V, _rank, direct_sum, gm, module_map, present,
+    F, GradedMap, MonoMatrix, Presentation, T, V, direct_sum, gm, module_map,
+    present,
 )
 from stagger.derived import (
     ChainComplex,
+    ChainMap,
     FormalObject,
     chain_map_on_embeds,
     cone,
@@ -212,6 +215,31 @@ def test_normal_form_of_presented_terms():
     assert normal_form(c) == formal(T(-1, 1), 0)
 
 
+def _scalar(src, dst, c=1):
+    """The map between one-generator presentations sending e to c * e."""
+    return GradedMap(src, dst, MonoMatrix(dst.gens, src.gens, {(0, 0): c}))
+
+
+def test_validate_reports_nonzero_square_of_d():
+    P = Presentation((0,))
+    c = ChainComplex({0: P, 1: P, 2: P}, {0: _scalar(P, P), 1: _scalar(P, P)})
+    assert c.validate() == ["d^2 != 0 at degree 0"]
+    # F(0) -x-> F(1) -> T(1,1): d^2 = x lands in the relation, so it is zero
+    P1, T1 = Presentation((1,)), present(T(1, 1))
+    c = ChainComplex({0: P, 1: P1, 2: T1},
+                     {0: _scalar(P, P1), 1: _scalar(P1, T1)})
+    assert c.validate() == []
+
+
+def test_chain_map_validate_reports_non_commuting_square():
+    P = Presentation((0,))
+    A = ChainComplex({0: P, 1: P}, {0: _scalar(P, P)})
+    phi = ChainMap(A, A, {0: _scalar(P, P), 1: _scalar(P, P, 0)})
+    assert phi.validate() == ["square at degree 0 does not commute"]
+    assert ChainMap(A, A, {0: _scalar(P, P), 1: _scalar(P, P)}).validate() \
+        == []
+
+
 def _random_mono(rng, row_weights, ncols):
     """Homogeneous matrix with Fraction entries, repeated column weights
     and, half the time, one zero column."""
@@ -278,7 +306,8 @@ def _certify_wide_cone_matrices():
 
 def test_weight_ranks_match_dense_reference():
     """The one-sweep ranks equal dense ranks of the (rows >= w) x (cols >= w)
-    coefficient submatrix, the reference the certificate used to compute."""
+    coefficient submatrix, the reference the certificate used to compute,
+    here ranked by the oracle's own Gauss-Jordan."""
     rng = random.Random(21)
     cases = [MonoMatrix([], []), MonoMatrix([1, 0], []),
              MonoMatrix([], [2, -1])]
@@ -302,7 +331,7 @@ def test_weight_ranks_match_dense_reference():
                 rows = [i for i, rw in enumerate(m.row_weights) if rw >= w]
                 cols = [j for j, cw in enumerate(m.col_weights) if cw >= w]
                 dense = [[m.get(i, j) for j in cols] for i in rows]
-                assert ranks[w - lo] == _rank(dense), (m, w)
+                assert ranks[w - lo] == _mat_rank(dense), (m, w)
 
 
 def _drop_one_summand(M):

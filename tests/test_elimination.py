@@ -22,7 +22,6 @@ from stagger.grmod import (
     GradedMap,
     MonoMatrix,
     Presentation,
-    _rank,
     canonical_decompose,
     fmt_module,
     free_kernel,
@@ -32,7 +31,7 @@ from stagger.grmod import (
     present,
     weight_dim,
 )
-from stagger.oracle import oracle_decompose
+from stagger.oracle import _mat_rank, oracle_decompose
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -166,9 +165,10 @@ def _random_map(rng):
 
 def _coeff_rank(m):
     """Rank over k[x]: entries are monomials with forced exponents, so it is
-    the rank of the coefficient matrix (x = 1)."""
-    return _rank([[m.get(i, j) for j in range(m.ncols)]
-                  for i in range(m.nrows)])
+    the rank of the coefficient matrix (x = 1), by the oracle's own
+    Gauss-Jordan."""
+    return _mat_rank([[m.get(i, j) for j in range(m.ncols)]
+                      for i in range(m.nrows)])
 
 
 def _check_kernel(m, ker):

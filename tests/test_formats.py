@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagger.grmod import F, T, V, gm, present, MonoMatrix
-from stagger.derived import FormalObject, formal, free_embed
+from stagger.grmod import (
+    F, GradedMap, MonoMatrix, Presentation, T, V, gm, present,
+)
+from stagger.derived import ChainComplex, FormalObject, formal, free_embed
 from stagger.formats import (
     ParseError,
     complex_from_json,
@@ -119,6 +121,15 @@ def test_complex_json_round_trip():
     c2 = complex_from_json(complex_to_json(c))
     assert c2.validate() == []
     assert complex_to_json(c2) == complex_to_json(c)
+
+
+def test_complex_json_rejects_differential_breaking_relations():
+    # e -> e from T(0,1) to F(0) sends the relation x * e to x != 0
+    P0, P1 = present(T(0, 1)), Presentation((0,))
+    d = GradedMap(P0, P1, MonoMatrix((0,), (0,), {(0, 0): 1}))
+    obj = complex_to_json(ChainComplex({0: P0, 1: P1}, {0: d}))
+    with pytest.raises(ValueError, match="diff 0 not well defined"):
+        complex_from_json(obj)
 
 
 def test_matrix_rejects_exponent_mismatch():

@@ -1,12 +1,15 @@
 """Graded-module layer: canonical forms, Hom/Ext, tensor, internal hom."""
 
+import doctest
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stagger import grmod
 from stagger.grmod import (
     F,
+    GradedMap,
     MonoMatrix,
     Presentation,
     T,
@@ -17,12 +20,15 @@ from stagger.grmod import (
     fmt_module,
     gm,
     hom_dim,
+    _in_relation_span,
     internal_hom,
+    module_map,
     present,
     tensor,
     weight_dim,
 )
 from stagger import sampling
+from stagger.oracle import _rref
 
 
 def test_gm_canonical_ordering():
@@ -144,3 +150,83 @@ def test_twist_commutes_with_tensor(g, n, d):
 def test_fmt_module_round_shape():
     assert fmt_module(gm([])) == "0"
     assert fmt_module(gm([1], [(0, 2)])) == "F(1) + T(0,2)"
+
+
+def test_module_docstring_examples_run():
+    (test,) = doctest.DocTestFinder(recurse=False).find(grmod)
+    result = doctest.DocTestRunner().run(test)
+    assert result.attempted == 6 and result.failed == 0
+
+
+# ---------------------------------------------------------------------------
+# well-definedness and zero maps: the relation-span test
+# ---------------------------------------------------------------------------
+
+
+def test_module_map_rejects_map_breaking_relations():
+    # x * e = 0 in T(0,1), but e -> 1 would send it to x != 0 in F(0)
+    with pytest.raises(ValueError, match="does not respect relations"):
+        module_map(T(0, 1), F(0), {(0, 0): 1})
+    assert module_map(F(0), T(0, 1), {(0, 0): 1}).is_well_defined()
+
+
+def _dense_in_span(rel, elems):
+    """Dense reference: a column of ``elems`` of weight w is in the span of
+    the relation columns of weight >= w, on the rows of weight >= w, iff the
+    augmented column is not a pivot of the oracle's reduced echelon form."""
+    for j, w in enumerate(elems.col_weights):
+        rows = [i for i, g in enumerate(rel.row_weights) if g >= w]
+        cols = [t for t, v in enumerate(rel.col_weights) if v >= w]
+        aug = [[rel.get(i, t) for t in cols] + [elems.get(i, j)] for i in rows]
+        if len(cols) in _rref(aug)[1]:
+            return False
+    return True
+
+
+def _random_presentation(rng):
+    if rng.random() < 0.4:
+        return present(sampling.random_module(rng))
+    gens = [rng.randint(-3, 3) for _ in range(rng.randint(0, 5))]
+    colw = [rng.randint(-5, 3) for _ in range(rng.randint(0, 4))]
+    entries = {(i, j): rng.choice((1, -1, 2, 3))
+               for i, g in enumerate(gens) for j, v in enumerate(colw)
+               if g >= v and rng.random() < 0.5}
+    return Presentation(gens, MonoMatrix(gens, colw, entries))
+
+
+def _random_matrix(rng, row_weights, col_weights, density):
+    return MonoMatrix(row_weights, col_weights, {
+        (i, j): rng.choice((1, -1, 2, 3))
+        for i, g in enumerate(row_weights) for j, h in enumerate(col_weights)
+        if g >= h and rng.random() < density})
+
+
+def test_relation_span_matches_dense_reference():
+    rng = random.Random(33)
+    seen = set()
+    for n in range(2400):
+        src, dst = _random_presentation(rng), _random_presentation(rng)
+        if n % 10 == 0:
+            src = Presentation(())
+        if n % 4 == 1:
+            # lands in the relations: zero, and well defined; perturbed
+            # half the time so that it is neither
+            mat = dst.rel.compose(_random_matrix(
+                rng, dst.rel.col_weights, src.gens, 0.6))
+            if rng.random() < 0.5 and mat.entries:
+                (i, j), c = next(iter(mat.entries.items()))
+                mat.set(i, j, c + 1)
+        else:
+            mat = _random_matrix(rng, dst.gens, src.gens,
+                                 rng.choice((0.0, 0.3, 0.7)))
+        f = GradedMap(src, dst, mat)
+        comp = mat.compose(src.rel)
+        wd, zero = f.is_well_defined(), f.is_zero_map()
+        assert wd == _in_relation_span(dst.rel, comp) \
+            == _dense_in_span(dst.rel, comp), (src, dst, mat)
+        assert zero == _in_relation_span(dst.rel, mat) \
+            == _dense_in_span(dst.rel, mat), (src, dst, mat)
+        seen.add(("wd", wd))
+        seen.add(("zero", zero))
+    assert seen == {("wd", True), ("wd", False),
+                    ("zero", True), ("zero", False)}

@@ -1,10 +1,11 @@
 """s-structures: membership, sigma filtrations, steps, and the axiom suite."""
 
+import dataclasses
 import random
 
 import pytest
 
-from stagger.grmod import F, T, V, gm, weight_dim
+from stagger.grmod import F, T, V, gm, module_map, weight_dim
 from stagger.sstruct import (
     SConfig,
     SITE_U,
@@ -120,6 +121,16 @@ def test_sigma_footnote_sequence():
     assert wit.sub == F(0)
     assert wit.quotient == T(1, 1)
     assert wit.verify() == []
+
+
+def test_sigma_verify_reports_broken_projection():
+    wit = sigma(SITE_X, W, "le", 0, F(1))
+    # the identity of F(1) in place of the projection keeps the sub alive
+    bad = dataclasses.replace(
+        wit, projection=module_map(wit.total, wit.total, {(0, 0): 1}))
+    errs = bad.verify()
+    assert "projection o inclusion nonzero" in errs
+    assert "projection not well defined" not in errs
 
 
 def test_sigma_structure_sheaf_pure():
