@@ -193,17 +193,64 @@ def matrix_to_json(m: MonoMatrix) -> dict:
     }
 
 
+def _field(obj, key: str, what: str):
+    """``obj[key]``, or a ValueError naming the field."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError("%s must be an object with a %r field" % (what, key))
+    return obj[key]
+
+
+def _integer(x, what: str) -> int:
+    if type(x) is not int:  # JSON floats and booleans are not integers
+        raise ValueError("%s must be an integer, got %.40r" % (what, x))
+    return x
+
+
+def _integers(obj, key: str, what: str) -> List[int]:
+    xs = _field(obj, key, what)
+    if not isinstance(xs, list):
+        raise ValueError("%r must be a list, got %.40r" % (key, xs))
+    return [_integer(x, "%s[%d]" % (key, i)) for i, x in enumerate(xs)]
+
+
+def _rows(rows, nrows: int, what: str) -> List[list]:
+    """The ``nrows`` rows of a JSON matrix, all of one length."""
+    if not (isinstance(rows, list) and len(rows) == nrows and all(
+            isinstance(r, list) and len(r) == len(rows[0]) for r in rows)):
+        raise ValueError("%s needs %d row(s) of equal length" % (what, nrows))
+    return rows
+
+
+def _read_cell(cell, i: int, j: int, need_k: bool) -> Tuple[Q, Optional[int]]:
+    """Coefficient and stated exponent of the non-null cell (i, j)."""
+    where = "entry (%d,%d)" % (i, j)
+    c, k = _field(cell, "c", where), cell.get("k")
+    if need_k or k is not None:
+        k = _integer(_field(cell, "k", where), '%s: "k"' % where)
+    try:
+        if type(c) in (str, int):
+            return Q(c), k
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError('%s: "c" must be a rational string, got %.40r'
+                     % (where, c))
+
+
 def matrix_from_json(obj: dict) -> MonoMatrix:
-    m = MonoMatrix(obj["row_weights"], obj["col_weights"])
-    for i, row in enumerate(obj["entries"]):
+    m = MonoMatrix(_integers(obj, "row_weights", "matrix"),
+                   _integers(obj, "col_weights", "matrix"))
+    rows = _rows(_field(obj, "entries", "matrix"), m.nrows, "entries")
+    if rows and len(rows[0]) != m.ncols:
+        raise ValueError("entries rows must have %d cells" % m.ncols)
+    for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             if cell is None:
                 continue
-            c = Q(cell["c"])
-            if cell.get("k") is not None and cell["k"] != m.exp(i, j):
+            c, k = _read_cell(cell, i, j, need_k=False)
+            if k is not None and k != m.exp(i, j):
                 raise ValueError(
                     "entry (%d,%d): stated exponent %d does not match the "
-                    "forced one %d" % (i, j, cell["k"], m.exp(i, j))
+                    "forced one %d" % (i, j, k, m.exp(i, j))
                 )
             m.set(i, j, c)
     return m
@@ -221,38 +268,29 @@ def presentation_to_json(p: Presentation) -> dict:
 
 
 def presentation_from_json(obj: dict) -> Presentation:
-    gens = [int(g) for g in obj["generators"]]
-    rows = obj.get("relations") or [[] for _ in gens]
-    if len(rows) != len(gens):
-        raise ValueError("relations must have one row per generator")
-    ncols = len(rows[0]) if rows else 0
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged relation rows")
+    gens = _integers(obj, "generators", "presentation")
+    rows = _rows(obj.get("relations") or [[] for _ in gens], len(gens),
+                 "relations")
+    cells = {(i, j): _read_cell(cell, i, j, need_k=True)
+             for i, row in enumerate(rows)
+             for j, cell in enumerate(row) if cell is not None}
     # column weights are forced: w_col = w_row - k at any nonzero entry
-    col_w: List[Optional[int]] = [None] * ncols
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            if cell is None:
-                continue
-            w = gens[i] - int(cell["k"])
-            if col_w[j] is None:
-                col_w[j] = w
-            elif col_w[j] != w:
-                raise ValueError(
-                    "relation column %d is inhomogeneous (weights %d and %d)"
-                    % (j, col_w[j], w)
-                )
-    for j, w in enumerate(col_w):
-        if w is None:
+    col_w: Dict[int, int] = {}
+    for (i, j), (_c, k) in cells.items():
+        if col_w.setdefault(j, gens[i] - k) != gens[i] - k:
+            raise ValueError(
+                "relation column %d is inhomogeneous (weights %d and %d)"
+                % (j, col_w[j], gens[i] - k)
+            )
+    for j in range(len(rows[0]) if rows else 0):
+        if j not in col_w:
             raise ValueError(
                 "relation column %d has no entries; its weight is "
                 "undetermined" % j
             )
-    rel = MonoMatrix(gens, [w for w in col_w if w is not None])
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            if cell is not None:
-                rel.set(i, j, Q(cell["c"]))
+    rel = MonoMatrix(gens, [col_w[j] for j in sorted(col_w)])
+    for (i, j), (c, _k) in cells.items():
+        rel.set(i, j, c)
     return Presentation(gens, rel)
 
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -274,96 +273,6 @@ class MonoMatrix:
 
 
 # ---------------------------------------------------------------------------
-# sparse echelon sweep: per-weight ranks and relation spans
-# ---------------------------------------------------------------------------
-#
-# An entry (i, j) of a ``MonoMatrix`` can be nonzero only where
-# row_w[i] >= col_w[j], so the columns of weight >= w vanish outside the rows
-# of weight >= w: the rank of the weight-w component is the rank of those
-# columns alone.  It only grows as w falls, so one sweep inserting the columns
-# by descending weight into an echelon basis yields the rank at every weight
-# at once.  The same sweep decides membership in the image of a relation
-# matrix: an element of weight w is in it iff it reduces to zero against the
-# relation columns of weight >= w.  The sweep keeps every column and basis
-# vector sparse, as a {row: coefficient} dict of its nonzeros; no column is
-# ever expanded to a dense vector.
-
-
-def _columns_by_weight(mat: MonoMatrix, lo: int) -> List[Tuple[int, Dict[int, Q]]]:
-    """The nonzero columns of weight >= lo as (weight, {row: coefficient}),
-    by descending weight."""
-    cw = mat.col_weights
-    cols: Dict[int, Dict[int, Q]] = {}
-    for (i, j), c in mat.entries.items():
-        if cw[j] >= lo:
-            cols.setdefault(j, {})[i] = c
-    return [(cw[j], cols[j]) for j in sorted(cols, key=lambda j: -cw[j])]
-
-
-def _echelon_insert(basis: Dict[int, Dict[int, Q]], vec: Dict[int, Q]) -> bool:
-    """Reduce ``vec`` in place against ``basis`` and insert what is left;
-    returns whether the basis grew.
-
-    ``basis`` keeps one vector per pivot row, its lowest nonzero row,
-    normalized to 1 there.  ``vec`` is reduced at its lowest nonzero row
-    until that row has no basis vector, then normalized and inserted.
-    Entries that cancel to 0 are deleted, so no step reads or divides a zero.
-    """
-    while vec:
-        r = min(vec)
-        c = vec[r]
-        piv = basis.get(r)
-        if piv is None:
-            if c != 1:  # a pivot already 1 needs no normalizing
-                for t in vec:
-                    vec[t] /= c
-            basis[r] = vec
-            return True
-        for t, v in piv.items():
-            if t in vec:
-                x = vec[t] - c * v
-                if x:
-                    vec[t] = x
-                else:
-                    del vec[t]
-            else:
-                vec[t] = -c * v
-    return False
-
-
-def _weight_ranks(mat: MonoMatrix, lo: int, hi: int) -> List[int]:
-    """Ranks of the weight-w components of ``mat`` as ranks[w - lo], for
-    lo <= w <= hi, from one sweep over the columns by descending weight:
-    the rank at w counts the basis vectors added by columns of weight >= w."""
-    grew = [0] * (hi - lo + 1)
-    basis: Dict[int, Dict[int, Q]] = {}
-    for v, vec in _columns_by_weight(mat, lo):
-        if _echelon_insert(basis, vec):
-            grew[min(v, hi) - lo] += 1
-    return list(accumulate(reversed(grew)))[::-1]
-
-
-def _in_relation_span(rel: MonoMatrix, elems: MonoMatrix) -> bool:
-    """Is every column of ``elems`` (homogeneous elements over the rows of
-    ``rel``) in the image of ``rel``?  At each element weight the relation
-    columns of that weight or above go into the basis first; an element that
-    would still grow the basis is not in the span."""
-    if not elems.entries:
-        return True
-    lo = min(elems.col_weights)
-    rels = _columns_by_weight(rel, lo)
-    basis: Dict[int, Dict[int, Q]] = {}
-    pos = 0
-    for w, vec in _columns_by_weight(elems, lo):
-        while pos < len(rels) and rels[pos][0] >= w:
-            _echelon_insert(basis, rels[pos][1])
-            pos += 1
-        if _echelon_insert(basis, vec):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # presentations
 # ---------------------------------------------------------------------------
 
@@ -424,90 +333,103 @@ def pres_direct_sum(*ps: Presentation) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# graded Smith normal form -> canonical decomposition
+# sparse echelon sweep: ranks, relation spans, kernels and decompositions
 # ---------------------------------------------------------------------------
+#
+# An entry (i, j) of a ``MonoMatrix`` can be nonzero only where
+# row_w[i] >= col_w[j], so the columns of weight >= w vanish outside the rows
+# of weight >= w: the rank of the weight-w component is the rank of those
+# columns alone.  It only grows as w falls, so one sweep inserting the columns
+# by descending weight into an echelon basis yields the rank at every weight
+# at once.  The same sweep decides membership in the image of a relation
+# matrix: an element of weight w is in it iff it reduces to zero against the
+# relation columns of weight >= w.  It also yields kernels (``free_kernel``)
+# and canonical forms (``canonical_decompose``): reducing a column of weight
+# v by one of weight v' >= v subtracts x^(v' - v) times it, a genuine
+# polynomial multiple.  The sweep keeps every column and basis vector sparse,
+# as a {key: coefficient} dict of its nonzeros; no column is ever expanded to
+# a dense vector.
 
 
-def canonical_decompose(p: Presentation) -> GradedModule:
-    """Canonical form of the presented module.
+def _columns_by_weight(mat: MonoMatrix, lo: int) -> List[Tuple[int, Dict[int, Q]]]:
+    """The nonzero columns of weight >= lo as (weight, {row: coefficient}),
+    by descending weight."""
+    cw = mat.col_weights
+    cols: Dict[int, Dict[int, Q]] = {}
+    for (i, j), c in mat.entries.items():
+        if cw[j] >= lo:
+            cols.setdefault(j, {})[i] = c
+    return [(cw[j], cols[j]) for j in sorted(cols, key=lambda j: -cw[j])]
 
-    Graded Smith reduction: repeatedly pick the nonzero entry of least
-    exponent (ties broken by position), clear its column by row operations
-    and its row by column operations, retire the pivot pair.  Because every
-    exponent is forced by row/column weights, fill-in keeps exponents
-    >= the pivot exponent, so all multipliers are genuine polynomials and
-    the loop terminates after min(#rows, #cols) pivots.
 
-    A pivot x^0 cancels a generator against a relation; a pivot x^k (k >= 1)
-    contributes T(row weight, k); rows never chosen as pivots survive as
-    free summands.  Zero or dependent relation columns are simply dropped.
+def _echelon_insert(basis: Dict[int, Dict[int, Q]], vec: Dict[int, Q],
+                    nrows: int) -> Optional[int]:
+    """Reduce ``vec`` in place against ``basis`` and insert what is left;
+    returns the pivot row it was inserted at, or None if nothing is left
+    on the rows.
 
-    Index layout: ``rows[i]`` maps column -> coefficient for the nonzeros of
-    row i, ``cols[j]`` is the set of rows with a nonzero in column j, and a
-    heap holds the pivot key ``(exponent, i, j)`` of every entry as it
-    becomes nonzero (keys of entries that died since are skipped when
-    popped).  A pivot step costs one row operation per nonzero of the pivot
-    column, each touching only the nonzeros of the pivot row, plus one
-    heap push per fill-in; retiring the pivot deletes only the pivot row.
-    Clearing the pivot row needs no arithmetic: the column operations
-    against the isolated pivot column change no other entry.
+    ``basis`` keeps one vector per pivot row, its lowest nonzero row,
+    normalized to 1 there.  ``vec`` is reduced at its lowest nonzero row
+    until that row has no basis vector, then normalized and inserted.
+    Only keys below ``nrows`` are rows; keys from ``nrows`` up ride along
+    (a transform) and are never pivots, so a ``vec`` whose rows all cancel
+    keeps its transform and is not inserted.  Entries that cancel to 0 are
+    deleted, so no step reads or divides a zero.
     """
-    rw, cw = p.rel.row_weights, p.rel.col_weights
-    rows: List[Dict[int, Q]] = [{} for _ in rw]
-    cols: List[set] = [set() for _ in cw]
-    for (i, j), c in p.rel.entries.items():
-        rows[i][j] = c
-        cols[j].add(i)
-    heap = [(rw[i] - cw[j], i, j) for (i, j) in p.rel.entries]
-    heapify(heap)
-    retired = [False] * len(rw)
-    tors: List[Tuple[int, int]] = []
-
-    while heap:
-        k0, i0, j0 = heappop(heap)
-        prow = rows[i0]
-        c0 = prow.get(j0)
-        if c0 is None:
-            continue
-        col = cols[j0]
-        col.discard(i0)
-        nc0 = -c0
-        # clear column j0 with row operations (row_i += (c/-c0) x^(...) row_i0)
-        for i in col:
-            row = rows[i]
-            lam = row.pop(j0) / nc0
-            wi = rw[i]
-            for j, cpj in prow.items():
-                if j == j0:
-                    continue
-                old = row.get(j)
-                if old is None:
-                    row[j] = lam * cpj
-                    cols[j].add(i)
-                    heappush(heap, (wi - cw[j], i, j))
+    while vec:
+        r = min(vec)
+        if r >= nrows:
+            break
+        c = vec[r]
+        piv = basis.get(r)
+        if piv is None:
+            if c != 1:  # a pivot already 1 needs no normalizing
+                for t in vec:
+                    vec[t] /= c
+            basis[r] = vec
+            return r
+        for t, v in piv.items():
+            if t in vec:
+                x = vec[t] - c * v
+                if x:
+                    vec[t] = x
                 else:
-                    nv = old + lam * cpj
-                    if nv:
-                        row[j] = nv
-                    else:
-                        del row[j]
-                        cols[j].discard(i)
-        col.clear()
-        for j in prow:
-            cols[j].discard(i0)
-        rows[i0] = {}
-        retired[i0] = True
-        if k0 >= 1:
-            tors.append((rw[i0], k0))
-        # k0 == 0: generator cancels against relation, nothing survives
-
-    free = [w for w, gone in zip(rw, retired) if not gone]
-    return GradedModule(tuple(sorted(free)), tuple(sorted(tors)))
+                    del vec[t]
+            else:
+                vec[t] = -c * v
+    return None
 
 
-# ---------------------------------------------------------------------------
-# kernels of maps between free modules (column Hermite with transform)
-# ---------------------------------------------------------------------------
+def _weight_ranks(mat: MonoMatrix, lo: int, hi: int) -> List[int]:
+    """Ranks of the weight-w components of ``mat`` as ranks[w - lo], for
+    lo <= w <= hi, from one sweep over the columns by descending weight:
+    the rank at w counts the basis vectors added by columns of weight >= w."""
+    grew = [0] * (hi - lo + 1)
+    basis: Dict[int, Dict[int, Q]] = {}
+    for v, vec in _columns_by_weight(mat, lo):
+        if _echelon_insert(basis, vec, mat.nrows) is not None:
+            grew[min(v, hi) - lo] += 1
+    return list(accumulate(reversed(grew)))[::-1]
+
+
+def _in_relation_span(rel: MonoMatrix, elems: MonoMatrix) -> bool:
+    """Is every column of ``elems`` (homogeneous elements over the rows of
+    ``rel``) in the image of ``rel``?  At each element weight the relation
+    columns of that weight or above go into the basis first; an element that
+    would still grow the basis is not in the span."""
+    if not elems.entries:
+        return True
+    lo = min(elems.col_weights)
+    rels = _columns_by_weight(rel, lo)
+    basis: Dict[int, Dict[int, Q]] = {}
+    pos = 0
+    for w, vec in _columns_by_weight(elems, lo):
+        while pos < len(rels) and rels[pos][0] >= w:
+            _echelon_insert(basis, rels[pos][1], rel.nrows)
+            pos += 1
+        if _echelon_insert(basis, vec, rel.nrows) is not None:
+            return False
+    return True
 
 
 def free_kernel(mat: MonoMatrix) -> MonoMatrix:
@@ -516,75 +438,62 @@ def free_kernel(mat: MonoMatrix) -> MonoMatrix:
     Returns a MonoMatrix whose columns are a free basis of the kernel,
     expressed over the source generators (rows = source weights).
 
-    Column echelon: rows are processed in turn; within the active columns the
-    least-exponent entry of the current row is the pivot, the rest of the row
-    is cleared by column operations (valid because exponent differences are
-    >= 0 by pivot choice), and the pivot column is frozen.  Columns still
-    active at the end have become identically zero and their accumulated
-    transforms form the kernel basis.
-
-    Index layout: ``cols[j]`` and the transform ``v[j]`` map row ->
-    coefficient for the nonzeros of column j, and ``rows[r]`` is the set of
-    active columns with a nonzero in row r.  A column operation reads only
-    the nonzeros of the pivot column (in ``cols`` and in ``v``), so a row
-    costs one pass over those per cleared entry; freezing the pivot column
-    removes it from the row sets of its own nonzeros.
+    Pivot rule: the columns enter the sweep by descending weight, in index
+    order within a weight, each reduced at its lowest nonzero row; column
+    j carries its unit vector under key ``nrows + j``.  A column that
+    reduces to zero on the rows is dependent, and its transform is its
+    kernel vector: 1 at its own column and 0 at the other dependent ones,
+    since a basis vector's transform involves only independent columns.
+    At each weight w the dependent columns of weight >= w count dim ker at
+    w, so these vectors are a basis.  Uniqueness: for a fixed dependent set
+    that normalization fixes the basis (two candidates differ by a kernel
+    element on independent columns only, which is 0), and the greedy order
+    fixes the set: a column is dependent iff it lies in the span of the
+    columns before it.
     """
-    rw, cw = mat.row_weights, mat.col_weights
-    ncols = len(cw)
-    cols: List[Dict[int, Q]] = [{} for _ in cw]
-    rows: List[set] = [set() for _ in rw]
+    cw, nrows = mat.col_weights, mat.nrows
+    cols: List[Dict[int, Q]] = [{nrows + j: _Q1} for j in range(len(cw))]
     for (i, j), c in mat.entries.items():
         cols[j][i] = c
-        rows[i].add(j)
-    v: List[Dict[int, Q]] = [{j: _Q1} for j in range(ncols)]
-    active = [True] * ncols
-
-    for r in range(len(rw)):
-        row = rows[r]
-        if not row:
-            continue
-        # least exponent in this row among active columns
-        q = min(row, key=lambda j: (rw[r] - cw[j], j))
-        colq, vq = cols[q], v[q]
-        ncq = -colq[r]
-        for j in list(row):
-            if j == q:
-                continue
-            colj, vj = cols[j], v[j]
-            mu = colj[r] / ncq
-            # col_j += mu * x^(cw[q]-cw[j]) * col_q, in mat and in v
-            for i, c in colq.items():
-                old = colj.get(i)
-                if old is None:
-                    colj[i] = mu * c
-                    rows[i].add(j)
-                else:
-                    nv = old + mu * c
-                    if nv:
-                        colj[i] = nv
-                    else:
-                        del colj[i]
-                        rows[i].discard(j)
-            for i, c in vq.items():
-                old = vj.get(i)
-                if old is None:
-                    vj[i] = mu * c
-                else:
-                    nv = old + mu * c
-                    if nv:
-                        vj[i] = nv
-                    else:
-                        del vj[i]
-        for i in colq:
-            rows[i].discard(q)
-        active[q] = False
-
-    keep = [j for j in range(ncols) if active[j]]
-    out = MonoMatrix(cw, [cw[j] for j in keep])
-    out.entries = {(i, k): c for k, j in enumerate(keep)
-                   for i, c in v[j].items()}
+    basis: Dict[int, Dict[int, Q]] = {}
+    dependent: List[int] = []
+    for j in sorted(range(len(cw)), key=lambda j: -cw[j]):
+        if _echelon_insert(basis, cols[j], nrows) is None:
+            dependent.append(j)
+    dependent.sort()
+    out = MonoMatrix(cw, [cw[j] for j in dependent])
+    out.entries = {(t - nrows, k): c for k, j in enumerate(dependent)
+                   for t, c in cols[j].items()}
     return out
+
+
+def canonical_decompose(p: Presentation) -> GradedModule:
+    """Canonical form of the presented module.
+
+    Pivot rule: the rows are renumbered by ascending generator weight and
+    the relation columns enter the sweep by descending weight, so a column
+    is reduced only by columns of weight at least its own, at its
+    least-weight (youngest) generator.  A column of weight v that stops at
+    a row of weight w gives T(w, w - v) if w > v and cancels the pair if
+    w == v; a column that vanishes is dropped; unpaired rows are the free
+    summands.  Pivoting at an older row would be wrong: generators of
+    weight 2 and 0 with the relation e1 + x^2 e0 present F(2), not
+    T(2,2) + F(0).  Uniqueness: this is the persistence pairing of the
+    weight filtration (Zomorodian & Carlsson 2005), and its summands are
+    the canonical form, unique by Krull-Schmidt, whatever order equal
+    weights are taken in.
+    """
+    rw = p.rel.row_weights
+    rel = p.rel.restrict_rows(sorted(range(len(rw)), key=rw.__getitem__))
+    ws = rel.row_weights
+    basis: Dict[int, Dict[int, Q]] = {}
+    tors: List[Tuple[int, int]] = []
+    for v, vec in _columns_by_weight(rel, min(rel.col_weights, default=0)):
+        r = _echelon_insert(basis, vec, len(ws))
+        if r is not None and ws[r] > v:
+            tors.append((ws[r], ws[r] - v))
+    free = tuple(w for r, w in enumerate(ws) if r not in basis)
+    return GradedModule(free, tuple(sorted(tors)))
 
 
 # ---------------------------------------------------------------------------
@@ -598,22 +507,21 @@ class GradedMap:
     ``mat`` rows index target generators, columns source generators; the
     image of source generator j is the j-th column read as an element of the
     target.  Well-definedness (relations map into relations) is checked by
-    ``is_well_defined``; use ``validated=True`` to assert it on construction.
+    ``is_well_defined``.
     """
 
     __slots__ = ("src", "dst", "mat")
 
-    def __init__(self, src: Presentation, dst: Presentation, mat: MonoMatrix,
-                 validated: bool = False):
+    def __init__(self, src: Presentation, dst: Presentation, mat: MonoMatrix):
         if mat.row_weights != dst.gens or mat.col_weights != src.gens:
             raise ValueError("matrix shape does not match presentations")
         self.src = src
         self.dst = dst
         self.mat = mat
-        if validated and not self.is_well_defined():
-            raise ValueError("map does not respect relations")
 
     def is_well_defined(self) -> bool:
+        if not self.src.rel.entries:  # a free source has nothing to respect
+            return True
         return _in_relation_span(self.dst.rel, self.mat.compose(self.src.rel))
 
     def is_zero_map(self) -> bool:
@@ -649,7 +557,10 @@ def module_map(M: GradedModule, N: GradedModule,
             if k >= ln:
                 continue
         mat.set(i, j, c)
-    return GradedMap(ps, pd, mat, validated=True)
+    f = GradedMap(ps, pd, mat)
+    if not f.is_well_defined():
+        raise ValueError("map does not respect relations")
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,28 @@ def test_bad_json_presentation_exit_one(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("text, names", [
+    ('{"relations": [[{"c": "1", "k": 2}]]}', "'generators'"),
+    ('{"generators": [0], "relations": [[{"k": 2}]]}', "'c'"),
+    ('{"generators": [0], "relations": [[{"c": "1"}]]}', "'k'"),
+    ('{"generators": [0], "relations": [[5]]}', "entry (0,0)"),
+    ('{"generators": [0], "relations": [[{"c": "1/0", "k": 2}]]}', '"c"'),
+    ('{"generators": [0], "relations": [[{"c": 0.5, "k": 2}]]}', '"c"'),
+    ('{"generators": [0], "relations": [[{"c": "1", "k": 1.5}]]}', '"k"'),
+    ('{"generators": [0.5]}', "generators[0]"),
+    ('{"generators": ["1"]}', "generators[0]"),
+    ('{"generators": 3}', "generators"),
+    ('{"generators": [0], "relations": [5]}', "relations"),
+])
+def test_malformed_json_presentation_exit_one(capsys, text, names):
+    # every malformed field is a one-line input error, never a traceback
+    rc = cli.main(["decompose", text])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and names in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_oracle_diff_exits_two_with_minimized(capsys, monkeypatch):
     # wound the fast path: claim every module with a weight >= 2 free
     # generator fails the membership test

@@ -6,7 +6,10 @@ kernel/image/cokernel triples on seeded scrambled presentations with 20,
 40 and 80 generators and on random small maps.  The goldens were captured
 from the earlier elimination that rescanned the whole entry dict at every
 step, before ``grmod`` indexed the nonzeros; ``_scrambled`` and
-``_random_map`` rebuild the same inputs.
+``_random_map`` rebuild the same inputs.  Both functions now run on the
+one echelon step ``grmod._echelon_insert``; the column Hermite loop and
+the graded Smith loop with its pivot heap that the goldens were last
+checked against are gone, and the goldens pass unchanged.
 """
 
 import ast
@@ -132,6 +135,53 @@ def _random_matrix(rng):
     return m
 
 
+DEGENERATE = ("cancel", "zero", "flat", "unit")
+
+
+def _degenerate_matrix(rng, kind):
+    """A ``_random_matrix`` bent into one degenerate shape:
+
+    * ``cancel``: extra columns x^(v_k - v) combinations of earlier ones,
+      which reduce exactly to 0;
+    * ``zero``: zero columns interleaved with the others;
+    * ``flat``: every row and column weight equal;
+    * ``unit``: a new first column c0 x^(g0 - g1) e0 + c1 e1 with g0 > g1,
+      whose unit entry sits in the younger row, the older row above it.
+    """
+    m = _random_matrix(rng)
+    rw, cw = m.row_weights, m.col_weights
+    if kind == "cancel":
+        combos = []
+        for _ in range(rng.randint(1, 3)):
+            ks = rng.sample(range(len(cw)), min(len(cw), rng.randint(1, 3)))
+            v = min((cw[k] for k in ks), default=0) - rng.randint(0, 2)
+            combos.append((v, {k: rng.choice(COEFFS) for k in ks}))
+        out = m.hstack(MonoMatrix(rw, [v for v, _ in combos]))
+        for n, (_v, cs) in enumerate(combos):
+            for i in range(len(rw)):
+                out.set(i, len(cw) + n,
+                        sum(c * m.get(i, k) for k, c in cs.items()))
+    elif kind == "zero":
+        order = list(range(len(cw))) + [None] * rng.randint(1, 3)
+        rng.shuffle(order)
+        out = MonoMatrix(rw, [rng.randint(-5, 3) if k is None else cw[k]
+                              for k in order])
+        pos = {k: n for n, k in enumerate(order) if k is not None}
+        out.entries = {(i, pos[k]): c for (i, k), c in m.entries.items()}
+    elif kind == "flat":
+        w = rng.randint(-3, 3)
+        out = MonoMatrix([w] * len(rw), [w] * len(cw))
+        out.entries = {ij: rng.choice(COEFFS) for ij in m.entries}
+    else:
+        g0, g1 = sorted(rng.sample(range(-3, 4), 2), reverse=True)
+        out = MonoMatrix((g0, g1) + rw, (g1,) + cw)
+        out.set(0, 0, rng.choice(COEFFS))
+        out.set(1, 0, rng.choice(UNITS))
+        for (i, k), c in m.entries.items():
+            out.entries[(i + 2, k + 1)] = c
+    return out
+
+
 def _random_map(rng):
     """Random well-defined map between small canonical modules.
 
@@ -173,6 +223,8 @@ def _coeff_rank(m):
 
 def _check_kernel(m, ker):
     assert ker.row_weights == m.col_weights
+    # homogeneous: every entry is a polynomial, x^k with k >= 0
+    assert all(ker.exp(i, k) >= 0 for i, k in ker.entries)
     assert m.compose(ker).is_zero()
     assert ker.ncols == m.ncols - _coeff_rank(m)
     assert all(type(c) is Fraction for c in ker.entries.values())
@@ -196,6 +248,15 @@ def test_free_kernel_contract_random():
         shapes.add((m.nrows == 0, m.ncols == 0))
         _check_kernel(m, free_kernel(m))
     assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+    for kind in DEGENERATE:
+        grew = shrank = 0
+        for _ in range(100):
+            m = _degenerate_matrix(rng, kind)
+            ker = free_kernel(m)
+            _check_kernel(m, ker)
+            grew += ker.ncols > 0
+            shrank += ker.ncols < m.ncols
+        assert grew and shrank, kind
 
 
 @pytest.mark.parametrize("n", [5, 10, 20])
@@ -220,6 +281,16 @@ def test_decompose_agrees_with_oracle_scrambled(n):
         got = canonical_decompose(p)
         assert got == M
         assert oracle_decompose(p) == got
+    rng = random.Random("degenerate-%d" % n)
+    for kind in DEGENERATE:
+        for _ in range(15):
+            m = _degenerate_matrix(rng, kind)
+            p = Presentation(m.row_weights, m)
+            assert canonical_decompose(p) == oracle_decompose(p), (kind, m)
+    # e1 + x^2 e0 = 0 on generators of weight 2 and 0 kills the younger
+    # one: pivoting at the older row would give T(2,2) + F(0)
+    p = Presentation((2, 0), MonoMatrix((2, 0), (0,), {(0, 0): 1, (1, 0): 1}))
+    assert canonical_decompose(p) == oracle_decompose(p) == gm([2])
 
 
 def test_kernel_image_cokernel_identities():

@@ -171,3 +171,25 @@ def test_matrix_rejects_entry_below_diagonal_weights():
     }
     with pytest.raises(ValueError):
         matrix_from_json(js)
+
+
+@pytest.mark.parametrize("js, names", [
+    ({"col_weights": [0], "entries": [[None]]}, "'row_weights'"),
+    ({"row_weights": [0], "col_weights": [0.5], "entries": [[None]]},
+     "col_weights[0]"),
+    ({"row_weights": [0], "col_weights": [0]}, "'entries'"),
+    ({"row_weights": [0], "col_weights": [0], "entries": [[None], [None]]},
+     "entries"),
+    ({"row_weights": [0], "col_weights": [0], "entries": [[None, None]]},
+     "entries"),
+    ({"row_weights": [0], "col_weights": [0], "entries": [[[1]]]},
+     "entry (0,0)"),
+    ({"row_weights": [0], "col_weights": [0], "entries": [[{"c": "1/0"}]]},
+     '"c"'),
+    ({"row_weights": [0], "col_weights": [0],
+      "entries": [[{"c": "1", "k": True}]]}, '"k"'),
+])
+def test_matrix_json_rejects_malformed_fields(js, names):
+    with pytest.raises(ValueError) as ei:
+        matrix_from_json(js)
+    assert names in str(ei.value)
