@@ -23,8 +23,8 @@ Functors implemented in closed form on formal objects:
   symbolic ``CoFree`` markers (socle weight s, occupying all weights >= s)
   which are kept apart from ordinary module arithmetic.
 
-The chain layer (``ChainComplex``, ``free_embed``, ``cone``,
-``normal_form``) exists so that triangle-level claims can be audited
+The chain layer (``ChainComplex``, ``free_embed``, ``chain_map_on_embeds``,
+``cone``, ``normal_form``) exists so that triangle-level claims can be audited
 honestly: a formal object is embedded as an honest complex of free modules,
 maps are checked to be chain maps, and ``normal_form`` recovers the
 cohomology with an independent per-weight rank certificate, taken from
@@ -42,6 +42,7 @@ from .grmod import (
     GradedModule,
     MonoMatrix,
     Presentation,
+    Q,
     ZERO,
     _weight_ranks,
     canonical_decompose,
@@ -330,16 +331,10 @@ _EMPTY = Presentation(())
 
 @dataclass
 class ChainComplex:
-    """Cochain complex of presented modules; diffs[k] : term_k -> term_{k+1}.
-
-    ``blocks[k] = (ngens, nrels)`` is bookkeeping set by ``free_embed``:
-    the first ngens generators of term_k present H^k, the rest are the
-    relation block feeding the differential.
-    """
+    """Cochain complex of presented modules; diffs[k] : term_k -> term_{k+1}."""
 
     terms: Dict[int, Presentation] = field(default_factory=dict)
     diffs: Dict[int, GradedMap] = field(default_factory=dict)
-    blocks: Optional[Dict[int, Tuple[int, int]]] = None
 
     def term(self, k: int) -> Presentation:
         return self.terms.get(k, _EMPTY)
@@ -414,84 +409,81 @@ def free_embed(F: FormalObject) -> ChainComplex:
     the formal object again.
     """
     terms: Dict[int, Presentation] = {}
-    blocks: Dict[int, Tuple[int, int]] = {}
     pres = {k: present(m) for k, m in F.components.items()}
     degs = sorted(pres)
     if not degs:
-        return ChainComplex(blocks={})
+        return ChainComplex()
     # the relation block of the lowest component lives one degree below it
     for k in range(min(degs) - 1, max(degs) + 1):
-        g = list(pres[k].gens) if k in pres else []
-        r = list(pres[k + 1].rel.col_weights) if k + 1 in pres else []
+        g = pres[k].gens if k in pres else ()
+        r = pres[k + 1].rel.col_weights if k + 1 in pres else ()
         if g or r:
-            terms[k] = Presentation(tuple(g) + tuple(r))
-            blocks[k] = (len(g), len(r))
+            terms[k] = Presentation(g + r)
     diffs: Dict[int, GradedMap] = {}
     for k in sorted(terms):
         if k + 1 not in terms:
             continue
-        ng, nr = blocks[k]
         mat = MonoMatrix(terms[k + 1].gens, terms[k].gens)
-        if k + 1 in pres and nr:
-            rho = pres[k + 1].rel
-            for (i, j), c in rho.entries.items():
+        if k + 1 in pres:
+            ng = len(pres[k].gens) if k in pres else 0
+            for (i, j), c in pres[k + 1].rel.entries.items():
                 mat.set(i, ng + j, c)
         diffs[k] = GradedMap(terms[k], terms[k + 1], mat)
-    return ChainComplex(terms=terms, diffs=diffs, blocks=blocks)
+    return ChainComplex(terms=terms, diffs=diffs)
 
 
-def chain_map_on_embeds(F: FormalObject, G: FormalObject,
-                        fmaps: Dict[int, GradedMap]
+Links = Dict[int, Dict[Tuple[int, int], Q]]
+
+
+def chain_map_on_embeds(F: FormalObject, G: FormalObject, links: Links,
+                        ext_links: Optional[Links] = None
                         ) -> Tuple[ChainComplex, ChainComplex, ChainMap]:
-    """Lift degreewise module maps H^k(F) -> H^k(G) to the free embeddings.
+    """The chain map between ``free_embed(F)`` and ``free_embed(G)`` given
+    by generator links and Ext links; the one place that writes such maps.
 
-    The generator block carries the matrix of f; the relation block is
-    transported by the same coefficients (a well-defined module map sends
-    relations into relations, with the forced exponent staying >= 0).
+    Term k of an embedding holds the canonical generators of H^k (free
+    first, then torsion, as ``present`` orders them) followed by one
+    relation column per torsion summand of H^{k+1}, in order.
+
+    ``links[k]`` = {(i, j): c} sends generator j of F_k to c x^(w_i - w_j)
+    times generator i of G_k: the coefficients of a module map
+    H^k(F) -> H^k(G), written into the generator block as they are.  The
+    relation block transports them: when torsion summand T(w_j, n) of
+    F_{k+1} goes to torsion summand T(w_i, m) of G_{k+1}, its relation
+    x^n e_j goes to c x^(w_i - w_j + n - m) times the relation x^m e_i,
+    so the map respects relations iff (w_i - w_j) + n - m >= 0.  Torsion
+    never goes to a free summand.
+
+    ``ext_links[k]`` = {(i, t): c} are Ext components: the relation column
+    of torsion summand t of F_{k+1} goes to c times generator i of G_k.
+    Generators have zero differential, so such a link is a chain map when
+    nothing links torsion summand t itself at degree k + 1.
     """
     cf, cg = free_embed(F), free_embed(G)
-    pf = {k: present(m) for k, m in F.components.items()}
-    pg = {k: present(m) for k, m in G.components.items()}
     maps: Dict[int, GradedMap] = {}
     for k in cf.degrees():
         if k not in cg.terms:
             continue
-        ngf, nrf = cf.blocks[k]
-        ngg, nrg = cg.blocks[k]
         mat = MonoMatrix(cg.term(k).gens, cf.term(k).gens)
-        f = fmaps.get(k)
-        if f is not None and ngf and ngg:
-            for (i, j), c in f.mat.entries.items():
-                mat.set(i, j, c)
-        fnext = fmaps.get(k + 1)
-        if fnext is not None and nrf and nrg:
-            # relation columns: src torsion summand t with relation x^n e_i
-            # maps to sum_m c x^{...} (relations of the target summands)
-            psrc, pdst = pf[k + 1], pg[k + 1]
-            src_m = psrc.module
-            dst_m = pdst.module
-            if src_m is None or dst_m is None:
-                raise ValueError("relation transport needs canonical modules")
-            nfree_s = len(src_m.free)
-            nfree_d = len(dst_m.free)
-            for (i, j), c in fnext.mat.entries.items():
-                # j-th generator of src is torsion iff j >= nfree_s; its
-                # relation column is j - nfree_s.  Likewise for the target.
-                if j < nfree_s:
-                    continue
-                if i < nfree_d:
-                    raise ValueError(
-                        "torsion-to-free component cannot be a module map"
-                    )
-                js = j - nfree_s
-                idt = i - nfree_d
-                n_src = src_m.torsion[js][1]
-                m_dst = dst_m.torsion[idt][1]
-                kexp = psrc.gens[j] - pdst.gens[i]
-                if kexp + n_src - m_dst >= 0:
-                    mat.set(ngg + idt, ngf + js, c)
-                elif c != 0:
-                    raise ValueError("map does not preserve relations")
+        for (i, j), c in links.get(k, {}).items():
+            mat.set(i, j, c)
+        # the relation block of term k follows the generators of H^k
+        roff_f = len(F.component(k).gen_weights())
+        roff_g = len(G.component(k).gen_weights())
+        src, dst = F.component(k + 1), G.component(k + 1)
+        nf, ng = len(src.free), len(dst.free)
+        for (i, j), c in links.get(k + 1, {}).items():
+            if j < nf:
+                continue
+            if i < ng:
+                raise ValueError(
+                    "torsion-to-free component cannot be a module map")
+            (ws, n), (wd, m) = src.torsion[j - nf], dst.torsion[i - ng]
+            if (wd - ws) + n - m < 0:
+                raise ValueError("map does not preserve relations")
+            mat.set(roff_g + i - ng, roff_f + j - nf, c)
+        for (i, t), c in (ext_links or {}).get(k, {}).items():
+            mat.set(i, roff_f + t, c)
         maps[k] = GradedMap(cf.term(k), cg.term(k), mat)
     return cf, cg, ChainMap(cf, cg, maps)
 

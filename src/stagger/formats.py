@@ -200,6 +200,21 @@ def _field(obj, key: str, what: str):
     return obj[key]
 
 
+def _object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ValueError("%s must be an object, got %.40r" % (what, x))
+    return x
+
+
+def _degree(key, what: str) -> int:
+    """An object key read as a cohomological degree."""
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise ValueError("%s: degree %.40r is not an integer"
+                         % (what, key)) from None
+
+
 def _integer(x, what: str) -> int:
     if type(x) is not int:  # JSON floats and booleans are not integers
         raise ValueError("%s must be an integer, got %.40r" % (what, x))
@@ -300,10 +315,14 @@ def formal_to_json(F: FormalObject) -> dict:
 
 def formal_from_json(obj: dict) -> FormalObject:
     comps = {}
-    for key, expr in obj.items():
+    for key, expr in _object(obj, "formal object").items():
+        k = _degree(key, "formal object")
+        if not isinstance(expr, str):
+            raise ValueError("formal object degree %d must be a module "
+                             "expression, got %.40r" % (k, expr))
         m = parse_module(expr)
         if not m.is_zero:
-            comps[int(key)] = m
+            comps[k] = m
     return FormalObject(comps)
 
 
@@ -317,11 +336,12 @@ def complex_to_json(c: ChainComplex) -> dict:
 
 
 def complex_from_json(obj: dict) -> ChainComplex:
-    terms = {int(k): presentation_from_json(v)
-             for k, v in obj.get("terms", {}).items()}
+    _object(obj, "complex")
+    terms = {_degree(k, '"terms"'): presentation_from_json(v)
+             for k, v in _object(obj.get("terms", {}), '"terms"').items()}
     cx = ChainComplex(terms=terms)
-    for key, mat_obj in obj.get("diffs", {}).items():
-        k = int(key)
+    for key, mat_obj in _object(obj.get("diffs", {}), '"diffs"').items():
+        k = _degree(key, '"diffs"')
         mat = matrix_from_json(mat_obj)
         src = cx.term(k)
         dst = cx.term(k + 1)

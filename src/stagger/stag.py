@@ -23,10 +23,12 @@ against the looped definition.
 Truncation is computed summand by summand (in weight mode each summand is
 cut by ``sstruct.cut_summand``, the one home of the cut rule that sigma
 uses too) and certified at the chain level:
-the below-part is embedded as a complex of free modules, mapped into the
-embedding of the object, and the cone's normal form must reproduce the
-above-part on the nose.  The same machinery gives kernels and cokernels in
-the heart, and a Jordan-Holder peeling with auditable mono witnesses.
+the below-part is embedded as a complex of free modules and mapped into the
+embedding of the object by ``derived.chain_map_on_embeds`` (a generator link
+per cut piece, an Ext link per rotated one), and the cone's normal form must
+reproduce the above-part on the nose.  The same machinery gives kernels and
+cokernels in the heart, and a Jordan-Holder peeling with auditable mono
+witnesses.
 """
 
 from __future__ import annotations
@@ -39,11 +41,9 @@ from typing import Dict, List, Optional, Tuple
 from .grmod import (
     F as Fmod,
     GradedModule,
-    MonoMatrix,
     T as Tmod,
     ZERO,
     gm,
-    module_map,
 )
 from .derived import (
     ChainMap,
@@ -54,7 +54,6 @@ from .derived import (
     derived_hom,
     dualize,
     formal,
-    free_embed,
     li_star,
     normal_form,
     push_z,
@@ -398,47 +397,25 @@ def _pieces_to_formal(pieces: Dict[int, list]) -> FormalObject:
 
 def _truncation_witness(cfg: SConfig, p: Perversity, Fo: FormalObject,
                         n: int) -> Tuple[FormalObject, FormalObject, ChainMap]:
-    """Below/above parts plus the chain-level inclusion below -> F."""
+    """Below/above parts plus the chain-level inclusion below -> F, built
+    by ``chain_map_on_embeds``: a 'sub' piece is a generator link onto the
+    summand it was cut from, a 'rot' piece an Ext link from its relation
+    column onto the generator of the free summand it rotated off."""
     below_p, above_p = _truncation_pieces(cfg, p, Fo, n)
     below = _pieces_to_formal(below_p)
-    above = _pieces_to_formal(above_p)
-
-    Cb = free_embed(below)
-    CF = free_embed(Fo)
-
-    # canonical positions of the below pieces inside each component
-    pos: Dict[int, List[int]] = {}
-    nfree_b: Dict[int, int] = {}
+    links: Dict[int, dict] = {}
+    ext_links: Dict[int, dict] = {}
     for k, lst in below_p.items():
-        pos[k] = _canonical_positions([pp for pp, _ in lst])
-        nfree_b[k] = sum(1 for pp, _ in lst if pp[0] == "F")
-
-    maps: Dict[int, GradedMap] = {}
-    for k in Cb.degrees():
-        ngb = Cb.blocks[k][0]
-        ngf = CF.blocks.get(k, (0, 0))[0]
-        mat = MonoMatrix(CF.term(k).gens, Cb.term(k).gens)
-        # generator block: sub-pieces at degree k
-        for (piece, wit), col in zip(below_p.get(k, []), pos.get(k, [])):
-            kind, k_src, idx = wit
+        pieces = [pp for pp, _w in lst]
+        nfree = sum(1 for pp in pieces if pp[0] == "F")
+        for (_pp, (kind, k_src, idx)), col in zip(
+                lst, _canonical_positions(pieces)):
             if kind == "sub":
-                mat.set(idx, col, 1)
-        # relation block: torsion pieces at degree k+1
-        for (piece, wit), gcol in zip(below_p.get(k + 1, []),
-                                      pos.get(k + 1, [])):
-            if piece[0] != "T":
-                continue
-            relcol_b = ngb + (gcol - nfree_b[k + 1])
-            kind, k_src, idx = wit
-            if kind == "sub":
-                # maps onto the relation column of the source summand
-                src_mod = Fo.components[k_src].free
-                relcol_f = ngf + (idx - len(src_mod))
-                mat.set(relcol_f, relcol_b, 1)
-            else:  # 'rot': relation column hits the free generator itself
-                mat.set(idx, relcol_b, 1)
-        maps[k] = GradedMap(Cb.term(k), CF.term(k), mat)
-    return below, above, ChainMap(Cb, CF, maps)
+                links.setdefault(k, {})[(idx, col)] = 1
+            else:
+                ext_links.setdefault(k_src, {})[(idx, col - nfree)] = 1
+    _cb, _cf, chain = chain_map_on_embeds(below, Fo, links, ext_links)
+    return below, _pieces_to_formal(above_p), chain
 
 
 def stag_truncate(cfg: SConfig, p: Perversity, Fo: FormalObject,
@@ -482,7 +459,8 @@ def heart_morphism(cfg: SConfig, p: Perversity, src: FormalObject,
                    dst: FormalObject,
                    fmaps: Dict[int, GradedMap]) -> HeartMorphism:
     """Heart morphism from degreewise module maps H^k(src) -> H^k(dst)."""
-    _ca, _cb, ch = chain_map_on_embeds(src, dst, fmaps)
+    _ca, _cb, ch = chain_map_on_embeds(
+        src, dst, {k: f.mat.entries for k, f in fmaps.items()})
     errs = ch.validate()
     if errs:
         raise ValueError("not a chain map: " + "; ".join(errs))
@@ -627,10 +605,8 @@ def _peel_torsion(cfg: SConfig, p: Perversity, H: FormalObject,
     tidx = next(
         i for i, (g, l) in enumerate(m.torsion) if g == n and l == 1
     )
-    gen_index = len(m.free) + tidx
     S = formal(Tmod(n, 1), k)
-    fmap = module_map(Tmod(n, 1), m, {(gen_index, 0): 1})
-    _a, _b, ch = chain_map_on_embeds(S, H, {k: fmap})
+    _a, _b, ch = chain_map_on_embeds(S, H, {k: {(len(m.free) + tidx, 0): 1}})
     return JHStep(label="SZ(%d)" % n, simple=S, before=H,
                   after=_swap_summand(H, k, Tmod(n, 1)), chain=ch)
 
@@ -650,26 +626,14 @@ def _peel_free(cfg: SConfig, p: Perversity, H: FormalObject,
     fidx = next(i for i, w in enumerate(m.free) if w == d)
     if d in (0, 1):
         S = formal(Fmod(0), a)
-        fmap = module_map(Fmod(0), m, {(fidx, 0): 1})
-        _x, _y, ch = chain_map_on_embeds(S, H, {a: fmap})
+        _x, _y, ch = chain_map_on_embeds(S, H, {a: {(fidx, 0): 1}})
         label = "OX"
         after = _swap_summand(H, a, Fmod(d), Tmod(1, 1) if d else ZERO)
     elif d == -1:
         S = formal(Tmod(0, 1), a + 1)
-        Cs = free_embed(S)
-        CH = free_embed(H)
-        maps: Dict[int, GradedMap] = {}
-        # the relation column of the skyscraper (weight -1) maps onto the
-        # generator of the F(-1) summand; the skyscraper's own generator
-        # maps to zero (the inclusion lives in the Ext component)
-        mat = MonoMatrix(CH.term(a).gens, Cs.term(a).gens)
-        mat.set(fidx, 0, 1)
-        maps[a] = GradedMap(Cs.term(a), CH.term(a), mat)
-        maps[a + 1] = GradedMap(
-            Cs.term(a + 1), CH.term(a + 1),
-            MonoMatrix(CH.term(a + 1).gens, Cs.term(a + 1).gens),
-        )
-        ch = ChainMap(Cs, CH, maps)
+        # the inclusion lives in the Ext component: the skyscraper's
+        # relation column (weight -1) maps onto the generator of F(-1)
+        _x, _y, ch = chain_map_on_embeds(S, H, {}, {a: {(fidx, 0): 1}})
         label = "SZ(0)"
         after = _swap_summand(H, a, Fmod(-1), Fmod(0))
     else:

@@ -193,16 +193,24 @@ def test_cone_of_zero_map_splits():
 def test_cone_of_identity_vanishes():
     M = gm([2, 0], [(1, 2)])
     f = module_map(M, M, {(i, i): 1 for i in range(3)})
-    _, _, phi = chain_map_on_embeds(formal(M), formal(M), {0: f})
+    _, _, phi = chain_map_on_embeds(formal(M), formal(M), {0: f.mat.entries})
     assert phi.validate() == []
     assert normal_form(cone(phi)).is_zero
 
 
-def test_cone_of_x_multiplication():
+@pytest.mark.parametrize("M, N, cok", [
     # 0 -> F(0) -x-> F(1) -> T(1,1) -> 0 realized as a cone
-    f = module_map(F(0), F(1), {(0, 0): 1})
-    _, _, phi = chain_map_on_embeds(formal(F(0)), formal(F(1)), {0: f})
-    assert normal_form(cone(phi)) == formal(T(1, 1), 0)
+    (F(0), F(1), T(1, 1)),
+    # torsion into torsion by x^e, e > 0: the relation x^n e_j goes to
+    # x^(e + n - m) times the target's relation x^m e_i
+    (T(0, 1), T(1, 2), T(1, 1)),
+    (T(-1, 2), T(1, 4), T(1, 2)),
+], ids=["free", "torsion_x", "torsion_x2"])
+def test_cone_of_x_multiplication(M, N, cok):
+    f = module_map(M, N, {(0, 0): 1})
+    _, _, phi = chain_map_on_embeds(formal(M), formal(N), {0: f.mat.entries})
+    assert phi.validate() == []
+    assert normal_form(cone(phi)) == formal(cok, 0)
 
 
 def test_normal_form_of_presented_terms():
@@ -349,7 +357,8 @@ def test_certificate_rejects_wrong_homology(monkeypatch, corrupt, where):
     monkeypatch.setattr(derived, "canonical_decompose",
                         lambda p: corrupt(real(p)))
     f = module_map(F(0), F(1), {(0, 0): 1})
-    _, _, phi = chain_map_on_embeds(formal(F(0)), formal(F(1)), {0: f})
+    _, _, phi = chain_map_on_embeds(formal(F(0)), formal(F(1)),
+                                    {0: f.mat.entries})
     with pytest.raises(AssertionError,
                        match="homology certificate failed at " + where + ":"):
         normal_form(cone(phi))

@@ -1,6 +1,7 @@
 """Exact elimination at size: ``free_kernel`` and ``canonical_decompose``.
 
-Contract tests run on random homogeneous matrices; the pinned outputs in
+Contract tests run on random homogeneous matrices and pin the dependent
+set the kernel sweep picks by coefficient ranks alone; the pinned outputs in
 ``golden/elim_*.json`` fix the exact kernel bases, decompositions and
 kernel/image/cokernel triples on seeded scrambled presentations with 20,
 40 and 80 generators and on random small maps.  The goldens were captured
@@ -213,12 +214,12 @@ def _random_map(rng):
 # ---------------------------------------------------------------------------
 
 
-def _coeff_rank(m):
-    """Rank over k[x]: entries are monomials with forced exponents, so it is
-    the rank of the coefficient matrix (x = 1), by the oracle's own
-    Gauss-Jordan."""
-    return _mat_rank([[m.get(i, j) for j in range(m.ncols)]
-                      for i in range(m.nrows)])
+def _coeff_rank(m, cols=None):
+    """Rank over k[x] of the given columns (all by default): entries are
+    monomials with forced exponents, so it is the rank of the coefficient
+    matrix (x = 1), by the oracle's own Gauss-Jordan."""
+    cols = range(m.ncols) if cols is None else cols
+    return _mat_rank([[m.get(i, j) for j in cols] for i in range(m.nrows)])
 
 
 def _check_kernel(m, ker):
@@ -228,16 +229,22 @@ def _check_kernel(m, ker):
     assert m.compose(ker).is_zero()
     assert ker.ncols == m.ncols - _coeff_rank(m)
     assert all(type(c) is Fraction for c in ker.entries.values())
-    # each kernel column is 1 at its own source column and 0 at the other
-    # kernel columns' (their own columns increase with the kernel index)
-    own = -1
-    for k in range(ker.ncols):
-        own = next((i for i in range(own + 1, ker.nrows)
-                    if ker.get(i, k) == 1
-                    and ker.col_weights[k] == ker.row_weights[i]
-                    and all(ker.get(i, kk) == 0
-                            for kk in range(ker.ncols) if kk != k)), None)
-        assert own is not None, "kernel column %d has no unit row" % k
+    # the sweep's dependent set: a column is dependent iff it lies in the
+    # span of the columns before it in sweep order (descending weight, index
+    # order within a weight); kernel column k belongs to the k-th dependent
+    # column, is 1 there and 0 at the other dependent columns
+    seen, rank, dependent = [], 0, []
+    for j in sorted(range(m.ncols), key=lambda j: -m.col_weights[j]):
+        seen.append(j)
+        grown = _coeff_rank(m, seen)
+        if grown == rank:
+            dependent.append(j)
+        rank = grown
+    dependent.sort()
+    for k, own in enumerate(dependent):
+        assert ker.col_weights[k] == ker.row_weights[own]
+        assert all(ker.get(j, k) == (j == own) for j in dependent), \
+            "kernel column %d is not the unit vector at column %d" % (k, own)
 
 
 def test_free_kernel_contract_random():

@@ -193,3 +193,32 @@ def test_matrix_json_rejects_malformed_fields(js, names):
     with pytest.raises(ValueError) as ei:
         matrix_from_json(js)
     assert names in str(ei.value)
+
+
+@pytest.mark.parametrize("js, names", [
+    ([1], "complex"),
+    ({"terms": [1]}, '"terms"'),
+    ({"terms": {"x": {"generators": [0]}}}, '"terms": degree \'x\''),
+    ({"terms": {"0": 5}}, "'generators'"),
+    ({"terms": {"0": {"generators": [0]}}, "diffs": 7}, '"diffs"'),
+    ({"terms": {"0": {"generators": [0]}}, "diffs": {"1.5": {}}},
+     '"diffs": degree \'1.5\''),
+    ({"terms": {"0": {"generators": [0]}}, "diffs": {"0": []}},
+     "'row_weights'"),
+])
+def test_complex_json_rejects_malformed_fields(js, names):
+    with pytest.raises(ValueError) as ei:
+        complex_from_json(js)
+    assert names in str(ei.value)
+
+
+@pytest.mark.parametrize("js, names", [
+    ([1], "formal object"),
+    ({"0": 5}, "degree 0"),
+    ({"one": "F(0)"}, "degree 'one'"),
+    ({"0": "F("}, "position"),
+])
+def test_formal_json_rejects_malformed_fields(js, names):
+    with pytest.raises(ValueError) as ei:
+        formal_from_json(js)
+    assert names in str(ei.value)

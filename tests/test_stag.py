@@ -226,6 +226,14 @@ def test_heart_kernel_of_skyscraper_quotient():
     assert kio.cokernel.is_zero
 
 
+def test_heart_morphism_torsion_by_x():
+    # x: T(0,1) -> T(1,2) respects relations: x * e goes to x^2 e' = 0
+    f = module_map(Tmod(0, 1), Tmod(1, 2), {(0, 0): 1})
+    hm = heart_morphism(W, P01, formal(Tmod(0, 1), 0), formal(Tmod(1, 2), 0),
+                        {0: f})
+    assert normal_form(cone(hm.chain)) == formal(Tmod(1, 1), 0)
+
+
 def test_heart_zero_morphism():
     hm = heart_morphism(W, P01, formal(Fmod(0), 0), formal(Tmod(1, 1), 0), {})
     kio = heart_kernel_cokernel(hm)
