@@ -365,16 +365,9 @@ class ChainMap:
     dst: ChainComplex
     maps: Dict[int, GradedMap] = field(default_factory=dict)
 
-    def component(self, k: int) -> GradedMap:
-        f = self.maps.get(k)
-        if f is None:
-            f = GradedMap(self.src.term(k), self.dst.term(k),
-                          MonoMatrix(self.dst.term(k).gens,
-                                     self.src.term(k).gens))
-            self.maps[k] = f
-        return f
-
     def validate(self) -> List[str]:
+        """Errors of this map, [] if it is a chain map.  A degree missing
+        from ``maps`` is read as zero and is not added to it."""
         errs = []
         for k, f in self.maps.items():
             if not f.is_well_defined():
@@ -383,8 +376,9 @@ class ChainMap:
         for k in degs:
             left = self.dst.diffs.get(k)
             right = self.src.diffs.get(k)
-            lhs = left.compose(self.component(k)) if left is not None else None
-            rhs = self.component(k + 1).compose(right) if right is not None else None
+            fk, fk1 = self.maps.get(k), self.maps.get(k + 1)
+            lhs = left.compose(fk) if left is not None and fk is not None else None
+            rhs = fk1.compose(right) if right is not None and fk1 is not None else None
             if lhs is None and rhs is None:
                 continue
             tgt = self.dst.term(k + 1)

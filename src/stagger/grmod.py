@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
@@ -349,32 +350,64 @@ def pres_direct_sum(*ps: Presentation) -> Presentation:
 # polynomial multiple.  The sweep keeps every column and basis vector sparse,
 # as a {key: coefficient} dict of its nonzeros; no column is ever expanded to
 # a dense vector.
+#
+# The sweep is fraction-free, in the style of Bareiss (1968, Math. Comp. 22)
+# but with content (gcd) removal in place of his exact division by the last
+# pivot: a column enters it as an integer vector, scaled by the lcm of its
+# denominators, and every step is an integer combination a*vec - b*piv with
+# a > 0, so no ``Fraction`` is built inside it.  Basis vectors are primitive (gcd of their entries 1)
+# with a positive pivot entry, which keeps the entries small.  Each integer
+# vector is a nonzero rational multiple of the vector that elimination over Q
+# would hold at the same step, and scaling never changes which entries are
+# zero, so every step meets the same pivot rows, and ranks, span answers and
+# dependent sets are those of elimination over Q.  ``Fraction`` comes back
+# only at the boundary: each ``free_kernel`` vector is divided by its entry
+# at its own column.
 
 
-def _columns_by_weight(mat: MonoMatrix, lo: int) -> List[Tuple[int, Dict[int, Q]]]:
-    """The nonzero columns of weight >= lo as (weight, {row: coefficient}),
-    by descending weight."""
+def _integral(col: Dict[int, Q]) -> Dict[int, int]:
+    """``col`` times the lcm of its denominators: integer entries, the same
+    nonzero keys."""
+    out: Dict[int, int] = {}
+    m = 1
+    for k, c in col.items():
+        n, d = c.as_integer_ratio()
+        out[k] = n
+        if d != 1:
+            m = lcm(m, d)
+    if m != 1:  # a second pass only for a column that has fractions
+        for k, c in col.items():
+            n, d = c.as_integer_ratio()
+            out[k] = n * (m // d)
+    return out
+
+
+def _columns_by_weight(mat: MonoMatrix, lo: int) -> List[Tuple[int, Dict[int, int]]]:
+    """The nonzero columns of weight >= lo as (weight, {row: integer}), by
+    descending weight, each scaled to integers by ``_integral``."""
     cw = mat.col_weights
     cols: Dict[int, Dict[int, Q]] = {}
     for (i, j), c in mat.entries.items():
         if cw[j] >= lo:
             cols.setdefault(j, {})[i] = c
-    return [(cw[j], cols[j]) for j in sorted(cols, key=lambda j: -cw[j])]
+    return [(cw[j], _integral(cols[j])) for j in sorted(cols, key=lambda j: -cw[j])]
 
 
-def _echelon_insert(basis: Dict[int, Dict[int, Q]], vec: Dict[int, Q],
+def _echelon_insert(basis: Dict[int, Dict[int, int]], vec: Dict[int, int],
                     nrows: int) -> Optional[int]:
-    """Reduce ``vec`` in place against ``basis`` and insert what is left;
-    returns the pivot row it was inserted at, or None if nothing is left
-    on the rows.
+    """Reduce the integer vector ``vec`` in place against ``basis`` and
+    insert what is left; returns the pivot row it was inserted at, or None
+    if nothing is left on the rows.
 
-    ``basis`` keeps one vector per pivot row, its lowest nonzero row,
-    normalized to 1 there.  ``vec`` is reduced at its lowest nonzero row
-    until that row has no basis vector, then normalized and inserted.
-    Only keys below ``nrows`` are rows; keys from ``nrows`` up ride along
-    (a transform) and are never pivots, so a ``vec`` whose rows all cancel
-    keeps its transform and is not inserted.  Entries that cancel to 0 are
-    deleted, so no step reads or divides a zero.
+    ``basis`` keeps one primitive integer vector per pivot row, its lowest
+    nonzero row, with a positive entry p there.  ``vec`` is reduced at its
+    lowest nonzero row r, holding c, by vec <- (p/g)*vec - (c/g)*piv with
+    g = gcd(p, c), until r has no basis vector; then it is divided by the
+    gcd of its entries, signed so that its pivot entry is positive, and
+    inserted.  Only keys below ``nrows`` are rows; keys from ``nrows`` up
+    ride along (a transform, scaled with the rest) and are never pivots, so
+    a ``vec`` whose rows all cancel keeps its transform and is not inserted.
+    Entries that cancel to 0 are deleted, so no step reads a zero.
     """
     while vec:
         r = min(vec)
@@ -383,20 +416,28 @@ def _echelon_insert(basis: Dict[int, Dict[int, Q]], vec: Dict[int, Q],
         c = vec[r]
         piv = basis.get(r)
         if piv is None:
-            if c != 1:  # a pivot already 1 needs no normalizing
+            g = gcd(*vec.values())
+            if c < 0:
+                g = -g
+            if g != 1:
                 for t in vec:
-                    vec[t] /= c
+                    vec[t] //= g
             basis[r] = vec
             return r
+        g = gcd(piv[r], c)
+        a, b = piv[r] // g, c // g
+        if a != 1:
+            for t in vec:
+                vec[t] *= a
         for t, v in piv.items():
             if t in vec:
-                x = vec[t] - c * v
+                x = vec[t] - b * v
                 if x:
                     vec[t] = x
                 else:
                     del vec[t]
             else:
-                vec[t] = -c * v
+                vec[t] = -b * v
     return None
 
 
@@ -405,7 +446,7 @@ def _weight_ranks(mat: MonoMatrix, lo: int, hi: int) -> List[int]:
     lo <= w <= hi, from one sweep over the columns by descending weight:
     the rank at w counts the basis vectors added by columns of weight >= w."""
     grew = [0] * (hi - lo + 1)
-    basis: Dict[int, Dict[int, Q]] = {}
+    basis: Dict[int, Dict[int, int]] = {}
     for v, vec in _columns_by_weight(mat, lo):
         if _echelon_insert(basis, vec, mat.nrows) is not None:
             grew[min(v, hi) - lo] += 1
@@ -421,7 +462,7 @@ def _in_relation_span(rel: MonoMatrix, elems: MonoMatrix) -> bool:
         return True
     lo = min(elems.col_weights)
     rels = _columns_by_weight(rel, lo)
-    basis: Dict[int, Dict[int, Q]] = {}
+    basis: Dict[int, Dict[int, int]] = {}
     pos = 0
     for w, vec in _columns_by_weight(elems, lo):
         while pos < len(rels) and rels[pos][0] >= w:
@@ -440,30 +481,32 @@ def free_kernel(mat: MonoMatrix) -> MonoMatrix:
 
     Pivot rule: the columns enter the sweep by descending weight, in index
     order within a weight, each reduced at its lowest nonzero row; column
-    j carries its unit vector under key ``nrows + j``.  A column that
-    reduces to zero on the rows is dependent, and its transform is its
-    kernel vector: 1 at its own column and 0 at the other dependent ones,
-    since a basis vector's transform involves only independent columns.
-    At each weight w the dependent columns of weight >= w count dim ker at
-    w, so these vectors are a basis.  Uniqueness: for a fixed dependent set
-    that normalization fixes the basis (two candidates differ by a kernel
-    element on independent columns only, which is 0), and the greedy order
-    fixes the set: a column is dependent iff it lies in the span of the
-    columns before it.
+    j carries its unit vector under key ``nrows + j`` and is scaled to
+    integers with it.  A column that reduces to zero on the rows is
+    dependent, and its transform, divided by its entry at its own column,
+    is its kernel vector: ``Fraction`` entries, 1 at its own column and 0
+    at the other dependent ones, since a basis vector's transform involves
+    only independent columns.  At each weight w the dependent columns of
+    weight >= w count dim ker at w, so these vectors are a basis.
+    Uniqueness: for a fixed dependent set that normalization fixes the
+    basis (two candidates differ by a kernel element on independent columns
+    only, which is 0), and the greedy order fixes the set: a column is
+    dependent iff it lies in the span of the columns before it.
     """
     cw, nrows = mat.col_weights, mat.nrows
     cols: List[Dict[int, Q]] = [{nrows + j: _Q1} for j in range(len(cw))]
     for (i, j), c in mat.entries.items():
         cols[j][i] = c
-    basis: Dict[int, Dict[int, Q]] = {}
+    ints = [_integral(col) for col in cols]
+    basis: Dict[int, Dict[int, int]] = {}
     dependent: List[int] = []
     for j in sorted(range(len(cw)), key=lambda j: -cw[j]):
-        if _echelon_insert(basis, cols[j], nrows) is None:
+        if _echelon_insert(basis, ints[j], nrows) is None:
             dependent.append(j)
     dependent.sort()
     out = MonoMatrix(cw, [cw[j] for j in dependent])
-    out.entries = {(t - nrows, k): c for k, j in enumerate(dependent)
-                   for t, c in cols[j].items()}
+    out.entries = {(t - nrows, k): Q(c, ints[j][nrows + j])
+                   for k, j in enumerate(dependent) for t, c in ints[j].items()}
     return out
 
 
@@ -486,7 +529,7 @@ def canonical_decompose(p: Presentation) -> GradedModule:
     rw = p.rel.row_weights
     rel = p.rel.restrict_rows(sorted(range(len(rw)), key=rw.__getitem__))
     ws = rel.row_weights
-    basis: Dict[int, Dict[int, Q]] = {}
+    basis: Dict[int, Dict[int, int]] = {}
     tors: List[Tuple[int, int]] = []
     for v, vec in _columns_by_weight(rel, min(rel.col_weights, default=0)):
         r = _echelon_insert(basis, vec, len(ws))

@@ -246,6 +246,17 @@ def test_chain_map_validate_reports_non_commuting_square():
     assert phi.validate() == ["square at degree 0 does not commute"]
     assert ChainMap(A, A, {0: _scalar(P, P), 1: _scalar(P, P)}).validate() \
         == []
+    # a missing degree reads as zero: d f_0 = d but f_1 d = 0
+    assert ChainMap(A, A, {0: _scalar(P, P)}).validate() \
+        == ["square at degree 0 does not commute"]
+
+
+def test_chain_map_validate_does_not_change_the_map():
+    _, _, phi = chain_map_on_embeds(FormalObject({0: T(0, 1)}),
+                                    FormalObject({2: F(0)}), {})
+    assert list(phi.maps) == []
+    assert phi.validate() == []
+    assert list(phi.maps) == []
 
 
 def _random_mono(rng, row_weights, ncols):

@@ -10,11 +10,16 @@ step, before ``grmod`` indexed the nonzeros; ``_scrambled`` and
 ``_random_map`` rebuild the same inputs.  Both functions now run on the
 one echelon step ``grmod._echelon_insert``; the column Hermite loop and
 the graded Smith loop with its pivot heap that the goldens were last
-checked against are gone, and the goldens pass unchanged.
+checked against are gone, and the goldens pass unchanged.  The sweep is
+fraction-free: its tests pin that every basis vector is a primitive
+integer vector with a positive pivot entry, and that inputs whose
+coefficients overflow 64 bits give the oracle's answers, with ``Fraction``
+kernel entries.
 """
 
 import ast
 import json
+import math
 import os
 import random
 import sys
@@ -22,6 +27,7 @@ from fractions import Fraction
 
 import pytest
 
+from stagger import grmod
 from stagger.grmod import (
     GradedMap,
     MonoMatrix,
@@ -312,6 +318,134 @@ def test_kernel_image_cokernel_identities():
                 == weight_dim(M, w)
             assert weight_dim(kic.image, w) + weight_dim(kic.cokernel, w) \
                 == weight_dim(N, w)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free sweep: integer invariants and the Fraction boundary
+# ---------------------------------------------------------------------------
+
+
+def _recorded_sweeps(monkeypatch):
+    """Wrap ``grmod._echelon_insert`` so that every basis it builds is kept,
+    and check that every vector it is handed is already integer."""
+    real, bases = grmod._echelon_insert, {}
+
+    def insert(basis, vec, nrows):
+        assert all(type(c) is int for c in vec.values()), vec
+        bases.setdefault(id(basis), basis)  # kept alive, so ids stay unique
+        return real(basis, vec, nrows)
+
+    monkeypatch.setattr(grmod, "_echelon_insert", insert)
+    return bases
+
+
+def _check_basis(basis):
+    for r, vec in basis.items():
+        assert all(type(c) is int for c in vec.values()), vec
+        assert min(vec) == r and vec[r] > 0, (r, vec)
+        assert math.gcd(*vec.values()) == 1, (r, vec)
+
+
+def test_sweep_basis_vectors_are_primitive_integers(monkeypatch):
+    bases = _recorded_sweeps(monkeypatch)
+    _M, p, iso, wide = _scrambled(0, 80)
+    free_kernel(wide)
+    free_kernel(iso.mat.hstack(iso.dst.rel))
+    canonical_decompose(p)
+    grmod._weight_ranks(wide, min(wide.col_weights), max(wide.row_weights))
+    assert iso.is_well_defined()
+    rng = random.Random(606)
+    for n in range(300):
+        m = _random_matrix(rng) if n % 2 else \
+            _degenerate_matrix(rng, DEGENERATE[n // 2 % len(DEGENERATE)])
+        free_kernel(m)
+        canonical_decompose(Presentation(m.row_weights, m))
+    assert len(bases) > 300 and sum(map(len, bases.values())) > 1000
+    for basis in bases.values():
+        _check_basis(basis)
+
+
+# coefficients whose numerators and denominators overflow 64 bits
+BIG = (Fraction(10**20 + 1, 3**25), Fraction(-7, 2**40),
+       Fraction(3**41, 10**20 + 7), Fraction(-(2**61 - 1), 5**19))
+
+
+def _big(m, rng):
+    """``m`` with every coefficient redrawn from BIG and COEFFS."""
+    out = MonoMatrix(m.row_weights, m.col_weights)
+    out.entries = {ij: rng.choice(BIG + COEFFS) for ij in m.entries}
+    return out
+
+
+def _scale_rows(m, units):
+    out = MonoMatrix(m.row_weights, m.col_weights)
+    out.entries = {(i, j): c * units[i] for (i, j), c in m.entries.items()}
+    return out
+
+
+def _dense_rank_at(m, w, extra=None):
+    """Oracle rank of the columns of weight >= w (and ``extra``), on the rows
+    of weight >= w."""
+    rows = [i for i, g in enumerate(m.row_weights) if g >= w]
+    cols = [j for j, v in enumerate(m.col_weights) if v >= w]
+    return _mat_rank([[m.get(i, j) for j in cols]
+                      + ([] if extra is None else [extra.get(i, 0)])
+                      for i in rows])
+
+
+def test_big_coefficients_agree_with_oracle():
+    rng = random.Random(707)
+    cases = [_big(_random_matrix(rng), rng) for _ in range(60)]
+    cases += [_big(_degenerate_matrix(rng, kind), rng)
+              for kind in DEGENERATE for _ in range(10)]
+    for m in cases:
+        _check_kernel(m, free_kernel(m))
+        p = Presentation(m.row_weights, m)
+        assert canonical_decompose(p) == oracle_decompose(p), m
+        ws = list(m.row_weights) + list(m.col_weights) or [0]
+        lo, hi = min(ws) - 1, max(ws) + 1
+        assert grmod._weight_ranks(m, lo, hi) \
+            == [_dense_rank_at(m, w) for w in range(lo, hi + 1)], m
+    # row scaling by units with huge denominators keeps the kernel, and the
+    # normalized kernel basis is unique, so it comes out identical
+    for seed in range(2):
+        _M, p, _iso, wide = _scrambled(seed, 20)
+        units = [rng.choice(BIG) for _ in wide.row_weights]
+        big = _scale_rows(wide, units)
+        ker = free_kernel(big)
+        _check_kernel(big, ker)
+        assert ker.entries == free_kernel(wide).entries
+        q = Presentation(p.gens, _scale_rows(p.rel, units))
+        assert canonical_decompose(q) == oracle_decompose(q) == _M
+
+
+def test_big_coefficients_well_defined_agrees_with_oracle():
+    rng = random.Random(808)
+    seen = set()
+    for n in range(200):
+        src, dst = (Presentation(m.row_weights, m) for m in
+                    (_big(_random_matrix(rng), rng) for _ in range(2)))
+        if n % 2:
+            # lands in the relations of dst, so it is well defined
+            inner = MonoMatrix(dst.rel.col_weights, src.gens, {
+                (i, j): rng.choice(BIG)
+                for i, v in enumerate(dst.rel.col_weights)
+                for j, g in enumerate(src.gens) if v >= g and rng.random() < 0.5})
+            mat = dst.rel.compose(inner)
+        else:
+            mat = MonoMatrix(dst.gens, src.gens, {
+                (i, j): rng.choice(BIG)
+                for i, h in enumerate(dst.gens) for j, g in enumerate(src.gens)
+                if h >= g and rng.random() < 0.5})
+        f = GradedMap(src, dst, mat)
+        elems = mat.compose(src.rel)
+        want = all(
+            _dense_rank_at(dst.rel, w) == _dense_rank_at(
+                dst.rel, w, {i: elems.get(i, j) for i in range(elems.nrows)})
+            for j, w in enumerate(elems.col_weights))
+        assert f.is_well_defined() == want, (src, dst, mat)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
