@@ -29,6 +29,13 @@ honestly: a formal object is embedded as an honest complex of free modules,
 maps are checked to be chain maps, and ``normal_form`` recovers the
 cohomology with an independent per-weight rank certificate, taken from
 the sparse descending-weight sweep of ``grmod._weight_ranks``.
+
+For a complex whose terms are all free (every cone of a
+``chain_map_on_embeds`` map), ``normal_form`` reads H^k off the persistence
+pairing of the weight filtration (Zomorodian & Carlsson 2005), one sweep per
+differential in one total order per term, with clearing (Chen & Kerber
+2011).  A complex with a presented term, which only tests and
+``formats.complex_from_json`` build, takes the syzygy path.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ from .grmod import (
     Presentation,
     Q,
     ZERO,
+    _echelon_insert,
+    _integral,
     _weight_ranks,
     canonical_decompose,
     direct_sum,
@@ -521,18 +530,100 @@ def cone(phi: ChainMap) -> ChainComplex:
 def normal_form(c: ChainComplex) -> FormalObject:
     """Cohomology of a complex of presented modules, with a rank certificate.
 
-    Per degree k: kernel generators are the syzygies of [d_k | rho_{k+1}]
-    restricted to the source block; H^k is those generators modulo the
-    image of d_{k-1} and the relations rho_k, presented by a second syzygy
-    computation and decomposed to canonical form.  Every reconstructed
-    weight dimension is then checked against
-    dim ker - dim im computed purely from matrix ranks, taken for all
-    weights from one column sweep per matrix (``_certify_degree``).
+    When every term is free (no relation columns), H^k is the persistence
+    pairing of the weight filtration (Zomorodian & Carlsson 2005, "Computing
+    persistent homology"), read off by ``_pairing_homology``.  Each term has
+    one total order, descending weight with ties by index: its columns in
+    d_k are swept in it, and its rows in d_{k-1} are keyed by its reverse,
+    youngest first.  For k ascending the columns of d_k are swept once; a
+    column that stops at row i kills generator i of term k + 1, which gives
+    T(w_i, w_i - v) in H^{k+1} or cancels when w_i == v, and the killed
+    generator's column in d_{k+1} is skipped (clearing: Chen & Kerber 2011,
+    "Persistent homology computation with a twist").  A generator whose
+    column vanishes and that nothing killed gives F(w) in H^k.
+
+    A complex with a presented term takes the syzygy path
+    (``_presented_homology``).  Either way every reconstructed weight
+    dimension is then checked against dim ker - dim im computed purely
+    from matrix ranks, taken for all weights from one column sweep per
+    matrix (``_certify_degree``).
+
+    The cone of x: F(0) -> F(1) is the torsion quotient T(1,1) at degree 0:
+
+    >>> from stagger.grmod import F
+    >>> _, _, phi = chain_map_on_embeds(formal(F(0)), formal(F(1)),
+    ...                                 {0: {(0, 0): 1}})
+    >>> print(normal_form(cone(phi)))
+    [0] T(1,1)
     """
     errs = c.validate()
     if errs:
         raise ValueError("invalid complex: " + "; ".join(errs))
+    if any(p.nrel for p in c.terms.values()):
+        hs = _presented_homology(c)
+    else:
+        hs = _pairing_homology(c)
     comps: Dict[int, GradedModule] = {}
+    for k, h in hs.items():
+        if not h.is_zero:
+            comps[k] = h
+        _certify_degree(c, k, h)
+    return FormalObject(comps)
+
+
+def _pairing_homology(c: ChainComplex) -> Dict[int, GradedModule]:
+    """H^k of a complex of free modules, for every degree with generators,
+    by the sweep ``normal_form`` describes.
+
+    Clearing is sound: the column that killed generator i has zero
+    differential, and its other entries sit at older generators (weight
+    >= w_i), so d_{k+1} e_i is a polynomial combination of their columns
+    and adds nothing to the span at any weight.  The summands do not depend
+    on how ties are broken.
+    """
+    # oldest first: descending weight, ties by index (the sort is stable)
+    order = {k: sorted(range(len(p.gens)), key=p.gens.__getitem__,
+                       reverse=True) for k, p in c.terms.items()}
+    out: Dict[int, GradedModule] = {}
+    killed: Dict[int, int] = {}  # generator of term k -> weight of its killer
+    for k in c.degrees():
+        gens = c.term(k).gens
+        if not gens:
+            continue
+        young = order.get(k + 1, [])[::-1]  # the rows of d_k by key
+        key = {i: r for r, i in enumerate(young)}
+        cols: Dict[int, Dict[int, Q]] = {}
+        dk = c.diffs.get(k)
+        if dk is not None:
+            for (i, j), q in dk.mat.entries.items():
+                cols.setdefault(j, {})[key[i]] = q
+        free: List[int] = []
+        tors = [(gens[i], gens[i] - v) for i, v in killed.items()
+                if gens[i] > v]
+        nxt: Dict[int, int] = {}
+        basis: Dict[int, Dict[int, int]] = {}
+        for j in order[k]:
+            if j in killed:
+                continue
+            col = cols.get(j)
+            r = _echelon_insert(basis, _integral(col), len(young)) \
+                if col else None
+            if r is None:
+                free.append(gens[j])
+            else:
+                nxt[young[r]] = gens[j]
+        out[k] = GradedModule(tuple(sorted(free)), tuple(sorted(tors)))
+        killed = nxt
+    return out
+
+
+def _presented_homology(c: ChainComplex) -> Dict[int, GradedModule]:
+    """H^k of a complex with presented terms, for every degree with
+    generators: kernel generators are the syzygies of [d_k | rho_{k+1}]
+    restricted to the source block; H^k is those generators modulo the
+    image of d_{k-1} and the relations rho_k, presented by a second syzygy
+    computation and decomposed to canonical form."""
+    out: Dict[int, GradedModule] = {}
     for k in c.degrees():
         pk = c.term(k)
         if not pk.gens:
@@ -546,12 +637,9 @@ def normal_form(c: ChainComplex) -> FormalObject:
         dprev = c.diffs.get(k - 1)
         prev_mat = dprev.mat if dprev is not None else \
             MonoMatrix(pk.gens, ())
-        h = canonical_decompose(submodule_presentation(
+        out[k] = canonical_decompose(submodule_presentation(
             Presentation(pk.gens, prev_mat.hstack(pk.rel)), ker))
-        if not h.is_zero:
-            comps[k] = h
-        _certify_degree(c, k, h)
-    return FormalObject(comps)
+    return out
 
 
 def _certify_degree(c: ChainComplex, k: int, h: GradedModule) -> None:

@@ -641,6 +641,14 @@ def _peel_free(cfg: SConfig, p: Perversity, H: FormalObject,
     return JHStep(label=label, simple=S, before=H, after=after, chain=ch)
 
 
+def _jh_length(H: FormalObject) -> int:
+    """Jordan-Holder length of a heart object of a strict perversity, in
+    closed form: each skyscraper summand T(n,1) and each F(0) is one simple,
+    F(1) and F(-1) are two (OX and a skyscraper)."""
+    return sum(len(m.torsion) + sum(1 if d == 0 else 2 for d in m.free)
+               for m in H.components.values())
+
+
 def jh_factors(cfg: SConfig, p: Perversity, Fo: FormalObject,
                _order: str = "default") -> JHReport:
     """Jordan-Holder factors of a heart object, with mono witnesses.
@@ -653,7 +661,9 @@ def jh_factors(cfg: SConfig, p: Perversity, Fo: FormalObject,
 
     Each quotient (the next stage) is written in closed form from the
     simples of a strict perversity, not computed; ``JHReport.audit``
-    certifies every one by the normal form of the witness's cone.
+    certifies every one by the normal form of the witness's cone.  Every
+    peel lowers the closed-form length ``_jh_length`` by exactly 1 (this is
+    asserted), so the loop ends after that many peels, at any length.
     """
     _require_strict(cfg, p)
     if not (aisle_member(cfg, p, Fo, "le0")
@@ -661,11 +671,8 @@ def jh_factors(cfg: SConfig, p: Perversity, Fo: FormalObject,
         raise ValueError("object is not in the heart of %s" % p)
     H = Fo
     steps: List[JHStep] = []
-    guard = 0
+    left = _jh_length(H)
     while not H.is_zero:
-        guard += 1
-        if guard > 1000:
-            raise AssertionError("Jordan-Holder peel does not terminate")
         tors_ns = sorted(
             g
             for k, m in H.components.items()
@@ -695,6 +702,9 @@ def jh_factors(cfg: SConfig, p: Perversity, Fo: FormalObject,
                 step_ = _peel_torsion(cfg, p, H, tors_ns[-1])
         steps.append(step_)
         H = step_.after
+        if _jh_length(H) != left - 1:
+            raise AssertionError("Jordan-Holder peel did not lower the length")
+        left -= 1
     return JHReport(obj=Fo, factors=[s.label for s in steps], steps=steps)
 
 

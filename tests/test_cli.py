@@ -42,6 +42,12 @@ def test_jh_example(capsys):
     assert "OX" in out and "SZ(1)" in out
 
 
+def test_jh_of_length_1001(capsys):
+    rc, out = run(capsys, "jh", "--perversity", "0,1", "+".join(["F(0)"] * 1001))
+    assert rc == 0
+    assert out == "factors: %s\n" % ", ".join(["OX"] * 1001)
+
+
 def test_axioms_example(capsys):
     rc, _ = run(capsys, "axioms", "--z-mode", "weight", "--seed", "1",
                 "--samples", "40")

@@ -1,6 +1,7 @@
 """Derived-level machinery: duality, (co)restriction to thickenings,
 derived hom, chain complexes, cones and normal forms."""
 
+import doctest
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from stagger import derived, stag
 from stagger.oracle import _mat_rank
 from stagger.grmod import (
     F, GradedMap, MonoMatrix, Presentation, T, V, direct_sum, gm, module_map,
-    present,
+    pres_direct_sum, present, weight_dim,
 )
 from stagger.derived import (
     ChainComplex,
@@ -364,9 +365,10 @@ def _drop_one_summand(M):
     (_drop_one_summand, "degree 0 weight 1"),
 ])
 def test_certificate_rejects_wrong_homology(monkeypatch, corrupt, where):
-    real = derived.canonical_decompose
-    monkeypatch.setattr(derived, "canonical_decompose",
-                        lambda p: corrupt(real(p)))
+    # the fault goes into the pairing read-out, one module per degree
+    real = derived._pairing_homology
+    monkeypatch.setattr(derived, "_pairing_homology", lambda c: {
+        k: corrupt(h) for k, h in real(c).items()})
     f = module_map(F(0), F(1), {(0, 0): 1})
     _, _, phi = chain_map_on_embeds(formal(F(0)), formal(F(1)),
                                     {0: f.mat.entries})
@@ -380,6 +382,158 @@ def test_certificate_rejects_wrong_homology(monkeypatch, corrupt, where):
     assert len(errs) == 1
     assert errs[0].startswith(
         "cone homology certificate: homology certificate failed at degree")
+
+
+# ---------------------------------------------------------------------------
+# normal form against dense per-weight ranks
+# ---------------------------------------------------------------------------
+
+_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _random_summands(rng, ties):
+    """A random module; with ``ties`` every weight of its embedding
+    (generators and relation columns) is 0 or 1."""
+    if ties:
+        return gm([rng.choice((0, 1)) for _ in range(rng.randint(0, 4))],
+                  [(1, 1)] * rng.randint(0, 3))
+    return gm([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))],
+              [(rng.randint(-3, 3), rng.randint(1, 3))
+               for _ in range(rng.randint(0, 3))])
+
+
+def _random_embed_map(rng, ties=False):
+    """A random chain map between two free embeddings: random generator
+    links (free or torsion into torsion, where they respect relations) and
+    random Ext links, written by ``chain_map_on_embeds``."""
+    Fo = FormalObject({k: _random_summands(rng, ties) for k in range(-1, 2)})
+    Go = FormalObject({k: _random_summands(rng, ties) for k in range(-1, 2)})
+    links = {}
+    for k in range(-1, 2):
+        src, dst = Fo.component(k), Go.component(k)
+        nf, ng = len(src.free), len(dst.free)
+        for j, ws in enumerate(src.gen_weights()):
+            for i, wd in enumerate(dst.gen_weights()):
+                if wd < ws or rng.random() < 0.4:
+                    continue
+                if j >= nf:  # torsion goes to torsion, respecting x^n
+                    if i < ng:
+                        continue
+                    n, m = src.torsion[j - nf][1], dst.torsion[i - ng][1]
+                    if (wd - ws) + n - m < 0:
+                        continue
+                links.setdefault(k, {})[(i, j)] = rng.choice(_COEFFS)
+    ext = {}
+    for k in range(-2, 1):
+        src, dst = Fo.component(k + 1), Go.component(k)
+        nf = len(src.free)
+        for t, (ws, n) in enumerate(src.torsion):
+            if any(j == nf + t for _i, j in links.get(k + 1, {})):
+                continue
+            for i, wd in enumerate(dst.gen_weights()):
+                if wd >= ws - n and rng.random() < 0.3:
+                    ext.setdefault(k, {})[(i, t)] = rng.choice(_COEFFS)
+    _a, _b, phi = chain_map_on_embeds(Fo, Go, links, ext)
+    assert phi.validate() == []
+    return phi
+
+
+def _dense_rank(mat, w):
+    rows = [i for i, rw in enumerate(mat.row_weights) if rw >= w]
+    cols = [j for j, cw in enumerate(mat.col_weights) if cw >= w]
+    return _mat_rank([[mat.get(i, j) for j in cols] for i in rows])
+
+
+def _dense_mismatches(c, hs):
+    """(k, w, want, got) wherever ``hs[k]`` (a module per degree) has a
+    weight dimension other than dim C^k_w - rank(d_k)_w - rank(d_{k-1})_w
+    of the free complex ``c``, ranked densely by the oracle's Gauss-Jordan
+    over the window of all generator weights."""
+    ws = [w for p in c.terms.values() for w in p.gens] or [0]
+    bad = []
+    for k in c.degrees():
+        gens = c.term(k).gens
+        for w in range(min(ws) - 2, max(ws) + 3):
+            want = sum(1 for g in gens if g >= w)
+            for d in (c.diffs.get(k), c.diffs.get(k - 1)):
+                if d is not None:
+                    want -= _dense_rank(d.mat, w)
+            got = weight_dim(hs.get(k, gm()), w)
+            if want != got:
+                bad.append((k, w, want, got))
+    return bad
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["spread", "ties01"])
+def test_normal_form_agrees_with_dense_ranks(ties):
+    rng = random.Random(41 + ties)
+    for _ in range(60):
+        c = cone(_random_embed_map(rng, ties))
+        assert all(not p.nrel for p in c.terms.values())
+        if ties:
+            assert {w for p in c.terms.values() for w in p.gens} <= {0, 1}
+        H = normal_form(c)
+        assert _dense_mismatches(c, H.components) == [], (c.terms, H)
+
+
+def test_dense_rank_check_catches_corrupted_readout(monkeypatch):
+    # with the certificate switched off, a read-out that loses one summand
+    # still disagrees with the dense ranks
+    monkeypatch.setattr(derived, "_certify_degree", lambda c, k, h: None)
+    real = derived._pairing_homology
+    monkeypatch.setattr(derived, "_pairing_homology", lambda c: {
+        k: _drop_one_summand(h) for k, h in real(c).items()})
+    rng = random.Random(43)
+    c = cone(_random_embed_map(rng))
+    while normal_form(c).is_zero:
+        c = cone(_random_embed_map(rng))
+    assert _dense_mismatches(c, normal_form(c).components) != []
+
+
+def _with_summand(c, extra):
+    """``c`` with the presentation ``extra[k]`` added after term k and zero
+    maps on it."""
+    terms = {k: pres_direct_sum(p, extra[k]) if k in extra else p
+             for k, p in c.terms.items()}
+    diffs = {}
+    for k, d in c.diffs.items():
+        src, dst = terms[k], terms[k + 1]
+        diffs[k] = GradedMap(src, dst, MonoMatrix(dst.gens, src.gens,
+                                                  d.mat.entries))
+    return ChainComplex(terms, diffs)
+
+
+def test_presented_terms_take_the_general_path(monkeypatch):
+    rng = random.Random(47)
+    cases = []
+    for _ in range(30):
+        c = cone(_random_embed_map(rng, ties=rng.random() < 0.5))
+        # a zero module: one generator and the relation e = 0
+        zeros = {}
+        for k in c.terms:
+            w = rng.randint(-3, 3)
+            zeros[k] = Presentation((w,), MonoMatrix((w,), (w,), {(0, 0): 1}))
+        k0 = rng.choice(c.degrees())
+        g, n = rng.randint(-3, 3), rng.randint(1, 3)
+        cases.append((c, normal_form(c), _with_summand(c, zeros),
+                      _with_summand(c, {k0: present(T(g, n))}),
+                      formal(T(g, n), k0)))
+
+    def refuse(c):
+        raise AssertionError("the pairing ran on a presented complex")
+    monkeypatch.setattr(derived, "_pairing_homology", refuse)
+    for c, want, padded, plus_t, t in cases:
+        assert padded.validate() == [] and plus_t.validate() == []
+        assert normal_form(padded) == want, c.terms
+        assert normal_form(plus_t) == formal_sum(want, t), c.terms
+
+
+def test_module_docstring_examples_run():
+    # the examples in the module's own docstrings (normal_form's cone of x)
+    tests = doctest.DocTestFinder().find(derived)
+    results = [doctest.DocTestRunner().run(t) for t in tests]
+    assert sum(r.attempted for r in results) == 3
+    assert sum(r.failed for r in results) == 0
 
 
 def test_std_truncate_partition():

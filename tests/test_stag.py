@@ -421,6 +421,19 @@ def test_jh_closed_form_peel():
             assert st.after == normal_form(cone(st.chain)), (p, order, H)
 
 
+def test_jh_peel_past_one_thousand():
+    # the peel count is the closed-form length, with no cap: 1,001 simples
+    big = FormalObject({
+        0: gm([0] * 300 + [1] * 200 + [-1] * 100, [(1, 1)] * 50),
+        1: gm([], [(0, 1)] * 51),
+    })
+    rep = jh_factors(W, P01, big)
+    assert rep.length == 1001
+    assert sorted(rep.factors) == sorted(
+        ["OX"] * 600 + ["SZ(1)"] * 250 + ["SZ(0)"] * 151)
+    assert rep.steps[-1].after.is_zero
+
+
 def test_jh_nonstrict_perversity_rejected():
     with pytest.raises(ValueError):
         jh_factors(TR, P01, formal(Fmod(0), 0))
