@@ -42,7 +42,6 @@ from .derived import (
     FormalObject,
     derived_hom,
     dualize,
-    fmt_formal,
     formal,
     li_star,
     push_z,

@@ -16,6 +16,7 @@ import sys
 from typing import List, Optional
 
 from .grmod import (
+    Presentation,
     canonical_decompose,
     fmt_module,
     internal_hom,
@@ -34,8 +35,8 @@ from .sstruct import (
     step,
 )
 from .derived import (
+    FormalObject,
     dualize,
-    fmt_formal,
     li_star,
     r_gamma_z,
     ri_flat,
@@ -151,6 +152,25 @@ def _diff_payload(kind: str, expr_in: str, fast, slow, minimized) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# Widest weight window (highest minus lowest occupied weight) that --oracle
+# accepts.  The brute-force oracles materialize the module at every weight
+# of it, and their cost grows with about its fourth power: at 32 every
+# --oracle verb answers within a second, at 200 member takes seconds.
+ORACLE_WEIGHT_BUDGET = 32
+
+
+def _weight_span(subject) -> int:
+    """Highest minus lowest weight occupied by a presentation, a module or
+    a formal object."""
+    if isinstance(subject, Presentation):
+        ws = subject.gens + subject.rel.col_weights
+    else:
+        mods = subject.components.values() \
+            if isinstance(subject, FormalObject) else [subject]
+        ws = [w for m in mods if not m.is_zero for w in m.occupied_window()]
+    return max(ws) - min(ws) if ws else 0
+
+
 def _checked(args, kind: str, subject, fast, oracle, render,
              answer=lambda v: v, audit=None, shrink: bool = False) -> int:
     """Run a verb whose answer the brute-force oracle can cross-check.
@@ -161,8 +181,14 @@ def _checked(args, kind: str, subject, fast, oracle, render,
     on a mismatch the input is shrunk to a minimal disagreement when
     ``shrink`` is set (otherwise echoed back), the diff is emitted and the
     exit code is 2.  Otherwise ``render(result)`` gives the payload and
-    the text lines.
+    the text lines.  An --oracle subject wider than
+    ``ORACLE_WEIGHT_BUDGET`` weights is refused as an input error.
     """
+    span = _weight_span(subject) if args.oracle else 0
+    if span > ORACLE_WEIGHT_BUDGET:
+        raise _ArgError("--oracle input has weight span %d, over the oracle "
+                        "budget ORACLE_WEIGHT_BUDGET = %d"
+                        % (span, ORACLE_WEIGHT_BUDGET))
     val = fast(subject)
     errs = audit(val) if audit is not None else []
     if errs:
@@ -249,18 +275,18 @@ def _cmd_trunc(args) -> int:
                           tr.below.shift(args.n).components, "le0") \
             and oracle_aisle(cfg, p.pU, p.pZ,
                              tr.above.shift(args.n + 1).components, "ge0")
-        return fmt_formal(tr.below) if ok else "aisle membership refused"
+        return str(tr.below) if ok else "aisle membership refused"
 
     return _checked(
         args, "trunc", parse_formal(args.expr, default_degree=args.shift),
         fast=lambda F: stag_truncate(cfg, p, F, args.n),
         audit=lambda tr: tr.audit(),
-        answer=lambda tr: fmt_formal(tr.below), oracle=oracle,
+        answer=lambda tr: str(tr.below), oracle=oracle,
         render=lambda tr: ({"below": formal_to_json(tr.below),
                             "above": formal_to_json(tr.above),
                             "level": args.n},
-                           ["below: %s" % fmt_formal(tr.below),
-                            "above: %s" % fmt_formal(tr.above)]),
+                           ["below: %s" % tr.below,
+                            "above: %s" % tr.above]),
     )
 
 
@@ -282,7 +308,7 @@ def _cmd_functor(args) -> int:
         G = li_star(F, args.n)
     else:
         G = ri_flat(F, args.n)
-    _emit(args, {"formal": formal_to_json(G)}, [fmt_formal(G)])
+    _emit(args, {"formal": formal_to_json(G)}, [str(G)])
     return 0
 
 
@@ -322,9 +348,9 @@ def _cmd_simples(args) -> int:
     cfg = SConfig(args.z_mode)
     p = _parse_perversity(args.perversity)
     out = simples(cfg, p, args.n_lo, args.n_hi)
-    payload = {lbl: fmt_formal(S) for lbl, S in out}
+    payload = {lbl: str(S) for lbl, S in out}
     _emit(args, {"simples": payload},
-          ["%-8s %s" % (lbl, fmt_formal(S)) for lbl, S in out])
+          ["%-8s %s" % (lbl, S) for lbl, S in out])
     return 0
 
 
@@ -332,7 +358,7 @@ def _cmd_ic(args) -> int:
     cfg = SConfig(args.z_mode)
     p = _parse_perversity(args.perversity)
     S = ic(cfg, p, args.orbit, args.param)
-    _emit(args, {"ic": formal_to_json(S)}, [fmt_formal(S)])
+    _emit(args, {"ic": formal_to_json(S)}, [str(S)])
     return 0
 
 

@@ -27,15 +27,9 @@ The chain layer (``ChainComplex``, ``free_embed``, ``chain_map_on_embeds``,
 ``cone``, ``normal_form``) exists so that triangle-level claims can be audited
 honestly: a formal object is embedded as an honest complex of free modules,
 maps are checked to be chain maps, and ``normal_form`` recovers the
-cohomology with an independent per-weight rank certificate, taken from
-the sparse descending-weight sweep of ``grmod._weight_ranks``.
-
-For a complex whose terms are all free (every cone of a
-``chain_map_on_embeds`` map), ``normal_form`` reads H^k off the persistence
-pairing of the weight filtration (Zomorodian & Carlsson 2005), one sweep per
-differential in one total order per term, with clearing (Chen & Kerber
-2011).  A complex with a presented term, which only tests and
-``formats.complex_from_json`` build, takes the syzygy path.
+cohomology of a complex of free modules from the persistence pairing of
+the weight filtration, checked by an independent per-weight rank
+certificate.
 """
 
 from __future__ import annotations
@@ -54,16 +48,13 @@ from .grmod import (
     _echelon_insert,
     _integral,
     _weight_ranks,
-    canonical_decompose,
     direct_sum,
     ext1_dim,
     fmt_module,
-    free_kernel,
     gm,
     hom_dim,
     present,
     pres_direct_sum,
-    submodule_presentation,
     weight_dim,
 )
 from .sstruct import Site, check_on_site
@@ -132,10 +123,6 @@ def formal_sum(*objs: FormalObject) -> FormalObject:
         for k, m in o.components.items():
             _accumulate(comps, k, m)
     return FormalObject(comps)
-
-
-def fmt_formal(F: FormalObject) -> str:
-    return str(F)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +327,11 @@ _EMPTY = Presentation(())
 
 @dataclass
 class ChainComplex:
-    """Cochain complex of presented modules; diffs[k] : term_k -> term_{k+1}."""
+    """Cochain complex of free modules; diffs[k] : term_k -> term_{k+1}.
+
+    Each term is a ``Presentation`` with no relation columns; ``validate``
+    reports a term that has some.
+    """
 
     terms: Dict[int, Presentation] = field(default_factory=dict)
     diffs: Dict[int, GradedMap] = field(default_factory=dict)
@@ -352,19 +343,17 @@ class ChainComplex:
         return sorted(self.terms)
 
     def validate(self) -> List[str]:
-        errs = []
+        errs = ["term %d is not free: it has %d relation column(s)"
+                % (k, p.nrel) for k, p in sorted(self.terms.items())
+                if p.nrel]
         for k, d in self.diffs.items():
             if d.src.gens != self.term(k).gens or \
                     d.dst.gens != self.term(k + 1).gens:
                 errs.append("diff %d has wrong endpoints" % k)
-                continue
-            if not d.is_well_defined():
-                errs.append("diff %d not well defined" % k)
-        for k in list(self.diffs):
+        for k, d in self.diffs.items():
             nxt = self.diffs.get(k + 1)
-            if nxt is not None:
-                if not nxt.compose(self.diffs[k]).is_zero_map():
-                    errs.append("d^2 != 0 at degree %d" % k)
+            if nxt is not None and not nxt.compose(d).is_zero_map():
+                errs.append("d^2 != 0 at degree %d" % k)
         return errs
 
 
@@ -528,25 +517,23 @@ def cone(phi: ChainMap) -> ChainComplex:
 
 
 def normal_form(c: ChainComplex) -> FormalObject:
-    """Cohomology of a complex of presented modules, with a rank certificate.
+    """Cohomology of a complex of free modules, with a rank certificate.
 
-    When every term is free (no relation columns), H^k is the persistence
-    pairing of the weight filtration (Zomorodian & Carlsson 2005, "Computing
-    persistent homology"), read off by ``_pairing_homology``.  Each term has
-    one total order, descending weight with ties by index: its columns in
-    d_k are swept in it, and its rows in d_{k-1} are keyed by its reverse,
-    youngest first.  For k ascending the columns of d_k are swept once; a
-    column that stops at row i kills generator i of term k + 1, which gives
-    T(w_i, w_i - v) in H^{k+1} or cancels when w_i == v, and the killed
-    generator's column in d_{k+1} is skipped (clearing: Chen & Kerber 2011,
-    "Persistent homology computation with a twist").  A generator whose
-    column vanishes and that nothing killed gives F(w) in H^k.
+    H^k is the persistence pairing of the weight filtration (Zomorodian &
+    Carlsson 2005, "Computing persistent homology"), read off by
+    ``_pairing_homology``.  Each term has one total order, descending
+    weight with ties by index: its columns in d_k are swept in it, and its
+    rows in d_{k-1} are keyed by its reverse, youngest first.  For k
+    ascending the columns of d_k are swept once; a column that stops at row
+    i kills generator i of term k + 1, which gives T(w_i, w_i - v) in
+    H^{k+1} or cancels when w_i == v, and the killed generator's column in
+    d_{k+1} is skipped (clearing: Chen & Kerber 2011, "Persistent homology
+    computation with a twist").  A generator whose column vanishes and that
+    nothing killed gives F(w) in H^k.
 
-    A complex with a presented term takes the syzygy path
-    (``_presented_homology``).  Either way every reconstructed weight
-    dimension is then checked against dim ker - dim im computed purely
-    from matrix ranks, taken for all weights from one column sweep per
-    matrix (``_certify_degree``).
+    Every reconstructed weight dimension is then checked against rank
+    arithmetic on the differentials (``_certify``).  A complex with a
+    presented term is refused by ``validate``.
 
     The cone of x: F(0) -> F(1) is the torsion quotient T(1,1) at degree 0:
 
@@ -559,16 +546,9 @@ def normal_form(c: ChainComplex) -> FormalObject:
     errs = c.validate()
     if errs:
         raise ValueError("invalid complex: " + "; ".join(errs))
-    if any(p.nrel for p in c.terms.values()):
-        hs = _presented_homology(c)
-    else:
-        hs = _pairing_homology(c)
-    comps: Dict[int, GradedModule] = {}
-    for k, h in hs.items():
-        if not h.is_zero:
-            comps[k] = h
-        _certify_degree(c, k, h)
-    return FormalObject(comps)
+    hs = _pairing_homology(c)
+    _certify(c, hs)
+    return FormalObject(hs)
 
 
 def _pairing_homology(c: ChainComplex) -> Dict[int, GradedModule]:
@@ -617,66 +597,33 @@ def _pairing_homology(c: ChainComplex) -> Dict[int, GradedModule]:
     return out
 
 
-def _presented_homology(c: ChainComplex) -> Dict[int, GradedModule]:
-    """H^k of a complex with presented terms, for every degree with
-    generators: kernel generators are the syzygies of [d_k | rho_{k+1}]
-    restricted to the source block; H^k is those generators modulo the
-    image of d_{k-1} and the relations rho_k, presented by a second syzygy
-    computation and decomposed to canonical form."""
-    out: Dict[int, GradedModule] = {}
-    for k in c.degrees():
-        pk = c.term(k)
-        if not pk.gens:
-            continue
-        dk = c.diffs.get(k)
-        pk1 = c.term(k + 1)
-        dmat = dk.mat if dk is not None else MonoMatrix(pk1.gens, pk.gens)
-        stacked = dmat.hstack(pk1.rel)
-        ker = free_kernel(stacked).restrict_rows(range(len(pk.gens)))
-        # columns of ker = elements of term_k generating ker(d_k) mod rho_{k+1}
-        dprev = c.diffs.get(k - 1)
-        prev_mat = dprev.mat if dprev is not None else \
-            MonoMatrix(pk.gens, ())
-        out[k] = canonical_decompose(submodule_presentation(
-            Presentation(pk.gens, prev_mat.hstack(pk.rel)), ker))
-    return out
-
-
-def _certify_degree(c: ChainComplex, k: int, h: GradedModule) -> None:
+def _certify(c: ChainComplex, hs: Dict[int, GradedModule]) -> None:
     """Independent per-weight dimension audit of the computed H^k.
 
-    dim H^k_w = (dim term_k_w - dim im(rho_k)_w - dim im(d_k)_w)
-                - dim im(d_{k-1})_w,
-    where images are computed relative to the target's relations by plain
-    rank arithmetic.  The ranks of rho_k, [d_k | rho_{k+1}], rho_{k+1} and
-    [d_{k-1} | rho_k] at every weight come from one sweep each.
+    dim H^k_w = #{generators of term k of weight >= w}
+                - rank_w(d_k) - rank_w(d_{k-1}),
+    where rank_w is the rank of the block of rows and columns of weight
+    >= w.  One window covers every term, and each differential is swept
+    once for all of its weights by ``_weight_ranks``.
+
+    Blind spot: per-weight dimensions do not determine a module.  F(1) and
+    F(0) + T(1,1) have the same ones, so a read-out that returns one for
+    the other passes this audit.
     """
-    pk = c.term(k)
-    if not pk.gens:
-        if not h.is_zero:
-            raise AssertionError("H^%d nonzero on empty term" % k)
+    ws = [w for p in c.terms.values() for w in p.gens]
+    if not ws:
         return
-    ws = list(pk.gens) + list(pk.rel.col_weights)
     lo, hi = min(ws) - 2, max(ws) + 2
-    dk = c.diffs.get(k)
-    dprev = c.diffs.get(k - 1)
-    pk1 = c.term(k + 1)
-    rel_k = _weight_ranks(pk.rel, lo, hi)
-    im_dk = im_prev = [0] * (hi - lo + 1)
-    if dk is not None:  # image of d_k inside M_{k+1}
-        im_dk = [a - b for a, b in zip(
-            _weight_ranks(dk.mat.hstack(pk1.rel), lo, hi),
-            _weight_ranks(pk1.rel, lo, hi))]
-    if dprev is not None:  # image of d_{k-1} inside M_k
-        im_prev = [a - b for a, b in zip(
-            _weight_ranks(dprev.mat.hstack(pk.rel), lo, hi), rel_k)]
-    gens = sorted(pk.gens)
-    for t, w in enumerate(range(lo, hi + 1)):
-        want = (len(gens) - bisect_left(gens, w) - rel_k[t]
-                - im_dk[t] - im_prev[t])
-        got = weight_dim(h, w)
-        if want != got:
-            raise AssertionError(
-                "homology certificate failed at degree %d weight %d: "
-                "rank arithmetic %d, reconstruction %d" % (k, w, want, got)
-            )
+    zero = [0] * (hi - lo + 1)
+    ranks = {k: _weight_ranks(d.mat, lo, hi) for k, d in c.diffs.items()}
+    for k, h in sorted(hs.items()):
+        gens = sorted(c.term(k).gens)
+        out, into = ranks.get(k, zero), ranks.get(k - 1, zero)
+        for t, w in enumerate(range(lo, hi + 1)):
+            want = len(gens) - bisect_left(gens, w) - out[t] - into[t]
+            got = weight_dim(h, w)
+            if want != got:
+                raise AssertionError(
+                    "homology certificate failed at degree %d weight %d: "
+                    "rank arithmetic %d, reconstruction %d" % (k, w, want, got)
+                )

@@ -27,7 +27,7 @@ from .grmod import (
     fmt_module,
     gm,
 )
-from .derived import ChainComplex, FormalObject, GradedMap, fmt_formal
+from .derived import FormalObject
 
 
 class ParseError(ValueError):
@@ -166,7 +166,7 @@ def module_to_expr(M: GradedModule) -> str:
 
 
 def formal_to_expr(F: FormalObject) -> str:
-    return fmt_formal(F)
+    return str(F)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +272,8 @@ def matrix_from_json(obj: dict) -> MonoMatrix:
 
 
 def presentation_to_json(p: Presentation) -> dict:
-    rows = []
-    for i in range(len(p.gens)):
-        row = []
-        for j in range(p.nrel):
-            c = p.rel.get(i, j)
-            row.append(_cell(c, p.rel.exp(i, j)) if c != 0 else None)
-        rows.append(row)
-    return {"generators": list(p.gens), "relations": rows}
+    return {"generators": list(p.gens),
+            "relations": matrix_to_json(p.rel)["entries"]}
 
 
 def presentation_from_json(obj: dict) -> Presentation:
@@ -324,31 +318,3 @@ def formal_from_json(obj: dict) -> FormalObject:
         if not m.is_zero:
             comps[k] = m
     return FormalObject(comps)
-
-
-def complex_to_json(c: ChainComplex) -> dict:
-    return {
-        "terms": {str(k): presentation_to_json(c.terms[k])
-                  for k in c.degrees()},
-        "diffs": {str(k): matrix_to_json(d.mat)
-                  for k, d in sorted(c.diffs.items())},
-    }
-
-
-def complex_from_json(obj: dict) -> ChainComplex:
-    _object(obj, "complex")
-    terms = {_degree(k, '"terms"'): presentation_from_json(v)
-             for k, v in _object(obj.get("terms", {}), '"terms"').items()}
-    cx = ChainComplex(terms=terms)
-    for key, mat_obj in _object(obj.get("diffs", {}), '"diffs"').items():
-        k = _degree(key, '"diffs"')
-        mat = matrix_from_json(mat_obj)
-        src = cx.term(k)
-        dst = cx.term(k + 1)
-        if mat.col_weights != src.gens or mat.row_weights != dst.gens:
-            raise ValueError("differential %d does not match its terms" % k)
-        cx.diffs[k] = GradedMap(src, dst, mat)
-    errs = cx.validate()
-    if errs:
-        raise ValueError("invalid complex: " + "; ".join(errs))
-    return cx

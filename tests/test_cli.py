@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -170,6 +171,23 @@ def test_unknown_site_exit_one(capsys):
 def test_both_directions_exit_one(capsys):
     rc = cli.main(["member", "--site", "X", "--le", "0", "--ge", "0", "F(0)"])
     assert rc == 1
+
+
+def test_oracle_over_weight_budget_exits_one_fast(capsys):
+    # the oracle would materialize this module at each of some 200
+    # weights, seconds of work; the budget refuses it before any is done
+    member = ["member", "--site", "X", "--le", "0"]
+    t0 = time.perf_counter()
+    rc = cli.main(member + ["--oracle", "F(200)+T(0,2)"])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert rc == 1 and elapsed < 2
+    assert err.startswith("error:") and "weight span 201" in err
+    assert "ORACLE_WEIGHT_BUDGET = %d" % cli.ORACLE_WEIGHT_BUDGET in err
+    # without --oracle it is answered, and a span at the budget is checked
+    assert run(capsys, *member, "F(200)+T(0,2)") == (0, "false\n")
+    at_budget = "F(%d)+T(0,2)" % (cli.ORACLE_WEIGHT_BUDGET - 1)
+    assert run(capsys, *member, "--oracle", at_budget) == (0, "false\n")
 
 
 def test_bad_json_presentation_exit_one(capsys):

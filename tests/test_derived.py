@@ -11,7 +11,7 @@ from stagger import derived, stag
 from stagger.oracle import _mat_rank
 from stagger.grmod import (
     F, GradedMap, MonoMatrix, Presentation, T, V, direct_sum, gm, module_map,
-    pres_direct_sum, present, weight_dim,
+    present, weight_dim,
 )
 from stagger.derived import (
     ChainComplex,
@@ -214,16 +214,6 @@ def test_cone_of_x_multiplication(M, N, cok):
     assert normal_form(cone(phi)) == formal(cok, 0)
 
 
-def test_normal_form_of_presented_terms():
-    # terms with relations: T(0,2) -> T(0,1) is onto with kernel T(-1,1)
-    P2, P1 = present(T(0, 2)), present(T(0, 1))
-    d = module_map(T(0, 2), T(0, 1), {(0, 0): 1})
-    assert normal_form(ChainComplex({0: P2})) == formal(T(0, 2), 0)
-    c = ChainComplex({0: P2, 1: P1}, {0: d})
-    assert c.validate() == []
-    assert normal_form(c) == formal(T(-1, 1), 0)
-
-
 def _scalar(src, dst, c=1):
     """The map between one-generator presentations sending e to c * e."""
     return GradedMap(src, dst, MonoMatrix(dst.gens, src.gens, {(0, 0): c}))
@@ -233,11 +223,18 @@ def test_validate_reports_nonzero_square_of_d():
     P = Presentation((0,))
     c = ChainComplex({0: P, 1: P, 2: P}, {0: _scalar(P, P), 1: _scalar(P, P)})
     assert c.validate() == ["d^2 != 0 at degree 0"]
-    # F(0) -x-> F(1) -> T(1,1): d^2 = x lands in the relation, so it is zero
-    P1, T1 = Presentation((1,)), present(T(1, 1))
+
+
+def test_presented_term_is_refused():
+    # F(0) -x-> F(1) -> T(1,1) is a complex, but term 2 has a relation
+    # column, and the chain layer takes free modules only
+    P, P1, T1 = Presentation((0,)), Presentation((1,)), present(T(1, 1))
     c = ChainComplex({0: P, 1: P1, 2: T1},
                      {0: _scalar(P, P1), 1: _scalar(P1, T1)})
-    assert c.validate() == []
+    assert c.validate() == ["term 2 is not free: it has 1 relation column(s)"]
+    with pytest.raises(ValueError,
+                       match=r"^invalid complex: term 2 is not free"):
+        normal_form(c)
 
 
 def test_chain_map_validate_reports_non_commuting_square():
@@ -308,9 +305,9 @@ def _cancelling_mono(rng, nrows):
 
 
 def _certify_wide_cone_matrices():
-    """The hstacked [d_k | rel_{k+1}] matrices of one chain-level truncation
-    cone of a wide object (6-12 free and 6-12 torsion summands per degree),
-    the matrices the homology certificate sweeps."""
+    """The differentials of one chain-level truncation cone of a wide object
+    (6-12 free and 6-12 torsion summands per degree), the matrices the
+    homology certificate sweeps."""
     rng = random.Random(5)
     Fo = FormalObject({
         k: gm([rng.randint(-6, 6) for _ in range(rng.randint(6, 12))],
@@ -321,7 +318,7 @@ def _certify_wide_cone_matrices():
     _b, _a, chain = stag._truncation_witness(
         SConfig("weight"), Perversity(0, 1), Fo, 0)
     c = cone(chain)
-    return [c.diffs[k].mat.hstack(c.term(k + 1).rel) for k in sorted(c.diffs)]
+    return [c.diffs[k].mat for k in sorted(c.diffs)]
 
 
 def test_weight_ranks_match_dense_reference():
@@ -479,7 +476,7 @@ def test_normal_form_agrees_with_dense_ranks(ties):
 def test_dense_rank_check_catches_corrupted_readout(monkeypatch):
     # with the certificate switched off, a read-out that loses one summand
     # still disagrees with the dense ranks
-    monkeypatch.setattr(derived, "_certify_degree", lambda c, k, h: None)
+    monkeypatch.setattr(derived, "_certify", lambda c, hs: None)
     real = derived._pairing_homology
     monkeypatch.setattr(derived, "_pairing_homology", lambda c: {
         k: _drop_one_summand(h) for k, h in real(c).items()})
@@ -490,42 +487,23 @@ def test_dense_rank_check_catches_corrupted_readout(monkeypatch):
     assert _dense_mismatches(c, normal_form(c).components) != []
 
 
-def _with_summand(c, extra):
-    """``c`` with the presentation ``extra[k]`` added after term k and zero
-    maps on it."""
-    terms = {k: pres_direct_sum(p, extra[k]) if k in extra else p
-             for k, p in c.terms.items()}
-    diffs = {}
-    for k, d in c.diffs.items():
-        src, dst = terms[k], terms[k + 1]
-        diffs[k] = GradedMap(src, dst, MonoMatrix(dst.gens, src.gens,
-                                                  d.mat.entries))
-    return ChainComplex(terms, diffs)
+def test_certificate_sweeps_each_differential_once(monkeypatch):
+    swept = []
+    real = derived._weight_ranks
 
-
-def test_presented_terms_take_the_general_path(monkeypatch):
-    rng = random.Random(47)
-    cases = []
-    for _ in range(30):
-        c = cone(_random_embed_map(rng, ties=rng.random() < 0.5))
-        # a zero module: one generator and the relation e = 0
-        zeros = {}
-        for k in c.terms:
-            w = rng.randint(-3, 3)
-            zeros[k] = Presentation((w,), MonoMatrix((w,), (w,), {(0, 0): 1}))
-        k0 = rng.choice(c.degrees())
-        g, n = rng.randint(-3, 3), rng.randint(1, 3)
-        cases.append((c, normal_form(c), _with_summand(c, zeros),
-                      _with_summand(c, {k0: present(T(g, n))}),
-                      formal(T(g, n), k0)))
-
-    def refuse(c):
-        raise AssertionError("the pairing ran on a presented complex")
-    monkeypatch.setattr(derived, "_pairing_homology", refuse)
-    for c, want, padded, plus_t, t in cases:
-        assert padded.validate() == [] and plus_t.validate() == []
-        assert normal_form(padded) == want, c.terms
-        assert normal_form(plus_t) == formal_sum(want, t), c.terms
+    def counted(mat, lo, hi):
+        swept.append(mat)
+        return real(mat, lo, hi)
+    monkeypatch.setattr(derived, "_weight_ranks", counted)
+    rng = random.Random(45)
+    cones = [c for c in (cone(_random_embed_map(rng)) for _ in range(10))
+             if len(c.diffs) >= 3]
+    assert cones
+    for c in cones:
+        swept.clear()
+        normal_form(c)
+        assert len(swept) == len(c.diffs)
+        assert {id(m) for m in swept} == {id(d.mat) for d in c.diffs.values()}
 
 
 def test_module_docstring_examples_run():

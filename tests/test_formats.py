@@ -4,14 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagger.grmod import (
-    F, GradedMap, MonoMatrix, Presentation, T, V, gm, present,
-)
-from stagger.derived import ChainComplex, FormalObject, formal, free_embed
+from stagger.grmod import F, T, V, gm, present
+from stagger.derived import FormalObject, formal
 from stagger.formats import (
     ParseError,
-    complex_from_json,
-    complex_to_json,
     formal_from_json,
     formal_to_expr,
     formal_to_json,
@@ -116,22 +112,6 @@ def test_formal_json_round_trip():
     assert formal_from_json(formal_to_json(Fo)) == Fo
 
 
-def test_complex_json_round_trip():
-    c = free_embed(FormalObject({0: gm([1], [(0, 2)]), 1: F(-1)}))
-    c2 = complex_from_json(complex_to_json(c))
-    assert c2.validate() == []
-    assert complex_to_json(c2) == complex_to_json(c)
-
-
-def test_complex_json_rejects_differential_breaking_relations():
-    # e -> e from T(0,1) to F(0) sends the relation x * e to x != 0
-    P0, P1 = present(T(0, 1)), Presentation((0,))
-    d = GradedMap(P0, P1, MonoMatrix((0,), (0,), {(0, 0): 1}))
-    obj = complex_to_json(ChainComplex({0: P0, 1: P1}, {0: d}))
-    with pytest.raises(ValueError, match="diff 0 not well defined"):
-        complex_from_json(obj)
-
-
 def test_matrix_rejects_exponent_mismatch():
     # with explicit column weights the exponent of every entry is forced,
     # and a stated k that disagrees is rejected
@@ -192,23 +172,6 @@ def test_matrix_rejects_entry_below_diagonal_weights():
 def test_matrix_json_rejects_malformed_fields(js, names):
     with pytest.raises(ValueError) as ei:
         matrix_from_json(js)
-    assert names in str(ei.value)
-
-
-@pytest.mark.parametrize("js, names", [
-    ([1], "complex"),
-    ({"terms": [1]}, '"terms"'),
-    ({"terms": {"x": {"generators": [0]}}}, '"terms": degree \'x\''),
-    ({"terms": {"0": 5}}, "'generators'"),
-    ({"terms": {"0": {"generators": [0]}}, "diffs": 7}, '"diffs"'),
-    ({"terms": {"0": {"generators": [0]}}, "diffs": {"1.5": {}}},
-     '"diffs": degree \'1.5\''),
-    ({"terms": {"0": {"generators": [0]}}, "diffs": {"0": []}},
-     "'row_weights'"),
-])
-def test_complex_json_rejects_malformed_fields(js, names):
-    with pytest.raises(ValueError) as ei:
-        complex_from_json(js)
     assert names in str(ei.value)
 
 
