@@ -56,6 +56,7 @@ from .grmod import (
     present,
     pres_direct_sum,
     weight_dim,
+    weight_dims,
 )
 from .sstruct import Site, check_on_site
 
@@ -603,8 +604,9 @@ def _certify(c: ChainComplex, hs: Dict[int, GradedModule]) -> None:
     dim H^k_w = #{generators of term k of weight >= w}
                 - rank_w(d_k) - rank_w(d_{k-1}),
     where rank_w is the rank of the block of rows and columns of weight
-    >= w.  One window covers every term, and each differential is swept
-    once for all of its weights by ``_weight_ranks``.
+    >= w.  One window covers every term, each differential is swept once
+    for all of its weights by ``_weight_ranks``, and each H^k's dimensions
+    are tabulated once by ``weight_dims``.
 
     Blind spot: per-weight dimensions do not determine a module.  F(1) and
     F(0) + T(1,1) have the same ones, so a read-out that returns one for
@@ -619,9 +621,10 @@ def _certify(c: ChainComplex, hs: Dict[int, GradedModule]) -> None:
     for k, h in sorted(hs.items()):
         gens = sorted(c.term(k).gens)
         out, into = ranks.get(k, zero), ranks.get(k - 1, zero)
+        dims = weight_dims(h, lo, hi)
         for t, w in enumerate(range(lo, hi + 1)):
             want = len(gens) - bisect_left(gens, w) - out[t] - into[t]
-            got = weight_dim(h, w)
+            got = dims[t]
             if want != got:
                 raise AssertionError(
                     "homology certificate failed at degree %d weight %d: "

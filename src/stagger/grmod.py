@@ -155,6 +155,19 @@ def weight_dim(M: GradedModule, w: int) -> int:
     return d
 
 
+def weight_dims(M: GradedModule, lo: int, hi: int) -> List[int]:
+    """``weight_dim(M, w)`` for w = lo..hi, in one pass over the summands:
+    each adds 1 on its run of weights, kept as a difference array."""
+    diff = [0] * (hi - lo + 2)
+    runs = [(lo, b) for b in M.free] + [(g - n + 1, g) for g, n in M.torsion]
+    for a, b in runs:
+        a, b = max(a, lo), min(b, hi)
+        if a <= b:
+            diff[a - lo] += 1
+            diff[b - lo + 1] -= 1
+    return list(accumulate(diff[:-1]))
+
+
 def fmt_module(M: GradedModule) -> str:
     if M.is_zero:
         return "0"

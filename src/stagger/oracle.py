@@ -12,6 +12,13 @@ window [lo, hi] with lo = (min occupied weight) - 2 and hi = (max occupied
 weight) + 2: all torsion socles are >= lo + 2, so any string still alive
 at weight lo + 1 must be free, and nothing is generated above hi - 2.  The
 free part is truncated at the floor and recognized by its reach.
+
+Materialization at a weight is exact in any window containing it: the
+dimension at w depends on w alone and the matrix of x out of w on w and
+w - 1, never on the window's ends.  So each call of ``oracle_aisle``,
+``oracle_member`` and ``oracle_step`` takes one union window over every
+module and weight it reads, and builds each distinct module's model on it
+once; the models live for that call only.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .grmod import (
     GradedModule,
@@ -37,6 +44,8 @@ from .sstruct import SConfig, SITE_U, SITE_X, Site, check_on_site, member, sigma
 from . import sampling
 
 Q = Fraction
+_ZERO = Q(0)  # shared constants; Fraction is immutable
+_ONE = Q(1)
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +68,10 @@ def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Q(1) / mat[r][c]
-        mat[r] = [e * inv for e in mat[r]]
+        p = mat[r][c]
+        if p != 1:
+            inv = _ONE / p
+            mat[r] = [e * inv for e in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
@@ -81,7 +92,7 @@ def _matmul(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fract
     m = len(a)
     k = len(b)
     n = len(b[0]) if b else 0
-    out = [[Q(0)] * n for _ in range(m)]
+    out = [[_ZERO] * n for _ in range(m)]
     for i in range(m):
         ai = a[i]
         for t in range(k):
@@ -97,7 +108,7 @@ def _matmul(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fract
 
 
 def _identity(n: int) -> List[List[Fraction]]:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
 def _solve_coords(basis: List[List[Fraction]], target: List[Fraction]
@@ -112,7 +123,7 @@ def _solve_coords(basis: List[List[Fraction]], target: List[Fraction]
     ncols = len(basis)
     if ncols in pivots:
         return None  # inconsistent
-    coords = [Q(0)] * ncols
+    coords = [_ZERO] * ncols
     for row, pc in zip(red, pivots):
         coords[pc] = row[-1]
     return coords
@@ -160,7 +171,7 @@ def _materialize(gens: Sequence[int], colw: Sequence[int],
         rel_vecs = []
         for j in range(len(colw)):
             if colw[j] >= w:
-                v = [Q(0)] * len(rows)
+                v = [_ZERO] * len(rows)
                 for i in rows:
                     c = entries.get((i, j))
                     if c is not None:
@@ -189,8 +200,8 @@ def _materialize(gens: Sequence[int], colw: Sequence[int],
         cols = []
         posm1 = {i: idx for idx, i in enumerate(rows_at[w - 1])}
         for i in basis_pos[w]:
-            e = [Q(0)] * len(rows_at[w - 1])
-            e[posm1[i]] = Q(1)
+            e = [_ZERO] * len(rows_at[w - 1])
+            e[posm1[i]] = _ONE
             cols.append(project(w - 1, e))
         nrows = model.dims[w - 1]
         model.xmat[w] = [[cols[j][r] for j in range(len(cols))]
@@ -283,10 +294,6 @@ def _strings(lo: int, hi: int, dims: Dict[int, int],
 # ---------------------------------------------------------------------------
 
 
-def _occupied(M: GradedModule) -> Tuple[int, int]:
-    return M.occupied_window()
-
-
 def oracle_decompose(p: Presentation) -> GradedModule:
     """Canonical form of coker(p) by window materialization."""
     if not p.gens:
@@ -297,28 +304,74 @@ def oracle_decompose(p: Presentation) -> GradedModule:
     return _strings(lo, hi, model.dims, model.xmat)
 
 
-def oracle_hom_ext(M: GradedModule, N: GradedModule) -> Tuple[int, int]:
-    """(dim Hom, dim Ext^1) from explicit x-action matrices of N.
+def _window(mods: Iterable[GradedModule], *weights: int) -> Tuple[int, int]:
+    """One window for an oracle call: the occupied weights of every nonzero
+    module and the extra ``weights``, padded by 2 on each side."""
+    ws = list(weights)
+    for m in mods:
+        if not m.is_zero:
+            ws.extend(m.occupied_window())
+    return min(ws) - 2, max(ws) + 2
+
+
+def _hom_ext(M: GradedModule, model: WindowModel) -> Tuple[int, int]:
+    """(dim Hom, dim Ext^1) out of M, read off a window model of the target.
 
     Hom out of F(a) is N_a; Hom out of T(g, n) is the kernel of
     x^n : N_g -> N_{g-n} and Ext^1 out of it is the cokernel of the same
-    matrix (apply Hom(-, N) to 0 -> F(g-n) -> F(g) -> T(g,n) -> 0).
+    matrix (apply Hom(-, N) to 0 -> F(g-n) -> F(g) -> T(g,n) -> 0).  A
+    weight outside the model's window raises: the model knows nothing
+    there, and reading 0 would answer silently wrong.
     """
-    if M.is_zero or N.is_zero:
-        return (0, 0)
-    lom, him = _occupied(M)
-    lon, hin = _occupied(N)
-    lo, hi = min(lom, lon) - 2, max(him, hin) + 2
-    model = _model_of_module(N, lo, hi)
+    def dim(w: int) -> int:
+        if not model.lo <= w <= model.hi:
+            raise AssertionError("oracle read weight %d outside the window "
+                                 "[%d, %d]" % (w, model.lo, model.hi))
+        return model.dims[w]
+
     h = e = 0
     for a in M.free:
-        h += model.dims.get(a, 0)
+        h += dim(a)
     for g, n in M.torsion:
-        mat = _composite(model, g, n)
-        rk = _mat_rank(mat)
-        h += model.dims.get(g, 0) - rk
-        e += model.dims.get(g - n, 0) - rk
+        top, bottom = dim(g), dim(g - n)
+        rk = _mat_rank(_composite(model, g, n))
+        h += top - rk
+        e += bottom - rk
     return (h, e)
+
+
+def oracle_hom_ext(M: GradedModule, N: GradedModule) -> Tuple[int, int]:
+    """(dim Hom, dim Ext^1) from explicit x-action matrices of N, on the
+    window of M and N (see ``_hom_ext``)."""
+    if M.is_zero or N.is_zero:
+        return (0, 0)
+    lo, hi = _window((M, N))
+    return _hom_ext(M, _model_of_module(N, lo, hi))
+
+
+class _Models:
+    """The window models of one oracle call.
+
+    One window covers every module and weight the call reads, and each
+    distinct module is materialized on it once, on first use.  An instance
+    lives for one call: nothing is kept between calls.
+    """
+
+    def __init__(self, mods: Iterable[GradedModule], *weights: int) -> None:
+        self.lo, self.hi = _window(mods, *weights)
+        self.built: Dict[GradedModule, WindowModel] = {}
+
+    def model(self, N: GradedModule) -> WindowModel:
+        model = self.built.get(N)
+        if model is None:
+            model = self.built[N] = _model_of_module(N, self.lo, self.hi)
+        return model
+
+    def hom_ext(self, M: GradedModule, N: GradedModule) -> Tuple[int, int]:
+        """``oracle_hom_ext(M, N)``, read off this call's model of N."""
+        if M.is_zero or N.is_zero:
+            return (0, 0)
+        return _hom_ext(M, self.model(N))
 
 
 def oracle_max_sub(site: Site, cfg: SConfig, w: int,
@@ -329,14 +382,25 @@ def oracle_max_sub(site: Site, cfg: SConfig, w: int,
     downward under the x-action, and the resulting sub-representation is
     decomposed back into strings.
     """
+    return _max_sub(site, cfg, w, M, _model_of_module)
+
+
+def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
+             model_of: Callable[[GradedModule, int, int], WindowModel]
+             ) -> GradedModule:
+    """``oracle_max_sub`` on its window [lo, hi], reading ``model_of(M, lo,
+    hi)``, a model of M whose window contains [lo, hi]."""
     check_on_site(site, M)
     if M.is_zero:
         return ZERO
     if cfg.z_mode == "trivial" or site.kind == "U":
         return M if w >= 0 else ZERO
-    occ_lo, occ_hi = _occupied(M)
+    occ_lo, occ_hi = M.occupied_window()
     lo, hi = min(occ_lo, w) - 2, occ_hi + 2
-    model = _model_of_module(M, lo, hi)
+    model = model_of(M, lo, hi)
+    if model.lo > lo or model.hi < hi:
+        raise AssertionError("model window [%d, %d] misses [%d, %d]"
+                             % (model.lo, model.hi, lo, hi))
 
     def allowed(a: int) -> List[List[Fraction]]:
         if a > w:
@@ -399,7 +463,7 @@ def _member_family(site: Site, cfg: SConfig, bound: str, c: int,
     summand appearing here, so Hom-orthogonality against the family decides
     membership of M in the opposite cone.
     """
-    lo, hi = _occupied(M)
+    lo, hi = M.occupied_window()
     L = max(1, M.max_torsion_length())
     fam: List[GradedModule] = []
     if cfg.z_mode == "trivial" or site.kind == "U":
@@ -443,23 +507,34 @@ def oracle_member(site: Site, cfg: SConfig, direction: str, w: int,
         return True
     if direction == "ge":
         fam = _member_family(site, cfg, "le", w - 1, M)
-        return all(oracle_hom_ext(C, M)[0] == 0 for C in fam)
+        models = _Models([M, *fam])
+        return all(models.hom_ext(C, M)[0] == 0 for C in fam)
     if direction == "le":
         fam = _member_family(site, cfg, "ge", w + 1, M)
-        return all(oracle_hom_ext(M, G)[0] == 0 for G in fam)
+        models = _Models([M, *fam])
+        return all(models.hom_ext(M, G)[0] == 0 for G in fam)
     raise ValueError("direction must be 'le' or 'ge'")
 
 
 def oracle_step(site: Site, cfg: SConfig, M: GradedModule) -> Optional[int]:
-    """Step by exhaustive search over the window."""
+    """Step by exhaustive search over the window.
+
+    The first w with M in C_{<=w} (``oracle_member``'s 'le' test) is the
+    step when the maximal sub in C_{<=w-1} is zero.  One set of models
+    serves the whole search; its window also covers that of the sub.
+    """
     if M.is_zero:
         return None
-    lo, hi = _occupied(M)
-    for w in range(min(lo, 0) - 1, max(hi, 0) + 2):
-        if oracle_member(site, cfg, "le", w, M):
-            if oracle_max_sub(site, cfg, w - 1, M).is_zero:
-                return w
-            return None
+    check_on_site(site, M)
+    lo, hi = M.occupied_window()
+    ws = range(min(lo, 0) - 1, max(hi, 0) + 2)
+    fams = [_member_family(site, cfg, "ge", w + 1, M) for w in ws]
+    models = _Models([M, *(G for fam in fams for G in fam)], ws[0] - 1)
+    for w, fam in zip(ws, fams):
+        if all(models.hom_ext(M, G)[0] == 0 for G in fam):
+            sub = _max_sub(site, cfg, w - 1, M,
+                           lambda N, _lo, _hi: models.model(N))
+            return w if sub.is_zero else None
     return None
 
 
@@ -486,7 +561,8 @@ def oracle_aisle(cfg: SConfig, pU: int, pZ: int,
     strict (pZ = pU + 1), so the heart is generated by the structure sheaf
     and the skyscraper simples; in trivial mode free and skyscraper
     generators placed by degree suffice.  Hom groups in degree 0 of the
-    derived category are computed with the brute-force hom/ext oracle:
+    derived category are computed with the brute-force hom/ext oracle,
+    read off one model per distinct module:
     Hom_D(F, G)_0 = sum_k hom(F_k, G_k) + ext1(F_k, G_{k-1}).
     """
     if which not in ("le0", "ge0"):
@@ -496,6 +572,28 @@ def oracle_aisle(cfg: SConfig, pU: int, pZ: int,
         return True
     if cfg.z_mode == "weight" and pZ != pU + 1:
         raise ValueError("weight-mode aisle oracle needs a strict perversity")
+    gens = _aisle_generators(cfg, pU, pZ, comps, which)
+    zero = ZERO
+    models = _Models([*comps.values(), *(C for _, C in gens)])
+    for d, C in gens:
+        if which == "le0":
+            # Hom_D(F, C@d)_0 = hom(F_d, C) + ext1(F_{d+1}, C)
+            h = models.hom_ext(comps.get(d, zero), C)[0] \
+                + models.hom_ext(comps.get(d + 1, zero), C)[1]
+        else:
+            # Hom_D(C@d, F)_0 = hom(C, F_d) + ext1(C, F_{d-1})
+            h = models.hom_ext(C, comps.get(d, zero))[0] \
+                + models.hom_ext(C, comps.get(d - 1, zero))[1]
+        if h != 0:
+            return False
+    return True
+
+
+def _aisle_generators(cfg: SConfig, pU: int, pZ: int,
+                      comps: Dict[int, GradedModule],
+                      which: str) -> List[Tuple[int, GradedModule]]:
+    """(degree, module) of the shifted heart generators in the cone opposite
+    ``which``, over the window of the nonzero ``comps``."""
     dlo, dhi, wlo, whi, L = _formal_window(comps)
     pad = L + 2
     gens: List[Tuple[int, GradedModule]] = []  # (degree, module) in the cone
@@ -518,20 +616,7 @@ def oracle_aisle(cfg: SConfig, pU: int, pZ: int,
             if i >= 1:
                 for a in range(wlo - pad, whi + pad + 1):
                     gens.append((d, gm([], [(a, 1)])))
-
-    zero = ZERO
-    for d, C in gens:
-        if which == "le0":
-            # Hom_D(F, C@d)_0 = hom(F_d, C) + ext1(F_{d+1}, C)
-            h = oracle_hom_ext(comps.get(d, zero), C)[0] \
-                + oracle_hom_ext(comps.get(d + 1, zero), C)[1]
-        else:
-            # Hom_D(C@d, F)_0 = hom(C, F_d) + ext1(C, F_{d-1})
-            h = oracle_hom_ext(C, comps.get(d, zero))[0] \
-                + oracle_hom_ext(C, comps.get(d - 1, zero))[1]
-        if h != 0:
-            return False
-    return True
+    return gens
 
 
 # ---------------------------------------------------------------------------

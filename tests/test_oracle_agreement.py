@@ -7,20 +7,29 @@ is the main correctness argument for both sides.
 
 import random
 
-from stagger.grmod import F, T, V, canonical_decompose, gm, hom_dim, ext1_dim, present
+import pytest
+
+from stagger.formats import parse_formal
+from stagger.grmod import (F, T, V, ZERO, canonical_decompose, gm, hom_dim,
+                           ext1_dim, present)
 from stagger.oracle import (
     _random_presentation,
     _shrink_module,
     agreement_suite,
+    oracle_aisle,
     oracle_decompose,
     oracle_hom_ext,
+    oracle_max_sub,
     oracle_member,
     oracle_step,
 )
-from stagger.sstruct import SConfig, SITE_X, member, site_z, step
-from stagger import sampling
+from stagger.sstruct import (SConfig, SITE_U, SITE_X, check_on_site, member,
+                             site_z, step)
+from stagger import oracle, sampling
 
 W = SConfig("weight")
+CFGS = (W, SConfig("trivial"))
+SITES = (SITE_X, SITE_U, site_z(1), site_z(2), site_z(3))
 
 
 def test_oracle_decompose_matches_fast_path():
@@ -96,3 +105,149 @@ def test_shrink_preserves_failure():
         small = _shrink_module(M, fails)
         assert fails(small)
         assert small.rank + len(small.torsion) == 1
+
+
+# ---------------------------------------------------------------------------
+# one window model per module per call
+#
+# The references below are the per-probe definitions: one public
+# oracle_hom_ext call, and so one fresh window model, per probe.
+# ---------------------------------------------------------------------------
+
+
+def _ref_member(site, cfg, direction, w, M):
+    check_on_site(site, M)
+    if M.is_zero:
+        return True
+    if direction == "ge":
+        fam = oracle._member_family(site, cfg, "le", w - 1, M)
+        return all(oracle_hom_ext(C, M)[0] == 0 for C in fam)
+    fam = oracle._member_family(site, cfg, "ge", w + 1, M)
+    return all(oracle_hom_ext(M, G)[0] == 0 for G in fam)
+
+
+def _ref_step(site, cfg, M):
+    if M.is_zero:
+        return None
+    lo, hi = M.occupied_window()
+    for w in range(min(lo, 0) - 1, max(hi, 0) + 2):
+        if _ref_member(site, cfg, "le", w, M):
+            return w if oracle_max_sub(site, cfg, w - 1, M).is_zero else None
+    return None
+
+
+def _ref_aisle(cfg, pU, pZ, comps, which):
+    comps = {k: m for k, m in comps.items() if not m.is_zero}
+    if not comps:
+        return True
+    for d, C in oracle._aisle_generators(cfg, pU, pZ, comps, which):
+        if which == "le0":
+            h = oracle_hom_ext(comps.get(d, ZERO), C)[0] \
+                + oracle_hom_ext(comps.get(d + 1, ZERO), C)[1]
+        else:
+            h = oracle_hom_ext(C, comps.get(d, ZERO))[0] \
+                + oracle_hom_ext(C, comps.get(d - 1, ZERO))[1]
+        if h != 0:
+            return False
+    return True
+
+
+def _site_module(rng, site):
+    if site.kind == "X":
+        return sampling.random_module(rng)
+    if site.kind == "U":
+        return sampling.random_module(rng).free_part()
+    return sampling.random_torsion_module(rng, max_len=site.n)
+
+
+def _perversity(rng, cfg):
+    pU = rng.choice([-1, 0, 1])
+    return pU, pU + (1 if cfg.z_mode == "weight" else rng.choice([0, 1]))
+
+
+def test_member_and_step_equal_the_per_probe_reference():
+    rng = random.Random(13)
+    for _ in range(80):
+        cfg, site = rng.choice(CFGS), rng.choice(SITES)
+        M = _site_module(rng, site)
+        w = rng.randint(-6, 6)
+        for direction in ("le", "ge"):
+            assert oracle_member(site, cfg, direction, w, M) == \
+                _ref_member(site, cfg, direction, w, M), (site, cfg, w, M)
+        assert oracle_step(site, cfg, M) == _ref_step(site, cfg, M), \
+            (site, cfg, M)
+
+
+def test_aisle_equals_the_per_probe_reference():
+    rng = random.Random(14)
+    for _ in range(60):
+        cfg = rng.choice(CFGS)
+        pU, pZ = _perversity(rng, cfg)
+        comps = sampling.random_formal_components(rng, max_len=3)
+        for which in ("le0", "ge0"):
+            assert oracle_aisle(cfg, pU, pZ, comps, which) == \
+                _ref_aisle(cfg, pU, pZ, comps, which), (cfg, pU, pZ, comps)
+
+
+def test_aisle_window_covers_the_structure_sheaf_probe():
+    # F(0) lies far above the components' weights: a window taken from the
+    # components alone, padded, misses it
+    comps = parse_formal("[-1] F(-6); [2] F(-6)").shift(3).components
+    for cfg in CFGS:
+        for which in ("le0", "ge0"):
+            assert oracle_aisle(cfg, 1, 2, comps, which) == \
+                _ref_aisle(cfg, 1, 2, comps, which)
+    assert not oracle_aisle(W, 1, 2, comps, "ge0")
+
+
+def test_reader_refuses_a_weight_outside_its_model():
+    model = oracle._model_of_module(F(-6), -11, -1)
+    assert oracle._hom_ext(F(-7), model) == (1, 0)
+    with pytest.raises(AssertionError,
+                       match=r"weight 0 outside the window \[-11, -1\]"):
+        oracle._hom_ext(F(0), model)
+    with pytest.raises(AssertionError, match="weight -12 outside"):
+        oracle._hom_ext(T(-10, 2), model)
+
+
+def _built_models(monkeypatch):
+    built = []
+    real = oracle._model_of_module
+
+    def counted(M, lo, hi):
+        built.append(M)
+        return real(M, lo, hi)
+
+    monkeypatch.setattr(oracle, "_model_of_module", counted)
+    return built
+
+
+def test_each_call_builds_one_model_per_module(monkeypatch):
+    built = _built_models(monkeypatch)
+    rng = random.Random(15)
+    calls = []
+    for _ in range(30):
+        cfg, site = rng.choice(CFGS), rng.choice(SITES)
+        M = _site_module(rng, site)
+        w = rng.randint(-6, 6)
+        calls += [lambda a=(site, cfg, d, w, M): oracle_member(*a)
+                  for d in ("le", "ge")]
+        calls.append(lambda a=(site, cfg, M): oracle_step(*a))
+        pU, pZ = _perversity(rng, cfg)
+        comps = sampling.random_formal_components(rng, max_len=3)
+        calls += [lambda a=(cfg, pU, pZ, comps, which): oracle_aisle(*a)
+                  for which in ("le0", "ge0")]
+    total = 0
+    for call in calls:
+        del built[:]
+        call()
+        assert len(built) == len(set(built)), call.__defaults__
+        total += len(built)
+    assert total > 0
+
+
+def test_step_builds_each_probe_once(monkeypatch):
+    built = _built_models(monkeypatch)
+    M = gm([], [(12, 12), (0, 1)])
+    assert oracle_step(SITE_X, W, M) == step(SITE_X, W, M)
+    assert len(built) == len(set(built)) > 12
