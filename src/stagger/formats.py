@@ -11,12 +11,15 @@ degree-annotated form '[k] expr; [k'] expr'.
 
 Presentations travel as JSON {"generators": [w_i], "relations": rows},
 where rows has one list per generator and each cell is null or
-{"c": rational-string, "k": exponent}; the exponent is redundant (it is
-forced by homogeneity) and is cross-checked on input.
+{"c": coefficient, "k": exponent}; the coefficient is a JSON integer or a
+string ``[+-]digits[/digits]`` (what ``str`` of an int or a ``Fraction``
+writes), and the exponent is redundant (it is forced by homogeneity) and is
+cross-checked on input.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 from typing import Dict, List, Optional, Tuple
 
@@ -236,14 +239,21 @@ def _rows(rows, nrows: int, what: str) -> List[list]:
     return rows
 
 
+# the coefficient strings ``_cell`` writes; no decimal point or exponent,
+# which ``Fraction`` would expand digit by digit ("1e100000000")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _read_cell(cell, i: int, j: int, need_k: bool) -> Tuple[Q, Optional[int]]:
     """Coefficient and stated exponent of the non-null cell (i, j)."""
     where = "entry (%d,%d)" % (i, j)
     c, k = _field(cell, "c", where), cell.get("k")
     if need_k or k is not None:
         k = _integer(_field(cell, "k", where), '%s: "k"' % where)
+    if type(c) is int:  # JSON booleans are not integers
+        return c, k
     try:
-        if type(c) in (str, int):
+        if type(c) is str and _RATIONAL.fullmatch(c):
             return Q(c), k
     except (ValueError, ZeroDivisionError):
         pass

@@ -48,8 +48,6 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
-_Q0 = Q(0)  # shared zero coefficient; Fraction is immutable
-_Q1 = Q(1)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +179,17 @@ def fmt_module(M: GradedModule) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _coefficient(c):
+    """``c`` as ``MonoMatrix`` stores it: an integral value as an ``int``,
+    any other rational as its ``Fraction``."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # bool and other subclasses of int
+        return int(c)
+    raise TypeError("a coefficient must be an int or a Fraction, got %s %r"
+                    % (type(c).__name__, c))
+
+
 class MonoMatrix:
     """Sparse homogeneous degree-0 matrix between weighted free modules.
 
@@ -188,6 +197,13 @@ class MonoMatrix:
     entry, when nonzero, is the monomial ``c * x^(row_w[i] - col_w[j])``;
     only the coefficient ``c`` is stored, the exponent being forced.  An
     entry may be nonzero only where ``row_w[i] >= col_w[j]``.
+
+    Coefficients are exact: ``set`` (and ``compose``) store an integral
+    value as an ``int``, whether it came as an ``int`` or as a ``Fraction``
+    with denominator 1, and any other rational as its ``Fraction``; zeros
+    are dropped, and a float or any other type raises ``TypeError``.  The
+    one writer outside that rule is ``free_kernel``, whose entries are all
+    ``Fraction``.
     """
 
     __slots__ = ("row_weights", "col_weights", "entries")
@@ -211,8 +227,9 @@ class MonoMatrix:
         return self.row_weights[i] - self.col_weights[j]
 
     def set(self, i: int, j: int, c) -> None:
-        c = Q(c)
-        if c == 0:
+        if type(c) is not int:
+            c = _coefficient(c)
+        if not c:
             self.entries.pop((i, j), None)
             return
         if self.exp(i, j) < 0:
@@ -223,7 +240,7 @@ class MonoMatrix:
         self.entries[(i, j)] = c
 
     def get(self, i: int, j: int) -> Q:
-        return self.entries.get((i, j), _Q0)
+        return self.entries.get((i, j), 0)
 
     def copy(self) -> "MonoMatrix":
         m = MonoMatrix(self.row_weights, self.col_weights)
@@ -274,8 +291,9 @@ class MonoMatrix:
         for (i, j), c1 in self.entries.items():
             for k, c2 in by_row.get(j, ()):
                 key = (i, k)
-                acc[key] = acc.get(key, Q(0)) + c1 * c2
-        out.entries = {k: v for k, v in acc.items() if v != 0}
+                acc[key] = acc.get(key, 0) + c1 * c2
+        out.entries = {k: v if type(v) is int else _coefficient(v)
+                       for k, v in acc.items() if v}
         return out
 
     def __repr__(self) -> str:  # debugging aid
@@ -324,7 +342,7 @@ def present(M: GradedModule) -> Presentation:
     gens = list(M.free) + [g for g, _ in M.torsion]
     rel = MonoMatrix(gens, [g - n for g, n in M.torsion])
     for t, (_g, _n) in enumerate(M.torsion):
-        rel.set(len(M.free) + t, t, Q(1))
+        rel.set(len(M.free) + t, t, 1)
     return Presentation(gens, rel, module=M)
 
 
@@ -366,28 +384,31 @@ def pres_direct_sum(*ps: Presentation) -> Presentation:
 #
 # The sweep is fraction-free, in the style of Bareiss (1968, Math. Comp. 22)
 # but with content (gcd) removal in place of his exact division by the last
-# pivot: a column enters it as an integer vector, scaled by the lcm of its
-# denominators, and every step is an integer combination a*vec - b*piv with
-# a > 0, so no ``Fraction`` is built inside it.  Basis vectors are primitive (gcd of their entries 1)
-# with a positive pivot entry, which keeps the entries small.  Each integer
-# vector is a nonzero rational multiple of the vector that elimination over Q
-# would hold at the same step, and scaling never changes which entries are
-# zero, so every step meets the same pivot rows, and ranks, span answers and
-# dependent sets are those of elimination over Q.  ``Fraction`` comes back
-# only at the boundary: each ``free_kernel`` vector is divided by its entry
-# at its own column.
+# pivot: a column enters it as an integer vector (an all-``int`` column as
+# it is, one with fractions scaled by the lcm of its denominators), and
+# every step is an integer combination a*vec - b*piv with a > 0, so no
+# ``Fraction`` is built inside it.  Basis vectors are primitive (gcd of
+# their entries 1) with a positive pivot entry, which keeps the entries
+# small.  Each integer vector is a nonzero rational multiple of the vector
+# that elimination over Q would hold at the same step, and scaling never
+# changes which entries are zero, so every step meets the same pivot rows,
+# and ranks, span answers and dependent sets are those of elimination over
+# Q.  ``Fraction`` comes back only at the boundary: each ``free_kernel``
+# vector is divided by its entry at its own column.
 
 
 def _integral(col: Dict[int, Q]) -> Dict[int, int]:
     """``col`` times the lcm of its denominators: integer entries, the same
-    nonzero keys."""
-    out: Dict[int, int] = {}
+    nonzero keys, in a new dict (``_echelon_insert`` reduces it in place).
+    An ``int`` entry is taken as it is."""
+    out = dict(col)
     m = 1
     for k, c in col.items():
-        n, d = c.as_integer_ratio()
-        out[k] = n
-        if d != 1:
-            m = lcm(m, d)
+        if type(c) is not int:
+            n, d = c.as_integer_ratio()
+            out[k] = n
+            if d != 1:
+                m = lcm(m, d)
     if m != 1:  # a second pass only for a column that has fractions
         for k, c in col.items():
             n, d = c.as_integer_ratio()
@@ -507,7 +528,7 @@ def free_kernel(mat: MonoMatrix) -> MonoMatrix:
     dependent iff it lies in the span of the columns before it.
     """
     cw, nrows = mat.col_weights, mat.nrows
-    cols: List[Dict[int, Q]] = [{nrows + j: _Q1} for j in range(len(cw))]
+    cols: List[Dict[int, Q]] = [{nrows + j: 1} for j in range(len(cw))]
     for (i, j), c in mat.entries.items():
         cols[j][i] = c
     ints = [_integral(col) for col in cols]
@@ -605,7 +626,7 @@ def module_map(M: GradedModule, N: GradedModule,
     mat = MonoMatrix(pd.gens, ps.gens)
     nfree = len(N.free)
     for (i, j), c in entries.items():
-        if Q(c) == 0:
+        if c == 0:
             continue
         k = pd.gens[i] - ps.gens[j]
         if i >= nfree:

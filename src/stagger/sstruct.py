@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from .grmod import (
@@ -57,8 +56,6 @@ from .grmod import (
 )
 from .report import SuiteReport
 from . import sampling
-
-Q = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +316,10 @@ def sigma(site: Site, cfg: SConfig, direction: str, w: int,
 
     inc = MonoMatrix(pm.gens, psub.gens)
     for (piece, midx), col in zip(sub_pieces, sub_pos):
-        inc.set(midx, col, Q(1))
+        inc.set(midx, col, 1)
     proj = MonoMatrix(pquot.gens, pm.gens)
     for (piece, midx), row in zip(quot_pieces, quot_pos):
-        proj.set(row, midx, Q(1))
+        proj.set(row, midx, 1)
 
     return SigmaWitness(
         site=site, cfg=cfg, direction=direction, w=w, cut=cut, total=M,

@@ -217,6 +217,23 @@ def test_malformed_json_presentation_exit_one(capsys, text, names):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["fast", "oracle"])
+def test_exponent_coefficient_exits_one_at_once(oracle):
+    # Fraction("1e100000000") would expand the exponent digit by digit
+    text = '{"generators": [0], "relations": [[{"c": "1e100000000", "k": 2}]]}'
+    pkg_dir = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [pkg_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "stagger.cli", "decompose", *oracle, text],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 1 and time.perf_counter() - t0 < 5
+    assert proc.stderr.startswith("error:")
+    assert '"c" must be a rational string' in proc.stderr
+
+
 def test_oracle_diff_exits_two_with_minimized(capsys, monkeypatch):
     # wound the fast path: claim every module with a weight >= 2 free
     # generator fails the membership test

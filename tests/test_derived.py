@@ -2,6 +2,7 @@
 derived hom, chain complexes, cones and normal forms."""
 
 import doctest
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ import pytest
 from stagger import derived, stag
 from stagger.oracle import _mat_rank
 from stagger.grmod import (
-    F, GradedMap, MonoMatrix, Presentation, T, V, direct_sum, gm, module_map,
-    present, weight_dim,
+    F, GradedMap, MonoMatrix, Presentation, T, V, canonical_decompose,
+    direct_sum, free_kernel, gm, module_map, present, weight_dim,
 )
 from stagger.derived import (
     ChainComplex,
@@ -399,10 +400,11 @@ def _random_summands(rng, ties):
                for _ in range(rng.randint(0, 3))])
 
 
-def _random_embed_map(rng, ties=False):
+def _random_embed_map(rng, ties=False, coeffs=_COEFFS):
     """A random chain map between two free embeddings: random generator
     links (free or torsion into torsion, where they respect relations) and
-    random Ext links, written by ``chain_map_on_embeds``."""
+    random Ext links with coefficients from ``coeffs``, written by
+    ``chain_map_on_embeds``."""
     Fo = FormalObject({k: _random_summands(rng, ties) for k in range(-1, 2)})
     Go = FormalObject({k: _random_summands(rng, ties) for k in range(-1, 2)})
     links = {}
@@ -419,7 +421,7 @@ def _random_embed_map(rng, ties=False):
                     n, m = src.torsion[j - nf][1], dst.torsion[i - ng][1]
                     if (wd - ws) + n - m < 0:
                         continue
-                links.setdefault(k, {})[(i, j)] = rng.choice(_COEFFS)
+                links.setdefault(k, {})[(i, j)] = rng.choice(coeffs)
     ext = {}
     for k in range(-2, 1):
         src, dst = Fo.component(k + 1), Go.component(k)
@@ -429,7 +431,7 @@ def _random_embed_map(rng, ties=False):
                 continue
             for i, wd in enumerate(dst.gen_weights()):
                 if wd >= ws - n and rng.random() < 0.3:
-                    ext.setdefault(k, {})[(i, t)] = rng.choice(_COEFFS)
+                    ext.setdefault(k, {})[(i, t)] = rng.choice(coeffs)
     _a, _b, phi = chain_map_on_embeds(Fo, Go, links, ext)
     assert phi.validate() == []
     return phi
@@ -504,6 +506,73 @@ def test_certificate_sweeps_each_differential_once(monkeypatch):
         normal_form(c)
         assert len(swept) == len(c.diffs)
         assert {id(m) for m in swept} == {id(d.mat) for d in c.diffs.values()}
+
+
+# ---------------------------------------------------------------------------
+# the coefficient type never changes an answer
+# ---------------------------------------------------------------------------
+
+
+def _typed(m):
+    return sorted((key, type(c), c) for key, c in m.entries.items())
+
+
+def _scaled_to_int(m):
+    """``m`` times the lcm of its denominators: every entry an ``int``."""
+    s = math.lcm(*(c.denominator for c in m.entries.values()))
+    out = MonoMatrix(m.row_weights, m.col_weights,
+                     {key: s * c for key, c in m.entries.items()})
+    assert all(type(c) is int for c in out.entries.values())
+    return out
+
+
+def _as_fractions(m):
+    """A copy of ``m`` holding every entry as a ``Fraction``, written past
+    ``MonoMatrix.set`` (which stores an integral value as an ``int``)."""
+    out = m.copy()
+    out.entries = {key: Fraction(c) for key, c in m.entries.items()}
+    return out
+
+
+def test_coefficient_type_never_changes_an_answer():
+    """An integral matrix and its twin holding the same values as
+    ``Fraction`` give the same ranks, kernel (all ``Fraction``) and
+    decomposition, an integral cone and its twin the same normal form,
+    and no call changes the entries of what it is handed."""
+    rng = random.Random(61)
+    mats = []
+    for _ in range(200):
+        rw = [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))]
+        mats.append(_scaled_to_int(_random_mono(rng, rw, rng.randint(0, 6))))
+    crng = random.Random(63)
+    mats += [_scaled_to_int(_cancelling_mono(crng, n)) for n in (20, 30, 40)]
+    mats += _certify_wide_cone_matrices()
+    for m in mats:
+        twin = _as_fractions(m)
+        before = _typed(m), _typed(twin)
+        ws = list(m.row_weights) + list(m.col_weights) or [0]
+        lo, hi = min(ws) - 1, max(ws) + 1
+        assert derived._weight_ranks(m, lo, hi) == \
+            derived._weight_ranks(twin, lo, hi)
+        ker = free_kernel(m)
+        assert _typed(ker) == _typed(free_kernel(twin))
+        assert all(type(c) is Fraction for c in ker.entries.values())
+        assert canonical_decompose(Presentation(m.row_weights, m)) == \
+            canonical_decompose(Presentation(twin.row_weights, twin))
+        assert (_typed(m), _typed(twin)) == before
+    for ties in (False, True):
+        for _ in range(40):
+            c = cone(_random_embed_map(rng, ties, coeffs=(1, -1, 2, -3)))
+            assert all(type(v) is int
+                       for d in c.diffs.values() for v in d.mat.entries.values())
+            twin = ChainComplex(terms=c.terms, diffs={
+                k: GradedMap(d.src, d.dst, _as_fractions(d.mat))
+                for k, d in c.diffs.items()})
+            before = [(_typed(c.diffs[k].mat), _typed(twin.diffs[k].mat))
+                      for k in sorted(c.diffs)]
+            assert normal_form(c) == normal_form(twin)
+            assert [(_typed(c.diffs[k].mat), _typed(twin.diffs[k].mat))
+                    for k in sorted(c.diffs)] == before
 
 
 def test_module_docstring_examples_run():

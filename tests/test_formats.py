@@ -1,13 +1,18 @@
 """Expression grammar and JSON codecs: round trips and rejection paths."""
 
+import json
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagger.grmod import F, T, V, gm, present
+from stagger.grmod import F, MonoMatrix, T, V, gm, present
 from stagger.derived import FormalObject, formal
 from stagger.formats import (
     ParseError,
+    _cell,
+    _read_cell,
     formal_from_json,
     formal_to_expr,
     formal_to_json,
@@ -185,3 +190,41 @@ def test_formal_json_rejects_malformed_fields(js, names):
     with pytest.raises(ValueError) as ei:
         formal_from_json(js)
     assert names in str(ei.value)
+
+
+# ---------------------------------------------------------------------------
+# coefficient cells
+# ---------------------------------------------------------------------------
+
+_CELL_VALUES = (1, -1, 7, 10**30 + 1, Fraction(1, 2), Fraction(-2, 3),
+                Fraction(10**20 + 1, 3**25), Fraction(-(2**61 - 1), 5**19))
+
+
+def test_every_written_cell_reads_back():
+    for k, c in enumerate(_CELL_VALUES):
+        cell = json.loads(json.dumps(_cell(c, k)))
+        got, kk = _read_cell(cell, 0, 0, need_k=True)
+        assert (got, kk) == (c, k)
+    m = MonoMatrix(range(len(_CELL_VALUES)), (0,),
+                   {(i, 0): c for i, c in enumerate(_CELL_VALUES)})
+    back = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+    assert sorted((key, type(c), c) for key, c in back.entries.items()) == \
+        sorted((key, type(c), c) for key, c in m.entries.items())
+
+
+def test_json_integer_coefficient_is_read_as_int():
+    m = matrix_from_json({"row_weights": [0], "col_weights": [0],
+                          "entries": [[{"c": -3}]]})
+    assert m.entries == {(0, 0): -3} and type(m.get(0, 0)) is int
+
+
+@pytest.mark.parametrize("c", [
+    "1e1000", "1.5", "1e5", ".5", "1.", " 1", "1 ", "1_000", "0x10",
+    "\u0663", "1/-2", "+", "", "1/0", "inf", True, None, 1.5, [1],
+])
+def test_cell_coefficient_is_an_integer_or_a_rational_string(c):
+    # Fraction() would accept decimal and exponent forms, and expand an
+    # exponent digit by digit (the CLI test times "1e100000000")
+    js = {"row_weights": [0], "col_weights": [0], "entries": [[{"c": c}]]}
+    with pytest.raises(ValueError, match='"c" must be a rational string'):
+        matrix_from_json(js)

@@ -2,6 +2,7 @@
 
 import doctest
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,3 +231,65 @@ def test_relation_span_matches_dense_reference():
         seen.add(("zero", zero))
     assert seen == {("wd", True), ("wd", False),
                     ("zero", True), ("zero", False)}
+
+
+# ---------------------------------------------------------------------------
+# the coefficient rule of MonoMatrix
+# ---------------------------------------------------------------------------
+
+
+def _typed(m):
+    return sorted((key, type(c), c) for key, c in m.entries.items())
+
+
+def test_set_stores_integral_coefficients_as_int():
+    m = MonoMatrix((1, 0), (0, 0))
+    m.set(0, 0, Fraction(4, 2))
+    m.set(0, 1, Fraction(-1, 3))
+    m.set(1, 0, True)
+    m.set(1, 1, 5)
+    assert _typed(m) == [((0, 0), int, 2), ((0, 1), Fraction, Fraction(-1, 3)),
+                         ((1, 0), int, 1), ((1, 1), int, 5)]
+    # zeros of either type are dropped, and an absent entry reads int 0
+    m.set(1, 1, Fraction(0))
+    m.set(1, 0, 0)
+    assert [key for key, _t, _c in _typed(m)] == [(0, 0), (0, 1)]
+    assert type(m.get(1, 1)) is int and m.get(1, 1) == 0
+    assert _typed(MonoMatrix((0,), (0,), {(0, 0): Fraction(3)})) == \
+        [((0, 0), int, 3)]
+    # compose keeps the rule: 1/2 * 2 is stored as the int 1
+    half = MonoMatrix((0,), (0,), {(0, 0): Fraction(1, 2)})
+    two = MonoMatrix((0,), (0,), {(0, 0): 2})
+    assert _typed(half.compose(two)) == [((0, 0), int, 1)]
+    assert half.compose(MonoMatrix((0,), (0,), {(0, 0): -2})).compose(
+        half).entries == {(0, 0): Fraction(-1, 2)}
+    # and the homogeneity check still holds
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        MonoMatrix((0,), (1,)).set(0, 0, 1)
+
+
+@pytest.mark.parametrize("c", [0.1, 1.0, 0.0, float("nan"), "1/2", None])
+def test_set_refuses_a_float_or_other_non_rational(c):
+    # Fraction(0.1) would store 3602879701896397/36028797018963968
+    m = MonoMatrix((0,), (0,), {(0, 0): 3})
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        m.set(0, 0, c)
+    assert _typed(m) == [((0, 0), int, 3)]
+    with pytest.raises(TypeError):
+        MonoMatrix((0,), (0,), {(0, 0): c})
+
+
+def test_integral_returns_a_fresh_integer_column():
+    # the sweep reduces the column it is handed in place, so ``_integral``
+    # must not hand it the caller's dict, even when every entry is an int
+    for col in ({0: 2, 3: -4}, {0: Fraction(1, 2), 1: 3, 2: Fraction(-2, 3)},
+                {5: 7}, {}):
+        before = sorted((k, type(c), c) for k, c in col.items())
+        out = grmod._integral(col)
+        assert out is not col
+        assert all(type(c) is int for c in out.values())
+        assert sorted(out) == sorted(col)
+        grmod._echelon_insert({}, out, 10)
+        assert sorted((k, type(c), c) for k, c in col.items()) == before
+    assert grmod._integral({0: Fraction(1, 2), 1: 3, 2: Fraction(-2, 3)}) \
+        == {0: 3, 1: 18, 2: -4}

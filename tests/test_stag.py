@@ -2,18 +2,21 @@
 simple objects and Jordan-Holder filtrations."""
 
 import dataclasses
+import fractions
 import json
 import os
 import random
+import sys
 
 import pytest
 
 from stagger import stag
 from stagger.grmod import F as Fmod, T as Tmod, V, gm, module_map
 from stagger.derived import (
-    FormalObject, cone, derived_hom, dualize, formal, formal_sum, normal_form,
+    FormalObject, chain_map_on_embeds, cone, derived_hom, dualize, formal,
+    formal_sum, free_embed, normal_form,
 )
-from stagger.sstruct import SConfig, SITE_X, site_z
+from stagger.sstruct import SConfig, SITE_X, sigma, site_z
 from stagger.stag import (
     JHReport,
     Perversity,
@@ -432,6 +435,74 @@ def test_jh_peel_past_one_thousand():
     assert sorted(rep.factors) == sorted(
         ["OX"] * 600 + ["SZ(1)"] * 250 + ["SZ(0)"] * 151)
     assert rep.steps[-1].after.is_zero
+
+
+def _int_coefficients(mats):
+    return all(type(c) is int for m in mats for c in m.entries.values())
+
+
+def _chain_matrices(phi):
+    """Every matrix of a chain map: its components, the differentials of
+    both ends and those of its cone."""
+    yield from (f.mat for f in phi.maps.values())
+    for c in (phi.src, phi.dst, cone(phi)):
+        yield from (d.mat for d in c.diffs.values())
+
+
+def _fraction_calls(fn):
+    """Run ``fn()``; return its result and the number of calls it made into
+    the ``fractions`` module (constructors, arithmetic, comparisons)."""
+    calls = [0]
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls[0] += 1
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(outer)
+    return out, calls[0]
+
+
+def test_chain_builders_write_int_coefficients():
+    """On integral input the chain builders, cones, their normal forms, the
+    truncation and Jordan-Holder audits and the sigma witnesses run no
+    ``Fraction`` code and
+    hold only ``int`` coefficients, so a ``Fraction`` brought back into
+    the chain layer fails here and does not show up only as a slowdown."""
+    rng = random.Random(73)
+
+    def build():
+        out = []
+        for p in stag._blessed_perversities(W):
+            for _ in range(15):
+                Fo = _near_boundary_object(rng, p)
+                out.extend(d.mat for d in free_embed(Fo).diffs.values())
+                ident = {k: {(i, i): 1 for i in range(len(m.gen_weights()))}
+                         for k, m in Fo.components.items()}
+                _a, _b, phi = chain_map_on_embeds(Fo, Fo, ident)
+                assert phi.validate() == []
+                assert normal_form(cone(phi)).is_zero
+                out.extend(_chain_matrices(phi))
+                level = rng.randint(-2, 2)
+                _below, _above, chain = stag._truncation_witness(
+                    W, p, Fo, level)
+                out.extend(_chain_matrices(chain))
+                assert stag_truncate(W, p, Fo, level).audit() == []
+                for m in Fo.components.values():
+                    wit = sigma(SITE_X, W, "le", level, m)
+                    out += [wit.inclusion.mat, wit.projection.mat]
+            rep = jh_factors(W, p, _heart_object(rng, p, 12))
+            assert rep.steps and rep.audit(W, p) == []
+            for st in rep.steps:
+                out.extend(_chain_matrices(st.chain))
+        return out
+
+    mats, calls = _fraction_calls(build)
+    assert calls == 0
+    assert len(mats) > 1000 and _int_coefficients(mats)
 
 
 def test_jh_nonstrict_perversity_rejected():
