@@ -65,6 +65,7 @@ from .oracle import (
 from .formats import (
     ParseError,
     formal_to_json,
+    json_int,
     parse_formal,
     parse_module,
     presentation_from_json,
@@ -212,7 +213,7 @@ def _checked(args, kind: str, subject, fast, oracle, render,
 def _cmd_decompose(args) -> int:
     text = args.expr.strip()
     if text.startswith("{"):
-        p = presentation_from_json(json.loads(text))
+        p = presentation_from_json(json.loads(text, parse_int=json_int))
     else:
         p = present(parse_module(text))
     return _checked(

@@ -29,7 +29,10 @@ honestly: a formal object is embedded as an honest complex of free modules,
 maps are checked to be chain maps, and ``normal_form`` recovers the
 cohomology of a complex of free modules from the persistence pairing of
 the weight filtration, checked by an independent per-weight rank
-certificate.
+certificate.  A free term is only its tuple of generator weights, and a
+differential or a component of a chain map is a bare ``MonoMatrix``; every
+step visits only the degrees that carry a term and the weights that occur,
+so its cost does not grow with the span between them.
 """
 
 from __future__ import annotations
@@ -39,24 +42,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .grmod import (
-    GradedMap,
     GradedModule,
     MonoMatrix,
-    Presentation,
     Q,
     ZERO,
     _echelon_insert,
     _integral,
-    _weight_ranks,
+    _rank_steps,
     direct_sum,
     ext1_dim,
     fmt_module,
     gm,
     hom_dim,
-    present,
-    pres_direct_sum,
     weight_dim,
-    weight_dims,
 )
 from .sstruct import Site, check_on_site
 
@@ -323,37 +321,35 @@ def std_truncate(F: FormalObject, k: int) -> Tuple[FormalObject, FormalObject]:
 # ---------------------------------------------------------------------------
 
 
-_EMPTY = Presentation(())
+Weights = Tuple[int, ...]
 
 
 @dataclass
 class ChainComplex:
-    """Cochain complex of free modules; diffs[k] : term_k -> term_{k+1}.
+    """Cochain complex of free modules: ``terms[k]`` holds the generator
+    weights of term k, and ``diffs[k]`` : term_k -> term_{k+1} is a
+    ``MonoMatrix`` (rows the weights of term k + 1, columns those of term
+    k).  A degree missing from either is zero."""
 
-    Each term is a ``Presentation`` with no relation columns; ``validate``
-    reports a term that has some.
-    """
+    terms: Dict[int, Weights] = field(default_factory=dict)
+    diffs: Dict[int, MonoMatrix] = field(default_factory=dict)
 
-    terms: Dict[int, Presentation] = field(default_factory=dict)
-    diffs: Dict[int, GradedMap] = field(default_factory=dict)
-
-    def term(self, k: int) -> Presentation:
-        return self.terms.get(k, _EMPTY)
+    def term(self, k: int) -> Weights:
+        return self.terms.get(k, ())
 
     def degrees(self) -> List[int]:
         return sorted(self.terms)
 
     def validate(self) -> List[str]:
-        errs = ["term %d is not free: it has %d relation column(s)"
-                % (k, p.nrel) for k, p in sorted(self.terms.items())
-                if p.nrel]
-        for k, d in self.diffs.items():
-            if d.src.gens != self.term(k).gens or \
-                    d.dst.gens != self.term(k + 1).gens:
-                errs.append("diff %d has wrong endpoints" % k)
+        errs = ["diff %d has wrong endpoints" % k
+                for k, d in self.diffs.items()
+                if d.col_weights != self.term(k)
+                or d.row_weights != self.term(k + 1)]
+        if errs:
+            return errs
         for k, d in self.diffs.items():
             nxt = self.diffs.get(k + 1)
-            if nxt is not None and not nxt.compose(d).is_zero_map():
+            if nxt is not None and not nxt.compose(d).is_zero():
                 errs.append("d^2 != 0 at degree %d" % k)
         return errs
 
@@ -362,32 +358,27 @@ class ChainComplex:
 class ChainMap:
     src: ChainComplex
     dst: ChainComplex
-    maps: Dict[int, GradedMap] = field(default_factory=dict)
+    maps: Dict[int, MonoMatrix] = field(default_factory=dict)
 
     def validate(self) -> List[str]:
         """Errors of this map, [] if it is a chain map.  A degree missing
-        from ``maps`` is read as zero and is not added to it."""
-        errs = []
-        for k, f in self.maps.items():
-            if not f.is_well_defined():
-                errs.append("component %d not well defined" % k)
-        degs = set(self.maps) | set(self.src.diffs) | set(self.dst.diffs)
-        for k in degs:
-            left = self.dst.diffs.get(k)
-            right = self.src.diffs.get(k)
+        from ``maps`` is read as zero and is not added to it; squares are
+        checked only when every component has the weights of its ends."""
+        errs = ["component %d has wrong endpoints" % k
+                for k, f in sorted(self.maps.items())
+                if f.col_weights != self.src.term(k)
+                or f.row_weights != self.dst.term(k)]
+        if errs:
+            return errs
+        for k in sorted(set(self.maps) | set(self.src.diffs)
+                        | set(self.dst.diffs)):
+            left, right = self.dst.diffs.get(k), self.src.diffs.get(k)
             fk, fk1 = self.maps.get(k), self.maps.get(k + 1)
-            lhs = left.compose(fk) if left is not None and fk is not None else None
-            rhs = fk1.compose(right) if right is not None and fk1 is not None else None
-            if lhs is None and rhs is None:
-                continue
-            tgt = self.dst.term(k + 1)
-            srcp = self.src.term(k)
-            a = lhs.mat if lhs is not None else MonoMatrix(tgt.gens, srcp.gens)
-            b = rhs.mat if rhs is not None else MonoMatrix(tgt.gens, srcp.gens)
-            diff = a.copy()
-            for (i, j), c in b.entries.items():
-                diff.set(i, j, diff.get(i, j) - c)
-            if not GradedMap(srcp, tgt, diff).is_zero_map():
+            lhs = left.compose(fk).entries \
+                if left is not None and fk is not None else {}
+            rhs = fk1.compose(right).entries \
+                if right is not None and fk1 is not None else {}
+            if lhs != rhs:
                 errs.append("square at degree %d does not commute" % k)
         return errs
 
@@ -395,33 +386,30 @@ class ChainMap:
 def free_embed(F: FormalObject) -> ChainComplex:
     """A complex of free modules with H^k = F_k.
 
-    term_k = (free cover of H^k) + (relation block of H^{k+1}); the only
-    differential block sends the relation generators of term_k onto the
-    relations inside the free cover in term_{k+1}.  Both blocks are free,
+    term_k = (generators of H^k, free first, then torsion) + (one relation
+    column x^n e per torsion summand T(g, n) of H^{k+1}, of weight g - n);
+    the only differential block sends each relation column of term_k onto
+    x^n times its torsion generator in term_{k+1}.  Both blocks are free,
     the relation columns are independent, and the cohomology is exactly
-    the formal object again.
+    the formal object again.  Only degrees k and k - 1 of each nonzero H^k
+    carry a term.
     """
-    terms: Dict[int, Presentation] = {}
-    pres = {k: present(m) for k, m in F.components.items()}
-    degs = sorted(pres)
-    if not degs:
-        return ChainComplex()
-    # the relation block of the lowest component lives one degree below it
-    for k in range(min(degs) - 1, max(degs) + 1):
-        g = pres[k].gens if k in pres else ()
-        r = pres[k + 1].rel.col_weights if k + 1 in pres else ()
-        if g or r:
-            terms[k] = Presentation(g + r)
-    diffs: Dict[int, GradedMap] = {}
-    for k in sorted(terms):
-        if k + 1 not in terms:
-            continue
-        mat = MonoMatrix(terms[k + 1].gens, terms[k].gens)
-        if k + 1 in pres:
-            ng = len(pres[k].gens) if k in pres else 0
-            for (i, j), c in pres[k + 1].rel.entries.items():
-                mat.set(i, ng + j, c)
-        diffs[k] = GradedMap(terms[k], terms[k + 1], mat)
+    comps = F.components
+    terms: Dict[int, Weights] = {}
+    for k in sorted(set(comps) | {k - 1 for k in comps}):
+        gens = comps[k].gen_weights() if k in comps else ()
+        rels = tuple(g - n for g, n in comps[k + 1].torsion) \
+            if k + 1 in comps else ()
+        if gens or rels:
+            terms[k] = gens + rels
+    diffs: Dict[int, MonoMatrix] = {}
+    for k, m in comps.items():
+        if m.torsion:  # the relation columns of term k - 1 come last
+            ng = len(terms[k - 1]) - len(m.torsion)
+            d = MonoMatrix(terms[k], terms[k - 1])
+            for t in range(len(m.torsion)):
+                d.set(len(m.free) + t, ng + t, 1)
+            diffs[k - 1] = d
     return ChainComplex(terms=terms, diffs=diffs)
 
 
@@ -429,10 +417,9 @@ Links = Dict[int, Dict[Tuple[int, int], Q]]
 
 
 def chain_map_on_embeds(F: FormalObject, G: FormalObject, links: Links,
-                        ext_links: Optional[Links] = None
-                        ) -> Tuple[ChainComplex, ChainComplex, ChainMap]:
-    """The chain map between ``free_embed(F)`` and ``free_embed(G)`` given
-    by generator links and Ext links; the one place that writes such maps.
+                        ext_links: Optional[Links] = None) -> ChainMap:
+    """The chain map from ``free_embed(F)`` to ``free_embed(G)`` given by
+    generator links and Ext links; the one place that writes such maps.
 
     Term k of an embedding holds the canonical generators of H^k (free
     first, then torsion, as ``present`` orders them) followed by one
@@ -453,11 +440,11 @@ def chain_map_on_embeds(F: FormalObject, G: FormalObject, links: Links,
     nothing links torsion summand t itself at degree k + 1.
     """
     cf, cg = free_embed(F), free_embed(G)
-    maps: Dict[int, GradedMap] = {}
+    maps: Dict[int, MonoMatrix] = {}
     for k in cf.degrees():
         if k not in cg.terms:
             continue
-        mat = MonoMatrix(cg.term(k).gens, cf.term(k).gens)
+        mat = MonoMatrix(cg.term(k), cf.term(k))
         for (i, j), c in links.get(k, {}).items():
             mat.set(i, j, c)
         # the relation block of term k follows the generators of H^k
@@ -477,43 +464,37 @@ def chain_map_on_embeds(F: FormalObject, G: FormalObject, links: Links,
             mat.set(roff_g + i - ng, roff_f + j - nf, c)
         for (i, t), c in (ext_links or {}).get(k, {}).items():
             mat.set(i, roff_f + t, c)
-        maps[k] = GradedMap(cf.term(k), cg.term(k), mat)
-    return cf, cg, ChainMap(cf, cg, maps)
+        maps[k] = mat
+    return ChainMap(cf, cg, maps)
 
 
 def cone(phi: ChainMap) -> ChainComplex:
     """Mapping cone: C^k = A^{k+1} (+) B^k, d = [[-d_A, 0], [phi, d_B]]."""
     A, B = phi.src, phi.dst
-    degs = set()
-    for k in A.degrees():
-        degs.add(k - 1)
-    degs.update(B.degrees())
-    terms: Dict[int, Presentation] = {}
-    for k in sorted(degs):
-        pa, pb = A.term(k + 1), B.term(k)
-        if pa.gens or pb.gens:
-            terms[k] = pres_direct_sum(pa, pb)
-    diffs: Dict[int, GradedMap] = {}
+    terms: Dict[int, Weights] = {}
+    for k in sorted({k - 1 for k in A.terms} | set(B.terms)):
+        gens = A.term(k + 1) + B.term(k)
+        if gens:
+            terms[k] = gens
+    diffs: Dict[int, MonoMatrix] = {}
     for k in sorted(terms):
         if k + 1 not in terms:
             continue
-        pa1, pb0 = A.term(k + 1), B.term(k)
-        pa2, pb1 = A.term(k + 2), B.term(k + 1)
-        src, dst = terms[k], terms[k + 1]
-        mat = MonoMatrix(dst.gens, src.gens)
+        na1, na2 = len(A.term(k + 1)), len(A.term(k + 2))
+        mat = MonoMatrix(terms[k + 1], terms[k])
         da = A.diffs.get(k + 1)
         if da is not None:
-            for (i, j), c in da.mat.entries.items():
+            for (i, j), c in da.entries.items():
                 mat.set(i, j, -c)
         f = phi.maps.get(k + 1)
         if f is not None:
-            for (i, j), c in f.mat.entries.items():
-                mat.set(len(pa2.gens) + i, j, c)
+            for (i, j), c in f.entries.items():
+                mat.set(na2 + i, j, c)
         db = B.diffs.get(k)
         if db is not None:
-            for (i, j), c in db.mat.entries.items():
-                mat.set(len(pa2.gens) + i, len(pa1.gens) + j, c)
-        diffs[k] = GradedMap(src, dst, mat)
+            for (i, j), c in db.entries.items():
+                mat.set(na2 + i, na1 + j, c)
+        diffs[k] = mat
     return ChainComplex(terms=terms, diffs=diffs)
 
 
@@ -533,14 +514,14 @@ def normal_form(c: ChainComplex) -> FormalObject:
     nothing killed gives F(w) in H^k.
 
     Every reconstructed weight dimension is then checked against rank
-    arithmetic on the differentials (``_certify``).  A complex with a
-    presented term is refused by ``validate``.
+    arithmetic on the differentials (``_certify``).  A complex whose
+    differentials do not fit its terms, or whose d^2 is not 0, is refused
+    by ``validate``.
 
     The cone of x: F(0) -> F(1) is the torsion quotient T(1,1) at degree 0:
 
     >>> from stagger.grmod import F
-    >>> _, _, phi = chain_map_on_embeds(formal(F(0)), formal(F(1)),
-    ...                                 {0: {(0, 0): 1}})
+    >>> phi = chain_map_on_embeds(formal(F(0)), formal(F(1)), {0: {(0, 0): 1}})
     >>> print(normal_form(cone(phi)))
     [0] T(1,1)
     """
@@ -563,12 +544,12 @@ def _pairing_homology(c: ChainComplex) -> Dict[int, GradedModule]:
     on how ties are broken.
     """
     # oldest first: descending weight, ties by index (the sort is stable)
-    order = {k: sorted(range(len(p.gens)), key=p.gens.__getitem__,
-                       reverse=True) for k, p in c.terms.items()}
+    order = {k: sorted(range(len(ws)), key=ws.__getitem__, reverse=True)
+             for k, ws in c.terms.items()}
     out: Dict[int, GradedModule] = {}
     killed: Dict[int, int] = {}  # generator of term k -> weight of its killer
     for k in c.degrees():
-        gens = c.term(k).gens
+        gens = c.term(k)
         if not gens:
             continue
         young = order.get(k + 1, [])[::-1]  # the rows of d_k by key
@@ -576,7 +557,7 @@ def _pairing_homology(c: ChainComplex) -> Dict[int, GradedModule]:
         cols: Dict[int, Dict[int, Q]] = {}
         dk = c.diffs.get(k)
         if dk is not None:
-            for (i, j), q in dk.mat.entries.items():
+            for (i, j), q in dk.entries.items():
                 cols.setdefault(j, {})[key[i]] = q
         free: List[int] = []
         tors = [(gens[i], gens[i] - v) for i, v in killed.items()
@@ -598,33 +579,39 @@ def _pairing_homology(c: ChainComplex) -> Dict[int, GradedModule]:
     return out
 
 
+def _at_least(ws: List[int], w: int) -> int:
+    """The number of entries >= w of the ascending list ``ws``."""
+    return len(ws) - bisect_left(ws, w)
+
+
 def _certify(c: ChainComplex, hs: Dict[int, GradedModule]) -> None:
     """Independent per-weight dimension audit of the computed H^k.
 
     dim H^k_w = #{generators of term k of weight >= w}
                 - rank_w(d_k) - rank_w(d_{k-1}),
     where rank_w is the rank of the block of rows and columns of weight
-    >= w.  One window covers every term, each differential is swept once
-    for all of its weights by ``_weight_ranks``, and each H^k's dimensions
-    are tabulated once by ``weight_dims``.
+    >= w.  Each differential is swept once for all of its weights by
+    ``_rank_steps``.  Both sides count summands or columns of weight >= w,
+    so they are 0 above every weight that can change one of them and
+    constant between two such weights: the generator weights of terms k
+    and k - 1 (the columns of d_k and d_{k-1}), and d for each F(d), g and
+    g - n for each T(g, n) of H^k.  The check is made at those weights
+    only.
 
     Blind spot: per-weight dimensions do not determine a module.  F(1) and
     F(0) + T(1,1) have the same ones, so a read-out that returns one for
     the other passes this audit.
     """
-    ws = [w for p in c.terms.values() for w in p.gens]
-    if not ws:
-        return
-    lo, hi = min(ws) - 2, max(ws) + 2
-    zero = [0] * (hi - lo + 1)
-    ranks = {k: _weight_ranks(d.mat, lo, hi) for k, d in c.diffs.items()}
+    steps = {k: _rank_steps(d) for k, d in c.diffs.items()}
     for k, h in sorted(hs.items()):
-        gens = sorted(c.term(k).gens)
-        out, into = ranks.get(k, zero), ranks.get(k - 1, zero)
-        dims = weight_dims(h, lo, hi)
-        for t, w in enumerate(range(lo, hi + 1)):
-            want = len(gens) - bisect_left(gens, w) - out[t] - into[t]
-            got = dims[t]
+        gens = sorted(c.term(k))
+        ranks = sorted(steps.get(k, []) + steps.get(k - 1, []))
+        # a summand of H^k occupies the weights <= its top and > its bottom
+        tops = sorted(h.free + tuple(g for g, _n in h.torsion))
+        bottoms = sorted(g - n for g, n in h.torsion)
+        for w in sorted(set(gens).union(c.term(k - 1), tops, bottoms)):
+            want = _at_least(gens, w) - _at_least(ranks, w)
+            got = _at_least(tops, w) - _at_least(bottoms, w)
             if want != got:
                 raise AssertionError(
                     "homology certificate failed at degree %d weight %d: "

@@ -78,7 +78,11 @@ class _Scanner:
             self.i += 1
         if self.i == start or not self.text[start:self.i].lstrip("+-"):
             raise ParseError("expected an integer", start + 1)
-        return int(self.text[start:self.i])
+        try:
+            return int(self.text[start:self.i])
+        except ValueError:  # past sys.get_int_max_str_digits(), or a '²'
+            raise ParseError("integer too long or malformed (%d characters)"
+                             % (self.i - start), start + 1) from None
 
     def done(self) -> bool:
         self.skip_ws()
@@ -164,17 +168,19 @@ def parse_formal(text: str, default_degree: int = 0) -> FormalObject:
     return FormalObject(comps)
 
 
-def module_to_expr(M: GradedModule) -> str:
-    return fmt_module(M)
-
-
-def formal_to_expr(F: FormalObject) -> str:
-    return str(F)
-
-
 # ---------------------------------------------------------------------------
 # JSON codecs
 # ---------------------------------------------------------------------------
+
+
+def json_int(literal: str):
+    """A JSON integer literal as an ``int``, for ``json.loads(parse_int=)``.
+    One that ``int`` refuses (more digits than ``sys.get_int_max_str_digits``
+    allows) stays a string, which the readers below refuse by field name."""
+    try:
+        return int(literal)
+    except ValueError:
+        return literal
 
 
 def _cell(c: Q, k: int) -> dict:

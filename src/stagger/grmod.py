@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -153,19 +152,6 @@ def weight_dim(M: GradedModule, w: int) -> int:
     return d
 
 
-def weight_dims(M: GradedModule, lo: int, hi: int) -> List[int]:
-    """``weight_dim(M, w)`` for w = lo..hi, in one pass over the summands:
-    each adds 1 on its run of weights, kept as a difference array."""
-    diff = [0] * (hi - lo + 2)
-    runs = [(lo, b) for b in M.free] + [(g - n + 1, g) for g, n in M.torsion]
-    for a, b in runs:
-        a, b = max(a, lo), min(b, hi)
-        if a <= b:
-            diff[a - lo] += 1
-            diff[b - lo + 1] -= 1
-    return list(accumulate(diff[:-1]))
-
-
 def fmt_module(M: GradedModule) -> str:
     if M.is_zero:
         return "0"
@@ -241,11 +227,6 @@ class MonoMatrix:
 
     def get(self, i: int, j: int) -> Q:
         return self.entries.get((i, j), 0)
-
-    def copy(self) -> "MonoMatrix":
-        m = MonoMatrix(self.row_weights, self.col_weights)
-        m.entries = dict(self.entries)
-        return m
 
     @property
     def nrows(self) -> int:
@@ -344,24 +325,6 @@ def present(M: GradedModule) -> Presentation:
     for t, (_g, _n) in enumerate(M.torsion):
         rel.set(len(M.free) + t, t, 1)
     return Presentation(gens, rel, module=M)
-
-
-def pres_direct_sum(*ps: Presentation) -> Presentation:
-    gens: List[int] = []
-    relcols: List[int] = []
-    for p in ps:
-        gens.extend(p.gens)
-        relcols.extend(p.rel.col_weights)
-    rel = MonoMatrix(gens, relcols)
-    roff = coff = 0
-    for p in ps:
-        for (i, j), c in p.rel.entries.items():
-            rel.entries[(roff + i, coff + j)] = c
-        roff += len(p.gens)
-        coff += p.nrel
-    mods = [p.module for p in ps]
-    mod = direct_sum(*mods) if all(m is not None for m in mods) else None
-    return Presentation(gens, rel, module=mod)
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +438,14 @@ def _echelon_insert(basis: Dict[int, Dict[int, int]], vec: Dict[int, int],
     return None
 
 
-def _weight_ranks(mat: MonoMatrix, lo: int, hi: int) -> List[int]:
-    """Ranks of the weight-w components of ``mat`` as ranks[w - lo], for
-    lo <= w <= hi, from one sweep over the columns by descending weight:
-    the rank at w counts the basis vectors added by columns of weight >= w."""
-    grew = [0] * (hi - lo + 1)
+def _rank_steps(mat: MonoMatrix) -> List[int]:
+    """The weights, ascending, of the columns that grow the basis in one
+    sweep over the columns by descending weight: the rank of the weight-w
+    component of ``mat`` is the number of them >= w."""
     basis: Dict[int, Dict[int, int]] = {}
-    for v, vec in _columns_by_weight(mat, lo):
-        if _echelon_insert(basis, vec, mat.nrows) is not None:
-            grew[min(v, hi) - lo] += 1
-    return list(accumulate(reversed(grew)))[::-1]
+    cols = _columns_by_weight(mat, min(mat.col_weights, default=0))
+    return [v for v, vec in cols
+            if _echelon_insert(basis, vec, mat.nrows) is not None][::-1]
 
 
 def _in_relation_span(rel: MonoMatrix, elems: MonoMatrix) -> bool:

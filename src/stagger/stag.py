@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .grmod import (
     F as Fmod,
+    GradedMap,
     GradedModule,
     T as Tmod,
     ZERO,
@@ -48,7 +49,6 @@ from .grmod import (
 from .derived import (
     ChainMap,
     FormalObject,
-    GradedMap,
     chain_map_on_embeds,
     cone,
     derived_hom,
@@ -414,7 +414,7 @@ def _truncation_witness(cfg: SConfig, p: Perversity, Fo: FormalObject,
                 links.setdefault(k, {})[(idx, col)] = 1
             else:
                 ext_links.setdefault(k_src, {})[(idx, col - nfree)] = 1
-    _cb, _cf, chain = chain_map_on_embeds(below, Fo, links, ext_links)
+    chain = chain_map_on_embeds(below, Fo, links, ext_links)
     return below, _pieces_to_formal(above_p), chain
 
 
@@ -459,7 +459,7 @@ def heart_morphism(cfg: SConfig, p: Perversity, src: FormalObject,
                    dst: FormalObject,
                    fmaps: Dict[int, GradedMap]) -> HeartMorphism:
     """Heart morphism from degreewise module maps H^k(src) -> H^k(dst)."""
-    _ca, _cb, ch = chain_map_on_embeds(
+    ch = chain_map_on_embeds(
         src, dst, {k: f.mat.entries for k, f in fmaps.items()})
     errs = ch.validate()
     if errs:
@@ -606,7 +606,7 @@ def _peel_torsion(cfg: SConfig, p: Perversity, H: FormalObject,
         i for i, (g, l) in enumerate(m.torsion) if g == n and l == 1
     )
     S = formal(Tmod(n, 1), k)
-    _a, _b, ch = chain_map_on_embeds(S, H, {k: {(len(m.free) + tidx, 0): 1}})
+    ch = chain_map_on_embeds(S, H, {k: {(len(m.free) + tidx, 0): 1}})
     return JHStep(label="SZ(%d)" % n, simple=S, before=H,
                   after=_swap_summand(H, k, Tmod(n, 1)), chain=ch)
 
@@ -626,14 +626,14 @@ def _peel_free(cfg: SConfig, p: Perversity, H: FormalObject,
     fidx = next(i for i, w in enumerate(m.free) if w == d)
     if d in (0, 1):
         S = formal(Fmod(0), a)
-        _x, _y, ch = chain_map_on_embeds(S, H, {a: {(fidx, 0): 1}})
+        ch = chain_map_on_embeds(S, H, {a: {(fidx, 0): 1}})
         label = "OX"
         after = _swap_summand(H, a, Fmod(d), Tmod(1, 1) if d else ZERO)
     elif d == -1:
         S = formal(Tmod(0, 1), a + 1)
         # the inclusion lives in the Ext component: the skyscraper's
         # relation column (weight -1) maps onto the generator of F(-1)
-        _x, _y, ch = chain_map_on_embeds(S, H, {}, {a: {(fidx, 0): 1}})
+        ch = chain_map_on_embeds(S, H, {}, {a: {(fidx, 0): 1}})
         label = "SZ(0)"
         after = _swap_summand(H, a, Fmod(-1), Fmod(0))
     else:

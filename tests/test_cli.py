@@ -12,6 +12,14 @@ import pytest
 import stagger.cli as cli
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+# more digits than int() reads; INT_DIGITS is 0 where it has no limit
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (INT_DIGITS + 700)
+
+
+def _past_int_limit(id, text, names):
+    return pytest.param(text, names, id=id, marks=pytest.mark.skipif(
+        not INT_DIGITS, reason="int() has no digit limit here"))
 
 
 def run(capsys, *argv):
@@ -207,6 +215,22 @@ def test_bad_json_presentation_exit_one(capsys):
     ('{"generators": ["1"]}', "generators[0]"),
     ('{"generators": 3}', "generators"),
     ('{"generators": [0], "relations": [5]}', "relations"),
+    # integers past sys.get_int_max_str_digits(), which int() refuses with
+    # a message that names no field
+    _past_int_limit(
+        "long_c",
+        '{"generators": [0], "relations": [[{"c": %s, "k": 2}]]}' % LONG,
+        'entry (0,0): "c" must be a rational string'),
+    _past_int_limit(
+        "long_c_string",
+        '{"generators": [0], "relations": [[{"c": "%s", "k": 2}]]}' % LONG,
+        'entry (0,0): "c" must be a rational string'),
+    _past_int_limit(
+        "long_k",
+        '{"generators": [0], "relations": [[{"c": 1, "k": %s}]]}' % LONG,
+        'entry (0,0): "k" must be an integer'),
+    _past_int_limit("long_generator", '{"generators": [%s]}' % LONG,
+                    "generators[0] must be an integer"),
 ])
 def test_malformed_json_presentation_exit_one(capsys, text, names):
     # every malformed field is a one-line input error, never a traceback
@@ -217,19 +241,27 @@ def test_malformed_json_presentation_exit_one(capsys, text, names):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["fast", "oracle"])
-def test_exponent_coefficient_exits_one_at_once(oracle):
-    # Fraction("1e100000000") would expand the exponent digit by digit
-    text = '{"generators": [0], "relations": [[{"c": "1e100000000", "k": 2}]]}'
+def _run_cli(*argv, timeout=20):
+    """``python -m stagger.cli *argv`` in a fresh process, with the
+    directory this ``stagger`` was imported from first on the child's
+    PYTHONPATH (the caller may have put it on ``sys.path`` some other
+    way); returns the finished process and its wall time."""
     pkg_dir = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [pkg_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "stagger.cli", "decompose", *oracle, text],
-        capture_output=True, text=True, timeout=20, env=env,
-    )
-    assert proc.returncode == 1 and time.perf_counter() - t0 < 5
+    proc = subprocess.run([sys.executable, "-m", "stagger.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env)
+    return proc, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["fast", "oracle"])
+def test_exponent_coefficient_exits_one_at_once(oracle):
+    # Fraction("1e100000000") would expand the exponent digit by digit
+    text = '{"generators": [0], "relations": [[{"c": "1e100000000", "k": 2}]]}'
+    proc, elapsed = _run_cli("decompose", *oracle, text)
+    assert proc.returncode == 1 and elapsed < 5
     assert proc.stderr.startswith("error:")
     assert '"c" must be a rational string' in proc.stderr
 
@@ -262,9 +294,27 @@ def test_seed_env_fallback(capsys, monkeypatch):
 
 
 def test_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "stagger.cli", "decompose", "F(0)"],
-        capture_output=True, text=True,
-    )
+    proc, _elapsed = _run_cli("decompose", "F(0)")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "F(0)"
+
+
+@pytest.mark.parametrize("argv, out", [
+    # free_embed once walked every degree between the extremes
+    (("trunc", "--perversity=0,1", "--n=0",
+      "[-100000000] T(0,1); [100000000] T(0,1)"),
+     "below: [-100000000] T(0,1)\nabove: [100000000] T(0,1)\n"),
+    # the homology certificate once tabulated every weight in between
+    (("trunc", "--perversity=0,1", "--n=0", "T(10000000,1)+T(-10000000,1)"),
+     "below: [0] T(-10000000,1)\nabove: [0] T(10000000,1)\n"),
+    (("jh", "--z-mode", "weight", "--perversity=0,1",
+      "[-100000000] T(100000001,1); [100000000] T(-99999999,1)"),
+     "factors: SZ(-99999999), SZ(100000001)\n"),
+], ids=["trunc_degrees", "trunc_weights", "jh_both"])
+def test_hostile_span_is_answered_at_once(argv, out):
+    # the chain layer visits only occupied degrees and weights, so a span
+    # of 10^8 between two summands costs nothing
+    proc, elapsed = _run_cli(*argv, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    assert elapsed < 5
+

@@ -2,6 +2,7 @@
 derived hom, chain complexes, cones and normal forms."""
 
 import doctest
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -11,8 +12,8 @@ import pytest
 from stagger import derived, stag
 from stagger.oracle import _mat_rank
 from stagger.grmod import (
-    F, GradedMap, MonoMatrix, Presentation, T, V, canonical_decompose,
-    direct_sum, free_kernel, gm, module_map, present, weight_dim,
+    F, MonoMatrix, Presentation, T, V, canonical_decompose,
+    direct_sum, free_kernel, gm, module_map, weight_dim,
 )
 from stagger.derived import (
     ChainComplex,
@@ -187,7 +188,7 @@ def test_free_embed_round_trip():
 def test_cone_of_zero_map_splits():
     A = formal(F(1), 0)
     B = formal(T(0, 2), 0)
-    _, _, phi = chain_map_on_embeds(A, B, {})
+    phi = chain_map_on_embeds(A, B, {})
     assert phi.validate() == []
     assert normal_form(cone(phi)) == formal_sum(B, A.shift(1))
 
@@ -195,7 +196,7 @@ def test_cone_of_zero_map_splits():
 def test_cone_of_identity_vanishes():
     M = gm([2, 0], [(1, 2)])
     f = module_map(M, M, {(i, i): 1 for i in range(3)})
-    _, _, phi = chain_map_on_embeds(formal(M), formal(M), {0: f.mat.entries})
+    phi = chain_map_on_embeds(formal(M), formal(M), {0: f.mat.entries})
     assert phi.validate() == []
     assert normal_form(cone(phi)).is_zero
 
@@ -210,49 +211,61 @@ def test_cone_of_identity_vanishes():
 ], ids=["free", "torsion_x", "torsion_x2"])
 def test_cone_of_x_multiplication(M, N, cok):
     f = module_map(M, N, {(0, 0): 1})
-    _, _, phi = chain_map_on_embeds(formal(M), formal(N), {0: f.mat.entries})
+    phi = chain_map_on_embeds(formal(M), formal(N), {0: f.mat.entries})
     assert phi.validate() == []
     assert normal_form(cone(phi)) == formal(cok, 0)
 
 
-def _scalar(src, dst, c=1):
-    """The map between one-generator presentations sending e to c * e."""
-    return GradedMap(src, dst, MonoMatrix(dst.gens, src.gens, {(0, 0): c}))
+def _scalar(c=1, dst=(0,), src=(0,)):
+    """The matrix between one-generator terms sending e to c * e."""
+    return MonoMatrix(dst, src, {(0, 0): c})
 
 
 def test_validate_reports_nonzero_square_of_d():
-    P = Presentation((0,))
-    c = ChainComplex({0: P, 1: P, 2: P}, {0: _scalar(P, P), 1: _scalar(P, P)})
+    P = (0,)
+    c = ChainComplex({0: P, 1: P, 2: P}, {0: _scalar(), 1: _scalar()})
     assert c.validate() == ["d^2 != 0 at degree 0"]
 
 
-def test_presented_term_is_refused():
-    # F(0) -x-> F(1) -> T(1,1) is a complex, but term 2 has a relation
-    # column, and the chain layer takes free modules only
-    P, P1, T1 = Presentation((0,)), Presentation((1,)), present(T(1, 1))
-    c = ChainComplex({0: P, 1: P1, 2: T1},
-                     {0: _scalar(P, P1), 1: _scalar(P1, T1)})
-    assert c.validate() == ["term 2 is not free: it has 1 relation column(s)"]
+def test_validate_reports_diff_with_wrong_endpoints():
+    # d_0 is written for terms (1,) -> (1,), but term 0 is (0,)
+    c = ChainComplex({0: (0,), 1: (1,)}, {0: _scalar(1, (1,), (1,))})
+    assert c.validate() == ["diff 0 has wrong endpoints"]
     with pytest.raises(ValueError,
-                       match=r"^invalid complex: term 2 is not free"):
+                       match=r"^invalid complex: diff 0 has wrong endpoints$"):
         normal_form(c)
 
 
 def test_chain_map_validate_reports_non_commuting_square():
-    P = Presentation((0,))
-    A = ChainComplex({0: P, 1: P}, {0: _scalar(P, P)})
-    phi = ChainMap(A, A, {0: _scalar(P, P), 1: _scalar(P, P, 0)})
+    P = (0,)
+    A = ChainComplex({0: P, 1: P}, {0: _scalar()})
+    phi = ChainMap(A, A, {0: _scalar(), 1: _scalar(0)})
     assert phi.validate() == ["square at degree 0 does not commute"]
-    assert ChainMap(A, A, {0: _scalar(P, P), 1: _scalar(P, P)}).validate() \
-        == []
+    assert ChainMap(A, A, {0: _scalar(), 1: _scalar()}).validate() == []
     # a missing degree reads as zero: d f_0 = d but f_1 d = 0
-    assert ChainMap(A, A, {0: _scalar(P, P)}).validate() \
+    assert ChainMap(A, A, {0: _scalar()}).validate() \
         == ["square at degree 0 does not commute"]
 
 
+@pytest.mark.parametrize("maps, errs", [
+    # the target term at degree 1 is (1,), not (0,)
+    ({0: _scalar(), 1: _scalar()}, ["component 1 has wrong endpoints"]),
+    # a source weight that term 0 does not have
+    ({0: _scalar(1, (0,), (-1,))}, ["component 0 has wrong endpoints"]),
+    # a component at a degree where both ends are zero
+    ({3: _scalar()}, ["component 3 has wrong endpoints"]),
+    ({0: _scalar(), 1: MonoMatrix((0,), (1,)), 2: _scalar()},
+     ["component 1 has wrong endpoints", "component 2 has wrong endpoints"]),
+], ids=["target", "source", "missing_term", "two"])
+def test_chain_map_validate_reports_wrong_endpoints(maps, errs):
+    A = ChainComplex({0: (0,), 1: (0,)}, {0: _scalar()})
+    B = ChainComplex({0: (0,), 1: (1,)}, {0: _scalar()})
+    assert ChainMap(A, B, maps).validate() == errs
+
+
 def test_chain_map_validate_does_not_change_the_map():
-    _, _, phi = chain_map_on_embeds(FormalObject({0: T(0, 1)}),
-                                    FormalObject({2: F(0)}), {})
+    phi = chain_map_on_embeds(FormalObject({0: T(0, 1)}),
+                              FormalObject({2: F(0)}), {})
     assert list(phi.maps) == []
     assert phi.validate() == []
     assert list(phi.maps) == []
@@ -319,13 +332,14 @@ def _certify_wide_cone_matrices():
     _b, _a, chain = stag._truncation_witness(
         SConfig("weight"), Perversity(0, 1), Fo, 0)
     c = cone(chain)
-    return [c.diffs[k].mat for k in sorted(c.diffs)]
+    return [c.diffs[k] for k in sorted(c.diffs)]
 
 
-def test_weight_ranks_match_dense_reference():
-    """The one-sweep ranks equal dense ranks of the (rows >= w) x (cols >= w)
-    coefficient submatrix, the reference the certificate used to compute,
-    here ranked by the oracle's own Gauss-Jordan."""
+def test_rank_steps_match_dense_reference():
+    """The one-sweep ranks (the number of rank steps >= w) equal dense
+    ranks of the (rows >= w) x (cols >= w) coefficient submatrix, the
+    reference the certificate used to compute, here ranked by the
+    oracle's own Gauss-Jordan, over a window past every weight."""
     rng = random.Random(21)
     cases = [MonoMatrix([], []), MonoMatrix([1, 0], []),
              MonoMatrix([], [2, -1])]
@@ -339,17 +353,15 @@ def test_weight_ranks_match_dense_reference():
     cases += [_cancelling_mono(crng, n) for n in (20, 20, 30, 40, 60)]
     cases += _certify_wide_cone_matrices()
     for m in cases:
+        steps = derived._rank_steps(m)
+        assert steps == sorted(steps)
+        assert set(steps) <= set(m.col_weights)
         ws = list(m.row_weights) + list(m.col_weights) or [0]
-        lo, hi = min(ws) - 2, max(ws) + 2
-        inner = sorted(rng.randint(lo, hi) for _ in range(2))
-        for lo, hi in ((lo, hi), inner):  # full window, and one that cuts
-            ranks = derived._weight_ranks(m, lo, hi)
-            assert len(ranks) == hi - lo + 1
-            for w in range(lo, hi + 1):
-                rows = [i for i, rw in enumerate(m.row_weights) if rw >= w]
-                cols = [j for j, cw in enumerate(m.col_weights) if cw >= w]
-                dense = [[m.get(i, j) for j in cols] for i in rows]
-                assert ranks[w - lo] == _mat_rank(dense), (m, w)
+        for w in range(min(ws) - 2, max(ws) + 3):
+            rows = [i for i, rw in enumerate(m.row_weights) if rw >= w]
+            cols = [j for j, cw in enumerate(m.col_weights) if cw >= w]
+            dense = [[m.get(i, j) for j in cols] for i in rows]
+            assert sum(1 for v in steps if v >= w) == _mat_rank(dense), (m, w)
 
 
 def _drop_one_summand(M):
@@ -368,8 +380,7 @@ def test_certificate_rejects_wrong_homology(monkeypatch, corrupt, where):
     monkeypatch.setattr(derived, "_pairing_homology", lambda c: {
         k: corrupt(h) for k, h in real(c).items()})
     f = module_map(F(0), F(1), {(0, 0): 1})
-    _, _, phi = chain_map_on_embeds(formal(F(0)), formal(F(1)),
-                                    {0: f.mat.entries})
+    phi = chain_map_on_embeds(formal(F(0)), formal(F(1)), {0: f.mat.entries})
     with pytest.raises(AssertionError,
                        match="homology certificate failed at " + where + ":"):
         normal_form(cone(phi))
@@ -380,6 +391,30 @@ def test_certificate_rejects_wrong_homology(monkeypatch, corrupt, where):
     assert len(errs) == 1
     assert errs[0].startswith(
         "cone homology certificate: homology certificate failed at degree")
+
+
+def test_certificate_needs_the_summand_end_weights(monkeypatch):
+    """A stray T(-5,1) in H^0 of the cone of x: F(0) -> F(1) changes the
+    dimension at weight -5 only, below every generator weight (0 and 1):
+    the certificate checks there because -5 ends a summand, and a mutant
+    that checks at the generator weights alone passes the read-out."""
+    real = derived._pairing_homology
+    monkeypatch.setattr(derived, "_pairing_homology", lambda c: {
+        k: direct_sum(h, T(-5, 1)) if k == 0 else h
+        for k, h in real(c).items()})
+    c = cone(chain_map_on_embeds(formal(F(0)), formal(F(1)),
+                                 {0: {(0, 0): 1}}))
+    with pytest.raises(AssertionError,
+                       match="failed at degree 0 weight -5: rank arithmetic "
+                             "0, reconstruction 1"):
+        normal_form(c)
+    src = inspect.getsource(derived._certify)
+    ends = ".union(c.term(k - 1), tops, bottoms)"
+    assert src.count(ends) == 1
+    scope = dict(vars(derived))
+    exec(src.replace(ends, ".union(c.term(k - 1))"), scope)
+    monkeypatch.setattr(derived, "_certify", scope["_certify"])
+    assert normal_form(c) == formal(direct_sum(T(1, 1), T(-5, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +467,7 @@ def _random_embed_map(rng, ties=False, coeffs=_COEFFS):
             for i, wd in enumerate(dst.gen_weights()):
                 if wd >= ws - n and rng.random() < 0.3:
                     ext.setdefault(k, {})[(i, t)] = rng.choice(coeffs)
-    _a, _b, phi = chain_map_on_embeds(Fo, Go, links, ext)
+    phi = chain_map_on_embeds(Fo, Go, links, ext)
     assert phi.validate() == []
     return phi
 
@@ -448,15 +483,15 @@ def _dense_mismatches(c, hs):
     weight dimension other than dim C^k_w - rank(d_k)_w - rank(d_{k-1})_w
     of the free complex ``c``, ranked densely by the oracle's Gauss-Jordan
     over the window of all generator weights."""
-    ws = [w for p in c.terms.values() for w in p.gens] or [0]
+    ws = [w for t in c.terms.values() for w in t] or [0]
     bad = []
     for k in c.degrees():
-        gens = c.term(k).gens
+        gens = c.term(k)
         for w in range(min(ws) - 2, max(ws) + 3):
             want = sum(1 for g in gens if g >= w)
             for d in (c.diffs.get(k), c.diffs.get(k - 1)):
                 if d is not None:
-                    want -= _dense_rank(d.mat, w)
+                    want -= _dense_rank(d, w)
             got = weight_dim(hs.get(k, gm()), w)
             if want != got:
                 bad.append((k, w, want, got))
@@ -468,9 +503,8 @@ def test_normal_form_agrees_with_dense_ranks(ties):
     rng = random.Random(41 + ties)
     for _ in range(60):
         c = cone(_random_embed_map(rng, ties))
-        assert all(not p.nrel for p in c.terms.values())
         if ties:
-            assert {w for p in c.terms.values() for w in p.gens} <= {0, 1}
+            assert {w for t in c.terms.values() for w in t} <= {0, 1}
         H = normal_form(c)
         assert _dense_mismatches(c, H.components) == [], (c.terms, H)
 
@@ -491,12 +525,12 @@ def test_dense_rank_check_catches_corrupted_readout(monkeypatch):
 
 def test_certificate_sweeps_each_differential_once(monkeypatch):
     swept = []
-    real = derived._weight_ranks
+    real = derived._rank_steps
 
-    def counted(mat, lo, hi):
+    def counted(mat):
         swept.append(mat)
-        return real(mat, lo, hi)
-    monkeypatch.setattr(derived, "_weight_ranks", counted)
+        return real(mat)
+    monkeypatch.setattr(derived, "_rank_steps", counted)
     rng = random.Random(45)
     cones = [c for c in (cone(_random_embed_map(rng)) for _ in range(10))
              if len(c.diffs) >= 3]
@@ -505,7 +539,7 @@ def test_certificate_sweeps_each_differential_once(monkeypatch):
         swept.clear()
         normal_form(c)
         assert len(swept) == len(c.diffs)
-        assert {id(m) for m in swept} == {id(d.mat) for d in c.diffs.values()}
+        assert {id(m) for m in swept} == {id(d) for d in c.diffs.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +563,7 @@ def _scaled_to_int(m):
 def _as_fractions(m):
     """A copy of ``m`` holding every entry as a ``Fraction``, written past
     ``MonoMatrix.set`` (which stores an integral value as an ``int``)."""
-    out = m.copy()
+    out = MonoMatrix(m.row_weights, m.col_weights)
     out.entries = {key: Fraction(c) for key, c in m.entries.items()}
     return out
 
@@ -550,10 +584,7 @@ def test_coefficient_type_never_changes_an_answer():
     for m in mats:
         twin = _as_fractions(m)
         before = _typed(m), _typed(twin)
-        ws = list(m.row_weights) + list(m.col_weights) or [0]
-        lo, hi = min(ws) - 1, max(ws) + 1
-        assert derived._weight_ranks(m, lo, hi) == \
-            derived._weight_ranks(twin, lo, hi)
+        assert derived._rank_steps(m) == derived._rank_steps(twin)
         ker = free_kernel(m)
         assert _typed(ker) == _typed(free_kernel(twin))
         assert all(type(c) is Fraction for c in ker.entries.values())
@@ -564,14 +595,13 @@ def test_coefficient_type_never_changes_an_answer():
         for _ in range(40):
             c = cone(_random_embed_map(rng, ties, coeffs=(1, -1, 2, -3)))
             assert all(type(v) is int
-                       for d in c.diffs.values() for v in d.mat.entries.values())
+                       for d in c.diffs.values() for v in d.entries.values())
             twin = ChainComplex(terms=c.terms, diffs={
-                k: GradedMap(d.src, d.dst, _as_fractions(d.mat))
-                for k, d in c.diffs.items()})
-            before = [(_typed(c.diffs[k].mat), _typed(twin.diffs[k].mat))
+                k: _as_fractions(d) for k, d in c.diffs.items()})
+            before = [(_typed(c.diffs[k]), _typed(twin.diffs[k]))
                       for k in sorted(c.diffs)]
             assert normal_form(c) == normal_form(twin)
-            assert [(_typed(c.diffs[k].mat), _typed(twin.diffs[k].mat))
+            assert [(_typed(c.diffs[k]), _typed(twin.diffs[k]))
                     for k in sorted(c.diffs)] == before
 
 

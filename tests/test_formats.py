@@ -1,24 +1,23 @@
 """Expression grammar and JSON codecs: round trips and rejection paths."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagger.grmod import F, MonoMatrix, T, V, gm, present
+from stagger.grmod import F, MonoMatrix, T, V, fmt_module, gm, present
 from stagger.derived import FormalObject, formal
 from stagger.formats import (
     ParseError,
     _cell,
     _read_cell,
     formal_from_json,
-    formal_to_expr,
     formal_to_json,
     matrix_from_json,
     matrix_to_json,
-    module_to_expr,
     parse_formal,
     parse_module,
     presentation_from_json,
@@ -79,14 +78,14 @@ modules = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(modules)
 def test_expr_round_trip(M):
-    assert parse_module(module_to_expr(M)) == M
+    assert parse_module(fmt_module(M)) == M
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.dictionaries(st.integers(-3, 3), modules, max_size=3))
 def test_formal_expr_round_trip(comps):
     Fo = FormalObject({k: m for k, m in comps.items() if not m.is_zero})
-    assert parse_formal(formal_to_expr(Fo)) == Fo
+    assert parse_formal(str(Fo)) == Fo
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +227,27 @@ def test_cell_coefficient_is_an_integer_or_a_rational_string(c):
     js = {"row_weights": [0], "col_weights": [0], "entries": [[{"c": c}]]}
     with pytest.raises(ValueError, match='"c" must be a rational string'):
         matrix_from_json(js)
+
+
+# ---------------------------------------------------------------------------
+# integers past the interpreter's digit limit
+# ---------------------------------------------------------------------------
+
+# 0 where int() reads any number of digits (no limit, or one switched off)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (INT_DIGITS + 700)
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="int() has no digit limit here")
+@pytest.mark.parametrize("parse, text, pos", [
+    (parse_module, "F(%s)" % LONG, 3),
+    (parse_module, "F(0) + T(%s, 1)" % LONG, 10),
+    (parse_module, "T(0,%s)" % LONG, 5),
+    (parse_formal, "[0] F(0); [%s] F(1)" % LONG, 12),
+], ids=["free", "torsion_weight", "torsion_length", "degree"])
+def test_oversized_integer_is_a_located_parse_error(parse, text, pos):
+    # int() would raise its own ValueError, naming no position
+    with pytest.raises(ParseError, match="integer too long or malformed "
+                       r"\(%d characters\)" % len(LONG)) as ei:
+        parse(text)
+    assert ei.value.pos == pos
