@@ -89,7 +89,10 @@ def _parse_site(s: str) -> Site:
     if s == "Z":
         return site_z(1)
     if s.startswith("Z") and s[1:].isdigit():
-        n = int(s[1:])
+        try:
+            n = int(s[1:])
+        except ValueError:  # past sys.get_int_max_str_digits(), or a '²'
+            n = 0
         if n >= 1:
             return site_z(n)
     raise _ArgError("bad site %r (use X, U, Z, or Zn)" % s)

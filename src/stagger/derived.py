@@ -29,15 +29,15 @@ honestly: a formal object is embedded as an honest complex of free modules,
 maps are checked to be chain maps, and ``normal_form`` recovers the
 cohomology of a complex of free modules from the persistence pairing of
 the weight filtration, checked by an independent per-weight rank
-certificate.  A free term is only its tuple of generator weights, and a
-differential or a component of a chain map is a bare ``MonoMatrix``; every
-step visits only the degrees that carry a term and the weights that occur,
-so its cost does not grow with the span between them.
+certificate (by the one rule, ``grmod.dim_mismatch``).  A free term is only
+its tuple of generator weights, and a differential or a component of a chain
+map is a bare ``MonoMatrix``; every step, and ``derived_hom``, visits only
+occupied degrees and the weights that occur, so its cost does not grow with
+the span between them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -49,11 +49,13 @@ from .grmod import (
     _echelon_insert,
     _integral,
     _rank_steps,
+    dim_mismatch,
     direct_sum,
     ext1_dim,
     fmt_module,
     gm,
     hom_dim,
+    summand_ends,
     weight_dim,
 )
 from .sstruct import Site, check_on_site
@@ -114,14 +116,6 @@ def _accumulate(comps: Dict[int, GradedModule], k: int,
     if m.is_zero:
         return
     comps[k] = direct_sum(comps[k], m) if k in comps else m
-
-
-def formal_sum(*objs: FormalObject) -> FormalObject:
-    comps: Dict[int, GradedModule] = {}
-    for o in objs:
-        for k, m in o.components.items():
-            _accumulate(comps, k, m)
-    return FormalObject(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -287,26 +281,15 @@ def derived_hom(site: Site, F: FormalObject, G: FormalObject) -> Dict[int, int]:
             "hereditary, so formal objects do not determine Hom spaces"
             % site.n
         )
-    for k, m in F.components.items():
-        check_on_site(site, m)
-    for k, m in G.components.items():
+    for m in [*F.components.values(), *G.components.values()]:
         check_on_site(site, m)
     out: Dict[int, int] = {}
-    degs_f = F.degrees()
-    degs_g = G.degrees()
-    if not degs_f or not degs_g:
-        return out
-    tmin = min(degs_g) - max(degs_f)
-    tmax = max(degs_g) - min(degs_f) + 1
-    for t in range(tmin, tmax + 1):
-        d = 0
-        for k in degs_f:
-            d += hom_dim(F.component(k), G.component(k + t))
+    for k, m in F.components.items():
+        for j, n in G.components.items():
+            out[j - k] = out.get(j - k, 0) + hom_dim(m, n)
             if site.kind == "X":
-                d += ext1_dim(F.component(k), G.component(k + t - 1))
-        if d:
-            out[t] = d
-    return out
+                out[j - k + 1] = out.get(j - k + 1, 0) + ext1_dim(m, n)
+    return {t: d for t, d in sorted(out.items()) if d}
 
 
 def std_truncate(F: FormalObject, k: int) -> Tuple[FormalObject, FormalObject]:
@@ -579,24 +562,16 @@ def _pairing_homology(c: ChainComplex) -> Dict[int, GradedModule]:
     return out
 
 
-def _at_least(ws: List[int], w: int) -> int:
-    """The number of entries >= w of the ascending list ``ws``."""
-    return len(ws) - bisect_left(ws, w)
-
-
 def _certify(c: ChainComplex, hs: Dict[int, GradedModule]) -> None:
     """Independent per-weight dimension audit of the computed H^k.
 
     dim H^k_w = #{generators of term k of weight >= w}
                 - rank_w(d_k) - rank_w(d_{k-1}),
     where rank_w is the rank of the block of rows and columns of weight
-    >= w.  Each differential is swept once for all of its weights by
-    ``_rank_steps``.  Both sides count summands or columns of weight >= w,
-    so they are 0 above every weight that can change one of them and
-    constant between two such weights: the generator weights of terms k
-    and k - 1 (the columns of d_k and d_{k-1}), and d for each F(d), g and
-    g - n for each T(g, n) of H^k.  The check is made at those weights
-    only.
+    >= w, the number of ``_rank_steps`` >= w (one sweep per differential).
+    Both sides are such counts, so they are compared at every weight at
+    once by ``grmod.dim_mismatch`` against the summand ends of H^k, and a
+    failure names the highest weight where they differ.
 
     Blind spot: per-weight dimensions do not determine a module.  F(1) and
     F(0) + T(1,1) have the same ones, so a read-out that returns one for
@@ -604,16 +579,13 @@ def _certify(c: ChainComplex, hs: Dict[int, GradedModule]) -> None:
     """
     steps = {k: _rank_steps(d) for k, d in c.diffs.items()}
     for k, h in sorted(hs.items()):
-        gens = sorted(c.term(k))
-        ranks = sorted(steps.get(k, []) + steps.get(k - 1, []))
-        # a summand of H^k occupies the weights <= its top and > its bottom
-        tops = sorted(h.free + tuple(g for g, _n in h.torsion))
-        bottoms = sorted(g - n for g, n in h.torsion)
-        for w in sorted(set(gens).union(c.term(k - 1), tops, bottoms)):
-            want = _at_least(gens, w) - _at_least(ranks, w)
-            got = _at_least(tops, w) - _at_least(bottoms, w)
-            if want != got:
-                raise AssertionError(
-                    "homology certificate failed at degree %d weight %d: "
-                    "rank arithmetic %d, reconstruction %d" % (k, w, want, got)
-                )
+        gens = c.term(k)
+        ranks = steps.get(k, []) + steps.get(k - 1, [])
+        w = dim_mismatch((gens, ranks), summand_ends(h))
+        if w is not None:
+            want = sum(v >= w for v in gens) - sum(v >= w for v in ranks)
+            raise AssertionError(
+                "homology certificate failed at degree %d weight %d: "
+                "rank arithmetic %d, reconstruction %d"
+                % (k, w, want, weight_dim(h, w))
+            )

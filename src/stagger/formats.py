@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .grmod import (
     GradedModule,
@@ -209,21 +209,6 @@ def _field(obj, key: str, what: str):
     return obj[key]
 
 
-def _object(x, what: str) -> dict:
-    if not isinstance(x, dict):
-        raise ValueError("%s must be an object, got %.40r" % (what, x))
-    return x
-
-
-def _degree(key, what: str) -> int:
-    """An object key read as a cohomological degree."""
-    try:
-        return int(key)
-    except (TypeError, ValueError):
-        raise ValueError("%s: degree %.40r is not an integer"
-                         % (what, key)) from None
-
-
 def _integer(x, what: str) -> int:
     if type(x) is not int:  # JSON floats and booleans are not integers
         raise ValueError("%s must be an integer, got %.40r" % (what, x))
@@ -250,12 +235,11 @@ def _rows(rows, nrows: int, what: str) -> List[list]:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _read_cell(cell, i: int, j: int, need_k: bool) -> Tuple[Q, Optional[int]]:
+def _read_cell(cell, i: int, j: int) -> Tuple[Q, int]:
     """Coefficient and stated exponent of the non-null cell (i, j)."""
     where = "entry (%d,%d)" % (i, j)
-    c, k = _field(cell, "c", where), cell.get("k")
-    if need_k or k is not None:
-        k = _integer(_field(cell, "k", where), '%s: "k"' % where)
+    c = _field(cell, "c", where)
+    k = _integer(_field(cell, "k", where), '%s: "k"' % where)
     if type(c) is int:  # JSON booleans are not integers
         return c, k
     try:
@@ -267,27 +251,9 @@ def _read_cell(cell, i: int, j: int, need_k: bool) -> Tuple[Q, Optional[int]]:
                      % (where, c))
 
 
-def matrix_from_json(obj: dict) -> MonoMatrix:
-    m = MonoMatrix(_integers(obj, "row_weights", "matrix"),
-                   _integers(obj, "col_weights", "matrix"))
-    rows = _rows(_field(obj, "entries", "matrix"), m.nrows, "entries")
-    if rows and len(rows[0]) != m.ncols:
-        raise ValueError("entries rows must have %d cells" % m.ncols)
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            if cell is None:
-                continue
-            c, k = _read_cell(cell, i, j, need_k=False)
-            if k is not None and k != m.exp(i, j):
-                raise ValueError(
-                    "entry (%d,%d): stated exponent %d does not match the "
-                    "forced one %d" % (i, j, k, m.exp(i, j))
-                )
-            m.set(i, j, c)
-    return m
-
-
 def presentation_to_json(p: Presentation) -> dict:
+    """The JSON presentation that ``stagger decompose`` reads (kept for
+    writing such inputs: the benchmark's CLI workload builds them here)."""
     return {"generators": list(p.gens),
             "relations": matrix_to_json(p.rel)["entries"]}
 
@@ -296,7 +262,7 @@ def presentation_from_json(obj: dict) -> Presentation:
     gens = _integers(obj, "generators", "presentation")
     rows = _rows(obj.get("relations") or [[] for _ in gens], len(gens),
                  "relations")
-    cells = {(i, j): _read_cell(cell, i, j, need_k=True)
+    cells = {(i, j): _read_cell(cell, i, j)
              for i, row in enumerate(rows)
              for j, cell in enumerate(row) if cell is not None}
     # column weights are forced: w_col = w_row - k at any nonzero entry
@@ -321,16 +287,3 @@ def presentation_from_json(obj: dict) -> Presentation:
 
 def formal_to_json(F: FormalObject) -> dict:
     return {str(k): fmt_module(m) for k, m in sorted(F.components.items())}
-
-
-def formal_from_json(obj: dict) -> FormalObject:
-    comps = {}
-    for key, expr in _object(obj, "formal object").items():
-        k = _degree(key, "formal object")
-        if not isinstance(expr, str):
-            raise ValueError("formal object degree %d must be a module "
-                             "expression, got %.40r" % (k, expr))
-        m = parse_module(expr)
-        if not m.is_zero:
-            comps[k] = m
-    return FormalObject(comps)

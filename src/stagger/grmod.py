@@ -41,6 +41,7 @@ Quick sanity examples:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -150,6 +151,25 @@ def weight_dim(M: GradedModule, w: int) -> int:
     d = sum(1 for b in M.free if w <= b)
     d += sum(1 for g, n in M.torsion if g - n < w <= g)
     return d
+
+
+def summand_ends(M: GradedModule) -> Tuple[List[int], List[int]]:
+    """(tops, bottoms) of M's summands, F(d): top d, T(g, n): top g and
+    bottom g - n; so dim M_w = #{tops >= w} - #{bottoms >= w}."""
+    return (list(M.free) + [g for g, _n in M.torsion],
+            [g - n for g, n in M.torsion])
+
+
+def dim_mismatch(a, b) -> Optional[int]:
+    """The one rule for comparing weight dims: the highest weight where two
+    counts differ, or None.  ``a`` and ``b`` are pairs (ups, downs) of
+    weights, each the count w -> #{ups >= w} - #{downs >= w} (see
+    ``summand_ends``).  Their difference at w sums the multiset balance
+    ups_a + downs_b - ups_b - downs_a over x >= w, so, going down, it is
+    first nonzero at the balance's highest nonzero x: no window is walked."""
+    bal = Counter([*a[0], *b[1]])
+    bal.subtract([*a[1], *b[0]])
+    return max((x for x, c in bal.items() if c), default=None)
 
 
 def fmt_module(M: GradedModule) -> str:

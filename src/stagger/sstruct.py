@@ -29,6 +29,7 @@ the same submodule by exhaustive weight-subspace search.
 The weight-mode cut of a single summand F(d) or T(g,l) at a weight lives in
 one place, ``cut_summand``; ``sigma`` and the staggered truncation
 (``stag._truncation_pieces``) both build their pieces from it.
+``SigmaWitness.verify`` checks weight dims by ``grmod.dim_mismatch``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from .grmod import (
     MonoMatrix,
     T,
     ZERO,
+    dim_mismatch,
+    direct_sum,
     ext1_dim,
     fmt_module,
     gm,
@@ -51,8 +54,8 @@ from .grmod import (
     internal_hom,
     kernel_image_cokernel,
     present,
+    summand_ends,
     tensor,
-    weight_dim,
 )
 from .report import SuiteReport
 from . import sampling
@@ -206,13 +209,10 @@ class SigmaWitness:
             errs.append("projection not well defined")
         if not self.projection.compose(self.inclusion).is_zero_map():
             errs.append("projection o inclusion nonzero")
-        lo1, hi1 = self.total.occupied_window()
-        for w in range(lo1 - 1, hi1 + 2):
-            if weight_dim(self.total, w) != (
-                weight_dim(self.sub, w) + weight_dim(self.quotient, w)
-            ):
-                errs.append("weight dims not additive at w=%d" % w)
-                break
+        w = dim_mismatch(summand_ends(self.total),
+                         summand_ends(direct_sum(self.sub, self.quotient)))
+        if w is not None:
+            errs.append("weight dims not additive at w=%d" % w)
         kic = kernel_image_cokernel(self.projection)
         if kic.kernel != self.sub:
             errs.append("ker(projection) != sub")

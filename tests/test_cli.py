@@ -176,6 +176,16 @@ def test_unknown_site_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("site", ["Z" + "1" * 5000, "Z\u00b2"],
+                         ids=["digits_5000", "superscript_two"])
+def test_unreadable_thickening_is_a_bad_site(capsys, site):
+    # int() would refuse these digits with its own message, naming no option
+    rc = cli.main(["member", "--site", site, "--le", "0", "F(0)"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: bad site %r (use X, U, Z, or Zn)\n" % site
+
+
 def test_both_directions_exit_one(capsys):
     rc = cli.main(["member", "--site", "X", "--le", "0", "--ge", "0", "F(0)"])
     assert rc == 1
@@ -310,10 +320,16 @@ def test_entry_point_subprocess():
     (("jh", "--z-mode", "weight", "--perversity=0,1",
       "[-100000000] T(100000001,1); [100000000] T(-99999999,1)"),
      "factors: SZ(-99999999), SZ(100000001)\n"),
-], ids=["trunc_degrees", "trunc_weights", "jh_both"])
+    # the sigma witness check once compared weight dims at every weight
+    (("sigma", "--site", "X", "--le", "0", "T(0,100000000)"),
+     "sub: T(0,100000000)\nquotient: 0\n"),
+    (("sigma", "--site", "X", "--le", "0", "F(-100000000)+F(100000000)"),
+     "sub: F(-100000000) + F(0)\nquotient: T(100000000,100000000)\n"),
+], ids=["trunc_degrees", "trunc_weights", "jh_both", "sigma_length",
+        "sigma_weights"])
 def test_hostile_span_is_answered_at_once(argv, out):
-    # the chain layer visits only occupied degrees and weights, so a span
-    # of 10^8 between two summands costs nothing
+    # the chain layer and the weight-dim checks visit only occupied degrees
+    # and summand ends, so a span of 10^8 costs nothing
     proc, elapsed = _run_cli(*argv, timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
     assert elapsed < 5

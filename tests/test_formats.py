@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagger.grmod import F, MonoMatrix, T, V, fmt_module, gm, present
+from stagger.grmod import (
+    F, MonoMatrix, Presentation, V, fmt_module, gm, present,
+)
 from stagger.derived import FormalObject, formal
 from stagger.formats import (
     ParseError,
     _cell,
     _read_cell,
-    formal_from_json,
-    formal_to_json,
-    matrix_from_json,
-    matrix_to_json,
     parse_formal,
     parse_module,
     presentation_from_json,
@@ -104,31 +102,6 @@ def test_presentation_round_trip():
     assert canonical_decompose(q) == M
 
 
-def test_matrix_round_trip():
-    p = present(gm([1], [(0, 2)]))
-    m = p.rel
-    m2 = matrix_from_json(matrix_to_json(m))
-    assert matrix_to_json(m2) == matrix_to_json(m)
-
-
-def test_formal_json_round_trip():
-    Fo = FormalObject({-1: T(2, 2), 0: gm([0, 3])})
-    assert formal_from_json(formal_to_json(Fo)) == Fo
-
-
-def test_matrix_rejects_exponent_mismatch():
-    # with explicit column weights the exponent of every entry is forced,
-    # and a stated k that disagrees is rejected
-    js = {
-        "row_weights": [0],
-        "col_weights": [-2],
-        "entries": [[{"c": "1", "k": 3}]],
-    }
-    with pytest.raises(ValueError) as ei:
-        matrix_from_json(js)
-    assert "exponent" in str(ei.value)
-
-
 def test_presentation_rejects_inhomogeneous_column():
     js = {
         "generators": [0, 3],
@@ -147,47 +120,27 @@ def test_presentation_rejects_empty_column():
 
 
 def test_matrix_rejects_entry_below_diagonal_weights():
-    # an entry requires row weight >= column weight (monomial exponents >= 0)
-    js = {
-        "row_weights": [0],
-        "col_weights": [1],
-        "entries": [[{"c": "1", "k": -1}]],
-    }
-    with pytest.raises(ValueError):
-        matrix_from_json(js)
+    # a relation entry requires row weight >= column weight (monomial
+    # exponents >= 0), so a stated k of -1 is rejected
+    js = {"generators": [0], "relations": [[{"c": "1", "k": -1}]]}
+    with pytest.raises(ValueError, match="row weight 0 < col weight 1"):
+        presentation_from_json(js)
 
 
 @pytest.mark.parametrize("js, names", [
-    ({"col_weights": [0], "entries": [[None]]}, "'row_weights'"),
-    ({"row_weights": [0], "col_weights": [0.5], "entries": [[None]]},
-     "col_weights[0]"),
-    ({"row_weights": [0], "col_weights": [0]}, "'entries'"),
-    ({"row_weights": [0], "col_weights": [0], "entries": [[None], [None]]},
-     "entries"),
-    ({"row_weights": [0], "col_weights": [0], "entries": [[None, None]]},
-     "entries"),
-    ({"row_weights": [0], "col_weights": [0], "entries": [[[1]]]},
-     "entry (0,0)"),
-    ({"row_weights": [0], "col_weights": [0], "entries": [[{"c": "1/0"}]]},
-     '"c"'),
-    ({"row_weights": [0], "col_weights": [0],
-      "entries": [[{"c": "1", "k": True}]]}, '"k"'),
+    ({"relations": [[None]]}, "'generators'"),
+    ({"generators": [0.5]}, "generators[0]"),
+    ({"generators": [0], "relations": [[None], [None]]}, "relations"),
+    ({"generators": [0, 1], "relations": [[None], [None, None]]},
+     "relations"),
+    ({"generators": [0], "relations": [[[1]]]}, "entry (0,0)"),
+    ({"generators": [0], "relations": [[{"c": "1/0", "k": 0}]]}, '"c"'),
+    ({"generators": [0], "relations": [[{"c": "1", "k": True}]]}, '"k"'),
+    ({"generators": [0], "relations": [[{"c": "1"}]]}, "'k'"),
 ])
-def test_matrix_json_rejects_malformed_fields(js, names):
+def test_presentation_json_rejects_malformed_fields(js, names):
     with pytest.raises(ValueError) as ei:
-        matrix_from_json(js)
-    assert names in str(ei.value)
-
-
-@pytest.mark.parametrize("js, names", [
-    ([1], "formal object"),
-    ({"0": 5}, "degree 0"),
-    ({"one": "F(0)"}, "degree 'one'"),
-    ({"0": "F("}, "position"),
-])
-def test_formal_json_rejects_malformed_fields(js, names):
-    with pytest.raises(ValueError) as ei:
-        formal_from_json(js)
+        presentation_from_json(js)
     assert names in str(ei.value)
 
 
@@ -202,18 +155,20 @@ _CELL_VALUES = (1, -1, 7, 10**30 + 1, Fraction(1, 2), Fraction(-2, 3),
 def test_every_written_cell_reads_back():
     for k, c in enumerate(_CELL_VALUES):
         cell = json.loads(json.dumps(_cell(c, k)))
-        got, kk = _read_cell(cell, 0, 0, need_k=True)
+        got, kk = _read_cell(cell, 0, 0)
         assert (got, kk) == (c, k)
     m = MonoMatrix(range(len(_CELL_VALUES)), (0,),
                    {(i, 0): c for i, c in enumerate(_CELL_VALUES)})
-    back = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+    p = Presentation(range(len(_CELL_VALUES)), m)
+    back = presentation_from_json(
+        json.loads(json.dumps(presentation_to_json(p)))).rel
     assert sorted((key, type(c), c) for key, c in back.entries.items()) == \
         sorted((key, type(c), c) for key, c in m.entries.items())
 
 
 def test_json_integer_coefficient_is_read_as_int():
-    m = matrix_from_json({"row_weights": [0], "col_weights": [0],
-                          "entries": [[{"c": -3}]]})
+    m = presentation_from_json({"generators": [0],
+                                "relations": [[{"c": -3, "k": 0}]]}).rel
     assert m.entries == {(0, 0): -3} and type(m.get(0, 0)) is int
 
 
@@ -224,9 +179,9 @@ def test_json_integer_coefficient_is_read_as_int():
 def test_cell_coefficient_is_an_integer_or_a_rational_string(c):
     # Fraction() would accept decimal and exponent forms, and expand an
     # exponent digit by digit (the CLI test times "1e100000000")
-    js = {"row_weights": [0], "col_weights": [0], "entries": [[{"c": c}]]}
+    js = {"generators": [0], "relations": [[{"c": c, "k": 0}]]}
     with pytest.raises(ValueError, match='"c" must be a rational string'):
-        matrix_from_json(js)
+        presentation_from_json(js)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ from stagger.grmod import (
     gm,
     hom_dim,
     _in_relation_span,
+    dim_mismatch,
     internal_hom,
     module_map,
     present,
+    summand_ends,
     tensor,
     weight_dim,
 )
@@ -46,6 +48,38 @@ def test_weight_dims():
     # T(g,n) occupies g, g-1, ..., g-n+1
     assert [weight_dim(T(0, 2), w) for w in range(-3, 2)] == [0, 0, 1, 1, 0]
     assert weight_dim(gm([0], [(0, 1)]), 0) == 2
+
+
+def test_dim_mismatch_agrees_with_a_per_weight_walk():
+    """On random small lists the multiset rule reports exactly the highest
+    weight where a walk over a window past every entry sees the two counts
+    differ, and None when the walk sees no difference."""
+    rng = random.Random(16)
+
+    def weights():
+        return [rng.randint(-4, 4) for _ in range(rng.randint(0, 4))]
+
+    def count(ups, downs, w):
+        return sum(u >= w for u in ups) - sum(d >= w for d in downs)
+
+    differing = 0
+    for _ in range(3000):
+        a, b = (weights(), weights()), (weights(), weights())
+        if rng.random() < 0.3:  # an equal pair written in another order
+            b = (a[0][::-1] + a[1][:1], a[1][::-1] + a[1][:1])
+        ws = [w for ls in a + b for w in ls]
+        lo, hi = min(ws, default=0), max(ws, default=0)
+        walk = [w for w in range(lo - 2, hi + 3)
+                if count(*a, w) != count(*b, w)]
+        assert dim_mismatch(a, b) == max(walk, default=None)
+        differing += bool(walk)
+    assert 500 < differing < 2900
+    # a module's summand ends count its weight dims
+    for _ in range(500):
+        M = sampling.random_module(rng)
+        lo, hi = M.occupied_window()
+        assert all(count(*summand_ends(M), w) == weight_dim(M, w)
+                   for w in range(lo - 2, hi + 3))
 
 
 def test_twist():

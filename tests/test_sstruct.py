@@ -133,6 +133,18 @@ def test_sigma_verify_reports_broken_projection():
     assert "projection not well defined" not in errs
 
 
+def test_sigma_verify_reports_weight_dims_not_additive():
+    wit = sigma(SITE_X, W, "le", 0, gm([1], [(3, 2)]))
+    assert (wit.sub, wit.quotient) == (F(0), gm([], [(1, 1), (3, 2)]))
+    # the quotient loses T(3,2): weights 3 and 2 are short, 3 is reported
+    errs = dataclasses.replace(wit, quotient=T(1, 1)).verify()
+    assert "weight dims not additive at w=3" in errs
+    # a stray summand far outside the total's window is seen as well
+    errs = dataclasses.replace(
+        wit, quotient=gm([], [(1, 1), (3, 2), (50, 1)])).verify()
+    assert "weight dims not additive at w=50" in errs
+
+
 def test_sigma_structure_sheaf_pure():
     wit = sigma(SITE_X, W, "le", -1, F(0))
     assert wit.sub == gm([])

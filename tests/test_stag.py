@@ -11,10 +11,12 @@ import sys
 import pytest
 
 from stagger import stag
-from stagger.grmod import F as Fmod, T as Tmod, V, gm, module_map
+from stagger.grmod import (
+    F as Fmod, T as Tmod, V, direct_sum, gm, module_map,
+)
 from stagger.derived import (
     FormalObject, chain_map_on_embeds, cone, derived_hom, dualize, formal,
-    formal_sum, free_embed, normal_form,
+    free_embed, normal_form,
 )
 from stagger.sstruct import SConfig, SITE_X, sigma, site_z
 from stagger.stag import (
@@ -316,7 +318,8 @@ def test_jh_audit_reports_tampered_steps():
     assert rep.audit(W, P01) == []
     i = 1
     st = rep.steps[i]
-    wrong = formal_sum(st.after, formal(V(7), 3))
+    wrong = FormalObject({**st.after.components,
+                          3: direct_sum(st.after.component(3), V(7))})
     steps = list(rep.steps)
     steps[i] = dataclasses.replace(st, after=wrong)
     errs = JHReport(rep.obj, rep.factors, steps).audit(W, P01)
