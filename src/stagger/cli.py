@@ -10,6 +10,7 @@ and reports embed the seed, so output is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -95,7 +96,7 @@ def _parse_site(s: str) -> Site:
             n = 0
         if n >= 1:
             return site_z(n)
-    raise _ArgError("bad site %r (use X, U, Z, or Zn)" % s)
+    raise _ArgError("bad site %.40r (use X, U, Z, or Zn)" % s)
 
 
 def _parse_perversity(s: str) -> Perversity:
@@ -348,7 +349,20 @@ def _cmd_jh(args) -> int:
     return 0
 
 
+# Most simples in --n-lo..--n-hi, and largest ic --orbit U rank, printed:
+# output grows with both, and 10^5 simples take over a second.
+OUTPUT_BUDGET = 10000
+
+
+def _check_output_budget(what: str, count: int) -> None:
+    if count > OUTPUT_BUDGET:
+        raise _ArgError("%s is over the output budget OUTPUT_BUDGET = %d"
+                        % (what, OUTPUT_BUDGET))
+
+
 def _cmd_simples(args) -> int:
+    _check_output_budget("the --n-lo..--n-hi range",
+                         args.n_hi - args.n_lo + 1)
     cfg = SConfig(args.z_mode)
     p = _parse_perversity(args.perversity)
     out = simples(cfg, p, args.n_lo, args.n_hi)
@@ -359,6 +373,8 @@ def _cmd_simples(args) -> int:
 
 
 def _cmd_ic(args) -> int:
+    if args.orbit == "U":
+        _check_output_budget("the --param rank", args.param)
     cfg = SConfig(args.z_mode)
     p = _parse_perversity(args.perversity)
     S = ic(cfg, p, args.orbit, args.param)
@@ -484,6 +500,7 @@ _VERBS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     ap = _Parser(prog="stagger", description=__doc__)
     sub = ap.add_subparsers(dest="verb", required=True)

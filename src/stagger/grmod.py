@@ -77,10 +77,6 @@ class GradedModule:
     def gen_weights(self) -> Tuple[int, ...]:
         return tuple(self.free) + tuple(g for g, _ in self.torsion)
 
-    def socle_weights(self) -> Tuple[int, ...]:
-        """Socle weights of the torsion part (free summands have no socle)."""
-        return tuple(g - n + 1 for g, n in self.torsion)
-
     def max_torsion_length(self) -> int:
         return max((n for _, n in self.torsion), default=0)
 
@@ -99,7 +95,7 @@ class GradedModule:
 
     def occupied_window(self) -> Tuple[int, int]:
         """(lo, hi) covering all generator and socle weights (0,0 if zero)."""
-        ws = list(self.gen_weights()) + list(self.socle_weights())
+        ws = list(self.gen_weights()) + [g - n + 1 for g, n in self.torsion]
         if not ws:
             return (0, 0)
         return (min(ws), max(ws))

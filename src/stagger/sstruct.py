@@ -26,9 +26,10 @@ for cut >= 0 the sub is literally "all elements of weight <= cut", which is
 x-stable and generated in weights <= cut.  The brute-force oracle re-derives
 the same submodule by exhaustive weight-subspace search.
 
-The weight-mode cut of a single summand F(d) or T(g,l) at a weight lives in
-one place, ``cut_summand``; ``sigma`` and the staggered truncation
-(``stag._truncation_pieces``) both build their pieces from it.
+By nesting (S2) membership is a threshold, so ``_bounds``, the two
+thresholds of one summand, is the one home of the rule: ``member``,
+``min_le``, ``max_ge``, ``step`` and ``cut_summand`` (so ``sigma`` and the
+staggered truncation ``stag._truncation_pieces``) all read it.
 ``SigmaWitness.verify`` checks weight dims by ``grmod.dim_mismatch``.
 """
 
@@ -124,55 +125,40 @@ def check_on_site(site: Site, M: GradedModule) -> None:
 # ---------------------------------------------------------------------------
 
 
-def member(site: Site, cfg: SConfig, direction: str, w: int,
-           M: GradedModule) -> bool:
-    """Is M in C_{<=w} (direction 'le') or C_{>=w} (direction 'ge')?"""
-    if direction not in ("le", "ge"):
-        raise ValueError("direction must be 'le' or 'ge'")
-    check_on_site(site, M)
-    if M.is_zero:
-        return True
+def _bounds(site: Site, cfg: SConfig, piece: Tuple) -> Tuple[int, int]:
+    """(least w with the summand in C_{<=w}, greatest w with it in C_{>=w})."""
     if cfg.z_mode == "trivial" or site.kind == "U":
-        # rank-or-nothing: only the sign of w decides
-        return w >= 0 if direction == "le" else w <= 0
-    if site.kind == "Z":
-        if direction == "le":
-            return all(g <= w for g, _n in M.torsion)
-        return all(s >= w for s in M.socle_weights())
-    # site X, weight mode
-    if direction == "le":
-        if M.rank and w < 0:
-            return False
-        return all(d <= w for d in M.free) and all(g <= w for g, _n in M.torsion)
-    if M.rank and w > 0:
-        return False
-    return all(s >= w for s in M.socle_weights())
+        return 0, 0
+    if piece[0] == "F":  # on X the free part forces the sign of w
+        return max(piece[1], 0), 0
+    _t, g, l = piece
+    return g, g - l + 1
 
 
 def min_le(site: Site, cfg: SConfig, M: GradedModule) -> Optional[int]:
     """Least w with M in C_{<=w}; None when M = 0 (then every w works)."""
     check_on_site(site, M)
-    if M.is_zero:
-        return None
-    if cfg.z_mode == "trivial" or site.kind == "U":
-        return 0
-    ws = list(M.gen_weights())
-    if site.kind == "X" and M.rank:
-        ws.append(0)
-    return max(ws)
+    return max((_bounds(site, cfg, s)[0] for s in summand_pieces(M)),
+               default=None)
 
 
 def max_ge(site: Site, cfg: SConfig, M: GradedModule) -> Optional[int]:
     """Greatest w with M in C_{>=w}; None when M = 0."""
     check_on_site(site, M)
-    if M.is_zero:
-        return None
-    if cfg.z_mode == "trivial" or site.kind == "U":
-        return 0
-    ws = list(M.socle_weights())
-    if site.kind == "X" and M.rank:
-        ws.append(0)
-    return min(ws)
+    return min((_bounds(site, cfg, s)[1] for s in summand_pieces(M)),
+               default=None)
+
+
+def member(site: Site, cfg: SConfig, direction: str, w: int,
+           M: GradedModule) -> bool:
+    """Is M in C_{<=w} (direction 'le') or C_{>=w} (direction 'ge')?"""
+    if direction not in ("le", "ge"):
+        raise ValueError("direction must be 'le' or 'ge'")
+    if direction == "le":
+        lo = min_le(site, cfg, M)
+        return lo is None or lo <= w
+    hi = max_ge(site, cfg, M)
+    return hi is None or hi >= w
 
 
 # ---------------------------------------------------------------------------
@@ -242,28 +228,27 @@ def pieces_module(pieces: List[Tuple]) -> GradedModule:
     )
 
 
-def cut_summand(piece: Tuple, c: int) -> Tuple[Optional[Tuple], Optional[Tuple]]:
+def cut_summand(site: Site, cfg: SConfig, piece: Tuple,
+                c: int) -> Tuple[Optional[Tuple], Optional[Tuple]]:
     """Cut one summand at weight c: (sub, quotient), either None when zero.
 
-    This is the single home of the weight-mode cut, used by ``sigma`` and
-    by the staggered truncation.  The sub is the part of the summand in
-    weights <= c (x-stable, generated in weight <= c) and the quotient the
-    rest:
-
-      F(d):   d <= c gives (F(d), None), else (F(c), T(d, d - c));
-      T(g,l): g <= c gives (T(g,l), None), else (T(c, l - (g - c)), or
-              None when that length is < 1, and T(g, min(l, g - c))).
+    The sub is the summand's largest part in C_{<=c}, the quotient the rest
+    (in C_{>=c+1}); ``sigma`` and the staggered truncation both cut here.
+    With (lo, hi) = ``_bounds``, the whole summand is the sub when lo <= c
+    and the quotient when hi > c (as hi <= lo, at most one holds); otherwise
+    F(d) splits into (F(c), T(d, d - c)) and T(g, l) into
+    (T(c, l - g + c), T(g, g - c)).
     """
+    lo, hi = _bounds(site, cfg, piece)
+    if lo <= c:
+        return piece, None
+    if hi > c:
+        return None, piece
     if piece[0] == "F":
         d = piece[1]
-        if d <= c:
-            return piece, None
         return ("F", c), ("T", d, d - c)
     _t, g, l = piece
-    if g <= c:
-        return piece, None
-    keep = l - (g - c)
-    return (("T", c, keep) if keep >= 1 else None), ("T", g, min(l, g - c))
+    return ("T", c, l - g + c), ("T", g, g - c)
 
 
 def _canonical_positions(pieces: List[Tuple]) -> List[int]:
@@ -292,16 +277,8 @@ def sigma(site: Site, cfg: SConfig, direction: str, w: int,
 
     sub_pieces: List[Tuple] = []   # (piece, M-summand index)
     quot_pieces: List[Tuple] = []  # (piece, M-summand index)
-    trivial_like = cfg.z_mode == "trivial" or site.kind == "U"
     for idx, s in enumerate(summand_pieces(M)):
-        if trivial_like:
-            # rank-or-nothing: the sign of the cut keeps or drops a summand
-            sub, quot = (s, None) if cut >= 0 else (None, s)
-        elif s[0] == "F" and cut < 0:
-            # on X no free piece lies in C_{<=cut} for cut < 0
-            sub, quot = None, s
-        else:
-            sub, quot = cut_summand(s, cut)
+        sub, quot = cut_summand(site, cfg, s, cut)
         if sub is not None:
             sub_pieces.append((sub, idx))
         if quot is not None:
@@ -333,15 +310,11 @@ def step(site: Site, cfg: SConfig, M: GradedModule) -> Optional[int]:
     """The step of a pure object: the w with M in C_{<=w}, sigma_{<=w-1}M = 0.
 
     Returns None when M is zero (pure of every step, so no canonical value)
-    or when M is not pure.
+    or when M is not pure.  As sigma_{<=w-1}M = 0 iff M is in C_{>=w}, and
+    max_ge <= min_le for every nonzero M, M is pure iff the two agree.
     """
-    if M.is_zero:
-        return None
     w = min_le(site, cfg, M)
-    assert w is not None
-    if sigma(site, cfg, "le", w - 1, M).sub.is_zero:
-        return w
-    return None
+    return w if w is not None and w == max_ge(site, cfg, M) else None
 
 
 # ---------------------------------------------------------------------------

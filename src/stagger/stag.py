@@ -15,14 +15,16 @@ perversity the staggered aisles are
 The Li* condition has a closed form, one inequality per summand.  In degree
 k, Li*_n sends F(d) to T(d, n) and T(g, l) to T(g, min(l, n)), weights kept,
 and puts ker x^n (-n), of generator weights min(g, g - l + n) - n <= g - 1,
-in degree k - 1.  So n = 1 binds: in weight mode every generator weight of
-H^k must be <= pZ - k (then the Tor term meets pZ - k + 1 for every n); in
-trivial mode H^k must vanish for k > pZ.  T8 of the suite checks this
-against the looped definition.
+in degree k - 1.  So n = 1 binds, and the closed form is: H^k lies in
+C_{<= pZ - k}(X), and no free rank sits above pU (then the Tor term meets
+pZ - k + 1 for every n; a free rank needs pZ - k >= 0, which k <= pU <= pZ
+gives).  Membership reads ``sstruct._bounds``, the one home of the
+s-structure rule.  T8 of the suite checks this against the looped
+definition.
 
-Truncation is computed summand by summand (in weight mode each summand is
-cut by ``sstruct.cut_summand``, the one home of the cut rule that sigma
-uses too) and certified at the chain level:
+Truncation is computed summand by summand (each summand not rotated off is
+cut by ``sstruct.cut_summand``, which sigma uses too) and certified at the
+chain level:
 the below-part is embedded as a complex of free modules and mapped into the
 embedding of the object by ``derived.chain_map_on_embeds`` (a generator link
 per cut piece, an Ext link per rotated one), and the cone's normal form must
@@ -236,11 +238,8 @@ def aisle_member(cfg: SConfig, p: Perversity, F: FormalObject,
 def _le0_component(cfg: SConfig, p: Perversity, k: int,
                    m: GradedModule) -> bool:
     """The closed-form D^{<=0} condition on H^k = m (module docstring)."""
-    if m.rank and k > p.pU:
-        return False
-    if cfg.z_mode == "weight":
-        return all(w <= p.pZ - k for w in m.gen_weights())
-    return m.is_zero or k <= p.pZ
+    return not (m.rank and k > p.pU) \
+        and member(SITE_X, cfg, "le", p.pZ - k, m)
 
 
 def _aisle_member_looped(cfg: SConfig, p: Perversity, F: FormalObject,
@@ -353,9 +352,9 @@ def _truncation_pieces(cfg: SConfig, p: Perversity, Fo: FormalObject,
                               degree above a free summand and its relation
                               column maps onto that summand's generator.
 
-    In weight mode a summand is cut at c = pZ + n - k by
-    ``sstruct.cut_summand``, except a free summand above degree pU + n,
-    which rotates; trivial mode moves whole summands by sign rules.
+    A free summand above degree pU + n rotates in weight mode and goes to
+    the above-part in trivial mode; every other summand is cut at
+    c = pZ + n - k by ``sstruct.cut_summand`` on X.
     """
     below: Dict[int, list] = {}
     above: Dict[int, list] = {}
@@ -363,26 +362,20 @@ def _truncation_pieces(cfg: SConfig, p: Perversity, Fo: FormalObject,
     def put(part, k, piece, wit=None):
         part.setdefault(k, []).append((piece, wit))
 
-    weight = cfg.z_mode == "weight"
     for k in sorted(Fo.components):
         c = p.pZ + n - k
         for idx, s in enumerate(summand_pieces(Fo.components[k])):
-            if not weight:
-                # sign rules: a summand stays below up to its orbit's level
-                level = p.pU if s[0] == "F" else p.pZ
-                sub, quot = (s, None) if k <= level + n else (None, s)
-            elif s[0] == "F" and k > p.pU + n:
-                # rotated: 0 -> F(d) -> F(v) -> T(v, v - d) -> 0 puts the
-                # cokernel one degree up in the below-part
+            if s[0] == "F" and k > p.pU + n:
                 d, v = s[1], c - 1
-                if d >= v:
+                if cfg.z_mode == "trivial" or d >= v:
                     put(above, k, s)
                 else:
+                    # rotated: 0 -> F(d) -> F(v) -> T(v, v - d) -> 0 puts
+                    # the cokernel one degree up in the below-part
                     put(below, k + 1, ("T", v, v - d), ("rot", k, idx))
                     put(above, k, ("F", v))
                 continue
-            else:
-                sub, quot = cut_summand(s, c)
+            sub, quot = cut_summand(SITE_X, cfg, s, c)
             if sub is not None:
                 put(below, k, sub, ("sub", k, idx))
             if quot is not None:

@@ -179,11 +179,19 @@ def test_unknown_site_exit_one(capsys):
 @pytest.mark.parametrize("site", ["Z" + "1" * 5000, "Z\u00b2"],
                          ids=["digits_5000", "superscript_two"])
 def test_unreadable_thickening_is_a_bad_site(capsys, site):
-    # int() would refuse these digits with its own message, naming no option
+    # int() would refuse these digits with its own message, naming no option;
+    # the echo is cut at 40 characters, as the JSON readers cut theirs
     rc = cli.main(["member", "--site", site, "--le", "0", "F(0)"])
     assert rc == 1
     assert capsys.readouterr().err == \
-        "error: bad site %r (use X, U, Z, or Zn)\n" % site
+        "error: bad site %.40r (use X, U, Z, or Zn)\n" % site
+
+
+def test_short_bad_site_is_echoed_whole(capsys):
+    rc = cli.main(["member", "--site", "Z0", "--le", "0", "F(0)"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: bad site 'Z0' (use X, U, Z, or Zn)\n"
 
 
 def test_both_directions_exit_one(capsys):
@@ -307,6 +315,30 @@ def test_entry_point_subprocess():
     proc, _elapsed = _run_cli("decompose", "F(0)")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "F(0)"
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("simples", "--n-lo", "0", "--n-hi", "100000000"),
+     "the --n-lo..--n-hi range"),
+    (("ic", "--orbit", "U", "--param", "30000000"), "the --param rank"),
+], ids=["simples_range", "ic_rank"])
+def test_output_over_budget_exits_one_at_once(argv, what):
+    # output that grows with the range or rank is refused before any
+    # object is built (ic --param 30000000 once took half a minute)
+    proc, elapsed = _run_cli(*argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: %s is over the output budget " \
+        "OUTPUT_BUDGET = %d\n" % (what, cli.OUTPUT_BUDGET)
+    assert elapsed < 5
+
+
+def test_output_at_budget_is_answered(capsys):
+    rc, out = run(capsys, "ic", "--orbit", "U", "--param",
+                  str(cli.OUTPUT_BUDGET))
+    assert rc == 0 and out.count("F(0)") == cli.OUTPUT_BUDGET
+    hi = str(cli.OUTPUT_BUDGET - 1)
+    rc, out = run(capsys, "simples", "--n-lo", "0", "--n-hi", hi)
+    assert rc == 0 and out.count("SZ(") == cli.OUTPUT_BUDGET
 
 
 @pytest.mark.parametrize("argv, out", [

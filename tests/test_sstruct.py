@@ -1,6 +1,7 @@
 """s-structures: membership, sigma filtrations, steps, and the axiom suite."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -81,12 +82,20 @@ def test_member_u_ignores_torsion_shape():
 # ---------------------------------------------------------------------------
 
 
+def _sites_of(piece):
+    """The sites a single summand lives on: X, and U or every Z_n, n <= 4,
+    that holds it."""
+    if piece[0] == "F":
+        return [SITE_X, SITE_U]
+    return [SITE_X] + [site_z(n) for n in range(piece[2], 5)]
+
+
 @pytest.mark.parametrize("kind", ["F", "T"])
 def test_cut_summand_contract(kind):
-    # every F(d) and T(g,l) with d, g in [-6, 6], l in 1..4, cut at every
-    # c in [-8, 8]: the pieces split the summand weight by weight, the sub
-    # lies in C_{<=c} on X (free summands only for c >= 0, the only way
-    # sigma cuts them) and the quotient in C_{>=c+1}
+    # every F(d) and T(g,l) with d, g in [-6, 6], l in 1..4, on each of its
+    # sites in both modes, cut at every c in [-8, 8]: the pieces split the
+    # summand weight by weight, the sub lies in C_{<=c} and the quotient
+    # in C_{>=c+1}
     if kind == "F":
         summands = [("F", d) for d in range(-6, 7)]
     else:
@@ -94,20 +103,23 @@ def test_cut_summand_contract(kind):
     cases = 0
     for piece in summands:
         M = pieces_module([piece])
-        for c in range(-8, 9):
-            sub, quot = cut_summand(piece, c)
-            S = pieces_module([sub] if sub is not None else [])
-            Qt = pieces_module([quot] if quot is not None else [])
-            # a piece is None exactly when it is zero
-            assert (sub is None, quot is None) == (S.is_zero, Qt.is_zero)
-            for w in range(-16, 10):
-                assert weight_dim(S, w) + weight_dim(Qt, w) == \
-                    weight_dim(M, w), (piece, c, w)
-            if kind == "T" or c >= 0:
-                assert member(SITE_X, W, "le", c, S), (piece, c)
-            assert member(SITE_X, W, "ge", c + 1, Qt), (piece, c)
-            cases += 1
-    assert cases == len(summands) * 17
+        for site in _sites_of(piece):
+            for cfg in (W, TR):
+                for c in range(-8, 9):
+                    sub, quot = cut_summand(site, cfg, piece, c)
+                    S = pieces_module([sub] if sub is not None else [])
+                    Qt = pieces_module([quot] if quot is not None else [])
+                    ctx = (piece, str(site), cfg.z_mode, c)
+                    # a piece is None exactly when it is zero
+                    assert (sub is None, quot is None) == \
+                        (S.is_zero, Qt.is_zero), ctx
+                    for w in range(-16, 10):
+                        assert weight_dim(S, w) + weight_dim(Qt, w) == \
+                            weight_dim(M, w), ctx + (w,)
+                    assert member(site, cfg, "le", c, S), ctx
+                    assert member(site, cfg, "ge", c + 1, Qt), ctx
+                    cases += 1
+    assert cases == sum(len(_sites_of(s)) for s in summands) * 2 * 17
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +190,30 @@ def test_step_anchors():
     assert step(site_z(1), W, gm([], [(3, 1), (3, 1)])) == 3
     assert step(SITE_X, TR, F(5)) == 0
     assert step(SITE_X, W, gm([])) is None
+
+
+def _small_modules(shapes):
+    """Every direct sum of at most three of the summand shapes."""
+    return [pieces_module(list(c)) for r in range(4)
+            for c in itertools.combinations_with_replacement(shapes, r)]
+
+
+def test_step_is_the_sigma_definition():
+    # step(M) is min_le(M) = w when sigma_{<=w-1} M = 0, else None; checked
+    # on every module of at most three summands with weights in [-6, 6] and
+    # lengths <= 4, on X, on U, and on the least Z_n that holds it
+    frees = [("F", d) for d in range(-6, 7)]
+    tors = [("T", g, l) for g in range(-6, 7) for l in range(1, 5)]
+    cases = [(SITE_X, M) for M in _small_modules(frees + tors)]
+    cases += [(SITE_U, M) for M in _small_modules(frees)]
+    cases += [(site_z(max(M.max_torsion_length(), 1)), M)
+              for M in _small_modules(tors)]
+    for cfg in (W, TR):
+        for site, M in cases:
+            w = min_le(site, cfg, M)
+            want = None if w is None or not \
+                sigma(site, cfg, "le", w - 1, M).sub.is_zero else w
+            assert step(site, cfg, M) == want, (str(site), cfg.z_mode, M)
 
 
 def test_min_le_max_ge():

@@ -186,6 +186,15 @@ def test_truncation_anchors():
     assert tr.audit() == []
 
 
+def test_truncation_audit_reports_a_below_part_outside_the_aisle():
+    tr = stag_truncate(W, P01, formal(Fmod(2), 0), 0)
+    assert tr.audit() == []
+    # F(2) in degree 0 has a generator above pZ = 1, so it is not in D^{<=0}
+    errs = dataclasses.replace(tr, below=formal(Fmod(2), 0)).audit()
+    assert "witness reconstruction differs from stored parts" in errs
+    assert "below-part not in D^{<=0}" in errs
+
+
 def test_truncation_random_audit():
     rng = random.Random(21)
     from stagger import sampling
