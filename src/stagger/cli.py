@@ -158,9 +158,12 @@ def _diff_payload(kind: str, expr_in: str, fast, slow, minimized) -> dict:
 
 
 # Widest weight window (highest minus lowest occupied weight) that --oracle
-# accepts.  The brute-force oracles materialize the module at every weight
-# of it, and their cost grows with about its fourth power: at 32 every
-# --oracle verb answers within a second, at 200 member takes seconds.
+# accepts.  The brute-force oracles reduce a module only at the weights they
+# read, but a search still reads probes over the whole window and powers of
+# x across it, so their cost grows with about the third power of the span.
+# On a 2-vCPU host (Python 3.11), oracle_step on T(32,32)+T(0,1) takes
+# 0.08 s in-process and `step --oracle` on it 0.25 s in a fresh process;
+# at span 64 oracle_step takes 0.53 s, and at span 200 oracle_member 0.5 s.
 ORACLE_WEIGHT_BUDGET = 32
 
 

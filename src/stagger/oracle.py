@@ -2,10 +2,12 @@
 
 Everything here recomputes results from first principles by materializing
 modules weight-by-weight on a finite window and doing plain linear algebra
-over the rationals (its own Gauss-Jordan, no code shared with the closed-form
-fast paths).  The intended use is the agreement suite: every optimized
-operation in the package is cross-checked against its oracle on randomized
-inputs, and a disagreement is shrunk to a small counterexample.
+over the rationals (its own Gauss-Jordan and fraction-free rank, no code
+shared with the closed-form fast paths).  An integral entry is stored as an
+``int`` and any other as a ``Fraction``.  The intended use is the agreement
+suite: every optimized operation in the package is cross-checked against its
+oracle on randomized inputs, and a disagreement is shrunk to a small
+counterexample.
 
 Window soundness.  A finitely generated graded module is determined on the
 window [lo, hi] with lo = (min occupied weight) - 2 and hi = (max occupied
@@ -15,17 +17,20 @@ free part is truncated at the floor and recognized by its reach.
 
 Materialization at a weight is exact in any window containing it: the
 dimension at w depends on w alone and the matrix of x out of w on w and
-w - 1, never on the window's ends.  So each call of ``oracle_aisle``,
-``oracle_member`` and ``oracle_step`` takes one union window over every
-module and weight it reads, and builds each distinct module's model on it
-once; the models live for that call only.
+w - 1, never on the window's ends.  So a model reduces a weight on the first
+read of it and never one that is not read, and each call of
+``oracle_aisle``, ``oracle_member`` and ``oracle_step`` takes one union
+window over every module and weight it reads, and builds each distinct
+module's model on it once; the models, the powers of x read off them and
+the hom/ext answers live for that call only.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .grmod import (
@@ -43,39 +48,69 @@ from .report import SuiteReport
 from .sstruct import SConfig, SITE_U, SITE_X, Site, check_on_site, member, sigma, site_z, step
 from . import sampling
 
-Q = Fraction
-_ZERO = Q(0)  # shared constants; Fraction is immutable
-_ONE = Q(1)
+# ---------------------------------------------------------------------------
+# plain linear algebra over the rationals (independent of grmod's)
+#
+# An entry is an ``int`` when it is integral and a ``Fraction`` otherwise,
+# and every function below returns entries in that form, so the matrices of
+# a module whose presentation has integer coefficients build no Fraction
+# until an elimination divides by a pivot other than +-1.
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# plain linear algebra over Fraction (independent of grmod's)
-# ---------------------------------------------------------------------------
+_INT = frozenset([int])
+
+
+def _all_ints(values: Iterable[Fraction]) -> bool:
+    """Whether every value is an ``int``."""
+    return _INT.issuperset(map(type, values))
+
+
+def _q(x):
+    """x as an ``int`` when it is integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _div(a, b):
+    """a / b, an ``int`` when it is integral."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quo
+    return _q(a / b)
 
 
 def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    mat = [list(r) for r in rows]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    A pivot row is divided only by a pivot other than +-1, and a row update
+    normalizes its entries only when a fraction takes part in it."""
+    mat = [[_q(e) for e in r] for r in rows]
     pivots: List[int] = []
     r = 0
     ncols = len(mat[0]) if mat else 0
     for c in range(ncols):
         piv = None
         for i in range(r, len(mat)):
-            if mat[i][c] != 0:
+            if mat[i][c]:
                 piv = i
                 break
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         p = mat[r][c]
-        if p != 1:
-            inv = _ONE / p
-            mat[r] = [e * inv for e in mat[r]]
+        if p == -1:
+            mat[r] = [-e for e in mat[r]]
+        elif p != 1:
+            mat[r] = [_div(e, p) for e in mat[r]]
+        prow = mat[r]
+        integral = _all_ints(prow)
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f:
+                row = [a - f * b for a, b in zip(mat[i], prow)]
+                if not (integral and type(f) is int):
+                    row = [_q(e) for e in row]
+                mat[i] = row
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -84,7 +119,45 @@ def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
 
 
 def _mat_rank(rows: List[List[Fraction]]) -> int:
-    return len(_rref(rows)[0])
+    """Rank by fraction-free (Bareiss) elimination.
+
+    Each row is first scaled to integers by the lcm of its denominators,
+    which keeps the rank, and zero rows are dropped.  A step then replaces
+    every row below the pivot row by (p * row - c * pivot_row) // p_prev,
+    with p the pivot, c the row's entry in the pivot column and p_prev the
+    previous pivot (1 at first).  Every entry is then a minor of the scaled
+    matrix, so the division is exact and no entry outgrows the minors.
+    """
+    mat = []
+    for r in rows:
+        if _all_ints(r):
+            row = list(r)
+        else:
+            den = lcm(*(e.denominator for e in r))
+            row = [e.numerator * (den // e.denominator) for e in r]
+        if any(row):
+            mat.append(row)
+    rank, prev = 0, 1
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        piv = None
+        for i in range(rank, len(mat)):
+            if mat[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        p = prow[c]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c]
+            mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], prow)]
+        prev = p
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
 
 
 def _matmul(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
@@ -92,7 +165,7 @@ def _matmul(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fract
     m = len(a)
     k = len(b)
     n = len(b[0]) if b else 0
-    out = [[_ZERO] * n for _ in range(m)]
+    out = [[0] * n for _ in range(m)]
     for i in range(m):
         ai = a[i]
         for t in range(k):
@@ -104,11 +177,18 @@ def _matmul(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fract
             for j in range(n):
                 if bt[j] != 0:
                     row[j] += c * bt[j]
-    return out
+    if _all_ints(chain.from_iterable(a)) and _all_ints(chain.from_iterable(b)):
+        return out
+    return [[_q(e) for e in r] for r in out]
 
 
-def _identity(n: int) -> List[List[Fraction]]:
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+def _apply(mat: List[List[Fraction]], v: List[Fraction]) -> List[Fraction]:
+    """The matrix ``mat`` times the column vector ``v``."""
+    return [_q(sum(c * e for c, e in zip(row, v))) for row in mat]
+
+
+def _identity(n: int) -> List[List[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _solve_coords(basis: List[List[Fraction]], target: List[Fraction]
@@ -123,95 +203,105 @@ def _solve_coords(basis: List[List[Fraction]], target: List[Fraction]
     ncols = len(basis)
     if ncols in pivots:
         return None  # inconsistent
-    coords = [_ZERO] * ncols
+    coords = [0] * ncols
     for row, pc in zip(red, pivots):
         coords[pc] = row[-1]
     return coords
 
 
 # ---------------------------------------------------------------------------
-# window materialization
+# window models, reduced weight by weight on first read
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+class _Lazy(dict):
+    """weight -> value, made by ``make(w)`` on the first read of a weight of
+    [lo, hi] and kept.  Read it by indexing: a weight outside the window
+    raises, since the model knows nothing there and reading 0 would answer
+    silently wrong."""
+
+    def __init__(self, make: Callable[[int], object], lo: int, hi: int):
+        super().__init__()
+        self.make, self.lo, self.hi = make, lo, hi
+
+    def __missing__(self, w: int):
+        if not self.lo <= w <= self.hi:
+            raise AssertionError("oracle read weight %d outside the window "
+                                 "[%d, %d]" % (w, self.lo, self.hi))
+        val = self[w] = self.make(w)
+        return val
+
+
 class WindowModel:
-    """Explicit bases and x-action matrices of a module on [lo, hi].
+    """Explicit bases and x-action matrices of coker of a monomial-graded
+    matrix on the window [lo, hi], each weight reduced on its first read.
 
     ``dims[w]`` is dim M_w; ``xmat[w]`` (for lo < w <= hi) is the matrix of
-    x : M_w -> M_{w-1}, rows indexed by the basis of M_{w-1}.
-    """
-
-    lo: int
-    hi: int
-    dims: Dict[int, int] = field(default_factory=dict)
-    xmat: Dict[int, List[List[Fraction]]] = field(default_factory=dict)
-
-
-def _materialize(gens: Sequence[int], colw: Sequence[int],
-                 entries: Dict[Tuple[int, int], Fraction],
-                 lo: int, hi: int) -> WindowModel:
-    """Weight-by-weight quotient bases for coker of a monomial-graded matrix.
+    x : M_w -> M_{w-1}, rows indexed by the basis of M_{w-1}; ``powers``
+    keeps the matrices of ``_composite``.
 
     At weight w the ambient space has one coordinate per generator of weight
     >= w (the monomial x^{g_i - w} e_i) and each relation column of weight
     >= w contributes the vector of its coefficients.  A basis of the
-    quotient is chosen as the non-pivot coordinates of the relation span,
-    and vectors are projected by eliminating against its reduced rows.
+    quotient is chosen as the non-pivot coordinates of the relation span.
     """
-    model = WindowModel(lo=lo, hi=hi)
-    # per-weight reduction data, used to build the x matrices
-    basis_pos: Dict[int, List[int]] = {}    # gen indices giving quotient basis
-    red_rows: Dict[int, Tuple[List[List[Fraction]], List[int]]] = {}
-    rows_at: Dict[int, List[int]] = {}
 
-    for w in range(hi, lo - 1, -1):
-        rows = [i for i in range(len(gens)) if gens[i] >= w]
-        pos = {i: idx for idx, i in enumerate(rows)}
-        rel_vecs = []
-        for j in range(len(colw)):
-            if colw[j] >= w:
-                v = [_ZERO] * len(rows)
-                for i in rows:
-                    c = entries.get((i, j))
-                    if c is not None:
-                        v[pos[i]] = c
-                rel_vecs.append(v)
-        red, pivots = _rref(rel_vecs) if rel_vecs else ([], [])
-        free_coords = [idx for idx in range(len(rows)) if idx not in pivots]
-        rows_at[w] = rows
-        red_rows[w] = (red, pivots)
-        basis_pos[w] = [rows[idx] for idx in free_coords]
-        model.dims[w] = len(free_coords)
+    def __init__(self, gens: Sequence[int], colw: Sequence[int],
+                 entries: Dict[Tuple[int, int], Fraction], lo: int, hi: int):
+        self.lo, self.hi = lo, hi
+        gens = tuple(gens)
+        cols: List[Tuple[int, Dict[int, Fraction]]] = \
+            [(v, {}) for v in colw]  # (weight, {generator: coefficient})
+        for (i, j), c in entries.items():
+            cols[j][1][i] = _q(c)
+        # the readers close over the data, not over the model, so that a
+        # model is freed as soon as its call drops it, with no cycle to wait
+        # for the garbage collector
+        reduced = self.reduced = _Lazy(lambda w: _reduce(gens, cols, w),
+                                       lo, hi)
+        self.dims = _Lazy(lambda w: len(reduced[w][3]), lo, hi)
+        self.xmat = _Lazy(lambda w: _x_out_of(reduced[w], reduced[w - 1]),
+                          lo + 1, hi)
+        self.powers: Dict[Tuple[int, int], List[List[Fraction]]] = {}
 
-    def project(w: int, vec: List[Fraction]) -> List[Fraction]:
-        red, pivots = red_rows[w]
-        v = list(vec)
-        for row, pc in zip(red, pivots):
+
+def _reduce(gens: Tuple[int, ...], cols: List[Tuple[int, Dict[int, Fraction]]],
+            w: int):
+    """The reduction at weight w: (generators alive at w, their coordinates,
+    the reduced relation row of each pivot coordinate, the non-pivot
+    coordinates)."""
+    rows = [i for i, g in enumerate(gens) if g >= w]
+    pos = {i: idx for idx, i in enumerate(rows)}
+    rel = [[col.get(i, 0) for i in rows] for v, col in cols if v >= w]
+    red, pivots = _rref(rel) if rel else ([], [])
+    pivot_row = dict(zip(pivots, red))
+    keep = [idx for idx in range(len(rows)) if idx not in pivot_row]
+    return rows, pos, pivot_row, keep
+
+
+def _x_out_of(at_w, below) -> List[List[Fraction]]:
+    """The matrix of x out of weight w, from the reductions ``at_w`` at w
+    and ``below`` at w - 1.
+
+    x maps the basis monomial of generator i at weight w to the same
+    generator's monomial at w - 1; its column is that unit vector reduced
+    against the relation rows there, read at the non-pivot coordinates."""
+    rows_w, _pos, _piv, keep_w = at_w
+    rows, pos, pivot_row, keep = below
+    cols = []
+    for idx_w in keep_w:
+        v = [0] * len(rows)
+        v[pos[rows_w[idx_w]]] = 1
+        for pc, row in pivot_row.items():
             f = v[pc]
-            if f != 0:
-                v = [a - f * b for a, b in zip(v, row)]
-        keep = [idx for idx in range(len(rows_at[w])) if idx not in pivots]
-        return [v[idx] for idx in keep]
-
-    for w in range(hi, lo, -1):
-        # x maps the basis monomial of gen i at weight w to the same gen's
-        # monomial at weight w-1
-        cols = []
-        posm1 = {i: idx for idx, i in enumerate(rows_at[w - 1])}
-        for i in basis_pos[w]:
-            e = [_ZERO] * len(rows_at[w - 1])
-            e[posm1[i]] = _ONE
-            cols.append(project(w - 1, e))
-        nrows = model.dims[w - 1]
-        model.xmat[w] = [[cols[j][r] for j in range(len(cols))]
-                         for r in range(nrows)]
-    return model
+            if f:
+                v = [_q(a - f * b) for a, b in zip(v, row)]
+        cols.append([v[idx] for idx in keep])
+    return [[col[r] for col in cols] for r in range(len(keep))]
 
 
 def _model_of_presentation(p: Presentation, lo: int, hi: int) -> WindowModel:
-    return _materialize(list(p.gens), list(p.rel.col_weights),
-                        dict(p.rel.entries), lo, hi)
+    return WindowModel(p.gens, p.rel.col_weights, p.rel.entries, lo, hi)
 
 
 def _model_of_module(M: GradedModule, lo: int, hi: int) -> WindowModel:
@@ -219,10 +309,18 @@ def _model_of_module(M: GradedModule, lo: int, hi: int) -> WindowModel:
 
 
 def _composite(model: WindowModel, w_src: int, steps: int) -> List[List[Fraction]]:
-    """Matrix of x^steps : M_{w_src} -> M_{w_src - steps}."""
-    mat = _identity(model.dims.get(w_src, 0))
-    for w in range(w_src, w_src - steps, -1):
-        mat = _matmul(model.xmat[w], mat)
+    """Matrix of x^steps : M_{w_src} -> M_{w_src - steps}, kept in
+    ``model.powers``: x^k out of w_src is x^(k-1) out of w_src followed by
+    one more x, so each power costs one product."""
+    powers = model.powers
+    if (w_src, 0) not in powers:
+        powers[(w_src, 0)] = _identity(model.dims[w_src])
+    k = steps
+    while (w_src, k) not in powers:
+        k -= 1
+    mat = powers[(w_src, k)]
+    for k in range(k + 1, steps + 1):
+        mat = powers[(w_src, k)] = _matmul(model.xmat[w_src - k + 1], mat)
     return mat
 
 
@@ -243,27 +341,19 @@ def _strings(lo: int, hi: int, dims: Dict[int, int],
     free (their socle would be at the floor, which soundness of the window
     rules out for torsion).
     """
-    rank_j: Dict[int, Dict[int, int]] = {}
+    r: Dict[Tuple[int, int], int] = {}  # (j, w) -> r_j(w); absent means 0
     for w in range(lo, hi + 1):
-        rj = {0: dims.get(w, 0)}
-        comp = _identity(dims.get(w, 0))
+        r[(0, w)] = dims[w]
+        comp = _identity(dims[w])
         for j in range(1, hi - w + 1):
             comp = _matmul(comp, xmat[w + j])
-            rj[j] = _mat_rank(comp)
-            if rj[j] == 0:
+            r[(j, w)] = rk = _mat_rank(comp)
+            if rk == 0:
                 break
-        rank_j[w] = rj
-
-    def r(j: int, w: int) -> int:
-        if w < lo or w > hi or w + j > hi:
-            return 0
-        return rank_j[w].get(j, 0)
-
-    def D(j: int, w: int) -> int:
-        return r(j, w) - r(j + 1, w)
 
     def A(g: int, l: int) -> int:
-        return D(l - 1, g - l + 1)
+        w = g - l + 1
+        return r.get((l - 1, w), 0) - r.get((l, w), 0)
 
     frees: List[int] = []
     tors: List[Tuple[int, int]] = []
@@ -282,7 +372,7 @@ def _strings(lo: int, hi: int, dims: Dict[int, int],
         dim = sum(1 for d in out.free if d >= w) + sum(
             1 for g, n in out.torsion if g >= w > g - n
         )
-        if dim != dims.get(w, 0):
+        if dim != dims[w]:
             raise AssertionError(
                 "string reconstruction inconsistent at weight %d" % w
             )
@@ -320,21 +410,16 @@ def _hom_ext(M: GradedModule, model: WindowModel) -> Tuple[int, int]:
     Hom out of F(a) is N_a; Hom out of T(g, n) is the kernel of
     x^n : N_g -> N_{g-n} and Ext^1 out of it is the cokernel of the same
     matrix (apply Hom(-, N) to 0 -> F(g-n) -> F(g) -> T(g,n) -> 0).  A
-    weight outside the model's window raises: the model knows nothing
-    there, and reading 0 would answer silently wrong.
+    weight outside the model's window raises (``_Lazy``): the model knows
+    nothing there, and reading 0 would answer silently wrong.
     """
-    def dim(w: int) -> int:
-        if not model.lo <= w <= model.hi:
-            raise AssertionError("oracle read weight %d outside the window "
-                                 "[%d, %d]" % (w, model.lo, model.hi))
-        return model.dims[w]
-
     h = e = 0
     for a in M.free:
-        h += dim(a)
+        h += model.dims[a]
     for g, n in M.torsion:
-        top, bottom = dim(g), dim(g - n)
-        rk = _mat_rank(_composite(model, g, n))
+        top, bottom = model.dims[g], model.dims[g - n]
+        # a map out of or into a zero space has rank 0
+        rk = _mat_rank(_composite(model, g, n)) if top and bottom else 0
         h += top - rk
         e += bottom - rk
     return (h, e)
@@ -353,13 +438,16 @@ class _Models:
     """The window models of one oracle call.
 
     One window covers every module and weight the call reads, and each
-    distinct module is materialized on it once, on first use.  An instance
-    lives for one call: nothing is kept between calls.
+    distinct module gets one model on it, on first use; each hom/ext answer
+    is kept too, since a search asks again for the probes its families
+    share.  An instance lives for one call: nothing is kept between calls.
     """
 
     def __init__(self, mods: Iterable[GradedModule], *weights: int) -> None:
-        self.lo, self.hi = _window(mods, *weights)
+        self.lo, self.hi = _window(dict.fromkeys(mods), *weights)
         self.built: Dict[GradedModule, WindowModel] = {}
+        self.answers: Dict[Tuple[GradedModule, GradedModule],
+                           Tuple[int, int]] = {}
 
     def model(self, N: GradedModule) -> WindowModel:
         model = self.built.get(N)
@@ -371,7 +459,10 @@ class _Models:
         """``oracle_hom_ext(M, N)``, read off this call's model of N."""
         if M.is_zero or N.is_zero:
             return (0, 0)
-        return _hom_ext(M, self.model(N))
+        ans = self.answers.get((M, N))
+        if ans is None:
+            ans = self.answers[(M, N)] = _hom_ext(M, self.model(N))
+        return ans
 
 
 def oracle_max_sub(site: Site, cfg: SConfig, w: int,
@@ -405,7 +496,7 @@ def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
     def allowed(a: int) -> List[List[Fraction]]:
         if a > w:
             return []
-        dim = model.dims.get(a, 0)
+        dim = model.dims[a]
         if dim == 0:
             return []
         if site.kind == "Z" or w >= 0:
@@ -419,8 +510,8 @@ def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
         for fc in range(ncols):
             if fc in pivots:
                 continue
-            v = [Q(0)] * ncols
-            v[fc] = Q(1)
+            v = [0] * ncols
+            v[fc] = 1
             for row, pc in zip(red, pivots):
                 v[pc] = -row[fc]
             basis.append(v)
@@ -430,23 +521,17 @@ def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
     for a in range(hi, lo - 1, -1):
         vecs = list(allowed(a))
         if a + 1 <= hi:
-            x_a1 = model.xmat.get(a + 1, [])
-            for v in span.get(a + 1, []):
-                img = [sum((x_a1[r][j] * v[j] for j in range(len(v))), Q(0))
-                       for r in range(model.dims.get(a, 0))]
-                vecs.append(img)
-        red, _p = _rref(vecs) if vecs else ([], [])
-        span[a] = red
+            x_a1 = model.xmat[a + 1]
+            vecs.extend(_apply(x_a1, v) for v in span[a + 1])
+        span[a] = _rref(vecs)[0]
 
     dims = {a: len(span[a]) for a in range(lo, hi + 1)}
     xm: Dict[int, List[List[Fraction]]] = {}
     for a in range(lo + 1, hi + 1):
-        x_a = model.xmat.get(a, [])
+        x_a = model.xmat[a]
         cols = []
         for v in span[a]:
-            img = [sum((x_a[r][j] * v[j] for j in range(len(v))), Q(0))
-                   for r in range(model.dims.get(a - 1, 0))]
-            coords = _solve_coords(span[a - 1], img)
+            coords = _solve_coords(span[a - 1], _apply(x_a, v))
             if coords is None:
                 raise AssertionError("submodule span not x-stable")
             cols.append(coords)
@@ -593,29 +678,33 @@ def _aisle_generators(cfg: SConfig, pU: int, pZ: int,
                       comps: Dict[int, GradedModule],
                       which: str) -> List[Tuple[int, GradedModule]]:
     """(degree, module) of the shifted heart generators in the cone opposite
-    ``which``, over the window of the nonzero ``comps``."""
+    ``which``, over the window of the nonzero ``comps``.  Each module is
+    built once and shared by every degree it is placed in."""
     dlo, dhi, wlo, whi, L = _formal_window(comps)
     pad = L + 2
+    weights = range(wlo - pad, whi + pad + 1)
+    skyscrapers = [(n, gm([], [(n, 1)])) for n in weights]
     gens: List[Tuple[int, GradedModule]] = []  # (degree, module) in the cone
-    for d in range(dlo - 1, dhi + 2):
-        if cfg.z_mode == "weight":
+    if cfg.z_mode == "weight":
+        structure = gm([0])
+        for d in range(dlo - 1, dhi + 2):
             i = (d - pU) if which == "le0" else (pU - d)
             if i >= 1:
-                gens.append((d, gm([0])))
-            for n in range(wlo - pad, whi + pad + 1):
+                gens.append((d, structure))
+            for n, S in skyscrapers:
                 base = pU + 1 - n
                 i = (d - base) if which == "le0" else (base - d)
                 if i >= 1:
-                    gens.append((d, gm([], [(n, 1)])))
-        else:
-            i = (d - pU) if which == "le0" else (pU - d)
-            if i >= 1:
-                for a in range(wlo - pad, whi + pad + 1):
-                    gens.append((d, gm([a])))
-            i = (d - pZ) if which == "le0" else (pZ - d)
-            if i >= 1:
-                for a in range(wlo - pad, whi + pad + 1):
-                    gens.append((d, gm([], [(a, 1)])))
+                    gens.append((d, S))
+        return gens
+    frees = [gm([a]) for a in weights]
+    for d in range(dlo - 1, dhi + 2):
+        i = (d - pU) if which == "le0" else (pU - d)
+        if i >= 1:
+            gens.extend((d, Fa) for Fa in frees)
+        i = (d - pZ) if which == "le0" else (pZ - d)
+        if i >= 1:
+            gens.extend((d, S) for _n, S in skyscrapers)
     return gens
 
 
@@ -672,7 +761,7 @@ def _random_presentation(rng: random.Random) -> Presentation:
         cols_kept += 1
         colw.append(v)
         for i in rows:
-            entries[(i, j)] = Q(rng.choice([1, -1, 2, -2, 3]))
+            entries[(i, j)] = rng.choice([1, -1, 2, -2, 3])
     mat = MonoMatrix(tuple(gens), tuple(colw))
     for (i, j), c in entries.items():
         mat.set(i, j, c)

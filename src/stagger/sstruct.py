@@ -105,19 +105,41 @@ WEIGHT = SConfig("weight")
 TRIVIAL = SConfig("trivial")
 
 
+_SHOWN_DIGITS = 40  # an error echoes a longer number by its digit count
+
+
+def _shown(n: int) -> str:
+    """``n`` in decimal, or its digit count past ``_SHOWN_DIGITS`` digits."""
+    m = abs(n)
+    if m < 10 ** _SHOWN_DIGITS:
+        return "%d" % n
+    # log10(2) > 0.30102, so k starts at or below the count of digits - 1
+    k = (m.bit_length() - 1) * 30102 // 100000
+    while 10 ** (k + 1) <= m:
+        k += 1
+    return "%s<%d digits>" % ("-" if n < 0 else "", k + 1)
+
+
 def check_on_site(site: Site, M: GradedModule) -> None:
-    """Raise if M is not a legal object of the site."""
+    """Raise if M is not a legal object of the site.
+
+    The message names a thickening of more than ``_SHOWN_DIGITS`` digits,
+    and each number of the echoed summands, by its digit count, and cuts
+    the echoed summand list at 80 characters."""
     if site.kind == "U":
         if M.torsion:
             raise ValueError("objects on U carry only a rank; torsion given")
     elif site.kind == "Z":
         if M.free:
-            raise ValueError("objects on Z%d are torsion" % site.n)
+            raise ValueError("objects on Z%s are torsion" % _shown(site.n))
         bad = [t for t in M.torsion if t[1] > site.n]
         if bad:
-            raise ValueError(
-                "torsion length exceeds thickening %d: %r" % (site.n, bad)
-            )
+            echo = "[%s]" % ", ".join("(%s, %s)" % (_shown(g), _shown(n))
+                                      for g, n in bad)
+            if len(echo) > 80:
+                echo = echo[:80] + "..."
+            raise ValueError("torsion length exceeds thickening %s: %s"
+                             % (_shown(site.n), echo))
 
 
 # ---------------------------------------------------------------------------

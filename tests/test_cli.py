@@ -194,14 +194,26 @@ def test_short_bad_site_is_echoed_whole(capsys):
         "error: bad site 'Z0' (use X, U, Z, or Zn)\n"
 
 
+@pytest.mark.parametrize("expr", ["F(0)", "T(0,1%s)" % ("0" * 4000)],
+                         ids=["free", "long_torsion"])
+def test_long_thickening_error_is_one_short_line(expr):
+    # the error once echoed the whole 4,000-digit thickening
+    site = "Z" + "9" * 4000
+    proc, _elapsed = _run_cli("member", "--site", site, "--le", "0", expr)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert len(proc.stderr.rstrip("\n")) <= 200
+    assert "<4000 digits>" in proc.stderr
+
+
 def test_both_directions_exit_one(capsys):
     rc = cli.main(["member", "--site", "X", "--le", "0", "--ge", "0", "F(0)"])
     assert rc == 1
 
 
 def test_oracle_over_weight_budget_exits_one_fast(capsys):
-    # the oracle would materialize this module at each of some 200
-    # weights, seconds of work; the budget refuses it before any is done
+    # the oracle would read probes across some 200 weights; the budget
+    # refuses the input before any work is done
     member = ["member", "--site", "X", "--le", "0"]
     t0 = time.perf_counter()
     rc = cli.main(member + ["--oracle", "F(200)+T(0,2)"])

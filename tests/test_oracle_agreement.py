@@ -6,12 +6,13 @@ is the main correctness argument for both sides.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from stagger.formats import parse_formal
 from stagger.grmod import (F, T, V, ZERO, canonical_decompose, gm, hom_dim,
-                           ext1_dim, present)
+                           ext1_dim, present, weight_dim)
 from stagger.oracle import (
     _random_presentation,
     _shrink_module,
@@ -208,6 +209,118 @@ def test_reader_refuses_a_weight_outside_its_model():
         oracle._hom_ext(F(0), model)
     with pytest.raises(AssertionError, match="weight -12 outside"):
         oracle._hom_ext(T(-10, 2), model)
+
+
+# ---------------------------------------------------------------------------
+# lazy window models, integer entries and the composite memo
+# ---------------------------------------------------------------------------
+
+
+def _window_of(p):
+    ws = list(p.gens) + list(p.rel.col_weights)
+    return min(ws) - 2, max(ws) + 2
+
+
+def _is_normal(e):
+    """An integral entry is stored as an int."""
+    return type(e) is int or (type(e) is Fraction and e.denominator != 1)
+
+
+def test_lazy_model_reads_alike_in_any_order(monkeypatch):
+    reduced = []
+    real = oracle._reduce
+
+    def counted(gens, cols, w):
+        reduced.append(w)
+        return real(gens, cols, w)
+
+    monkeypatch.setattr(oracle, "_reduce", counted)
+    rng = random.Random(21)
+    for _ in range(500):
+        p = _random_presentation(rng)
+        lo, hi = _window_of(p)
+        ws = list(range(lo, hi + 1))
+        shuffled = list(ws)
+        rng.shuffle(shuffled)
+        reads = []
+        for order in (ws[::-1], ws, shuffled):
+            model = oracle._model_of_presentation(p, lo, hi)
+            del reduced[:]
+            for _twice in range(2):
+                read = ({w: model.dims[w] for w in order},
+                        {w: model.xmat[w] for w in order if w > lo})
+            # every weight is reduced once, however often it is read
+            assert sorted(reduced) == ws
+            reads.append(read)
+        assert reads[0] == reads[1] == reads[2], (p.gens, p.rel.entries)
+        dims, xmat = reads[0]
+        M = canonical_decompose(p)
+        assert all(dims[w] == weight_dim(M, w) for w in ws)
+        assert all(len(xmat[w]) == dims[w - 1] and
+                   all(len(r) == dims[w] and all(map(_is_normal, r))
+                       for r in xmat[w]) for w in ws[1:])
+
+
+def test_lazy_model_never_reads_outside_its_window():
+    model = oracle._model_of_module(gm([2], [(0, 3)]), -5, 4)
+    for w in (-6, 5, 10 ** 9):
+        with pytest.raises(AssertionError,
+                           match=r"weight %d outside the window \[-5, 4\]" % w):
+            model.dims[w]
+    # x out of the window's floor would need the weight below it
+    for w in (-5, 5):
+        with pytest.raises(AssertionError,
+                           match=r"weight %d outside the window \[-4, 4\]" % w):
+            model.xmat[w]
+    assert not model.reduced and not model.dims and not model.xmat
+    assert model.dims[-5] == 1 and list(model.reduced) == [-5]
+
+
+_ENTRIES = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
+            Fraction(5, 7), Fraction(4, 2))
+
+
+def test_mat_rank_equals_the_rref_rank():
+    rng = random.Random(22)
+    cases = [[], [[]], [[], []], [[0, 0], [0, 0]], [[-2, 1], [4, -2]],
+             [[-1, 0], [0, -3]], [[0, -5, 1], [-7, 0, 0]],
+             [[Fraction(-1, 2), 0], [0, Fraction(-3, 4)], [1, 1]]]
+    for _ in range(2000):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        rows = [[rng.choice(_ENTRIES) for _ in range(n)] for _ in range(m)]
+        if m and rng.random() < 0.3:
+            rows[rng.randrange(m)] = [0] * n
+        if m > 1 and rng.random() < 0.3:  # a dependent row
+            cs = [rng.choice(_ENTRIES) for _ in range(m - 1)]
+            rows[0] = [sum(c * r[j] for c, r in zip(cs, rows[1:]))
+                       for j in range(n)]
+        cases.append(rows)
+    ranks = set()
+    for rows in cases:
+        before = [list(r) for r in rows]
+        red, pivots = oracle._rref(rows)
+        assert oracle._mat_rank(rows) == len(red) == len(pivots), rows
+        assert rows == before
+        assert all(_is_normal(e) for r in red for e in r), rows
+        ranks.add(len(red))
+    assert ranks == set(range(7))
+
+
+def test_composite_equals_a_plain_product_loop():
+    rng = random.Random(23)
+    for _ in range(200):
+        p = _random_presentation(rng)
+        lo, hi = _window_of(p)
+        model = oracle._model_of_presentation(p, lo, hi)
+        queries = [(w, k) for w in range(lo, hi + 1)
+                   for k in range(w - lo + 1)]
+        rng.shuffle(queries)
+        for w, k in queries:
+            plain = [[int(i == j) for j in range(model.dims[w])]
+                     for i in range(model.dims[w])]
+            for v in range(w, w - k, -1):
+                plain = oracle._matmul(model.xmat[v], plain)
+            assert oracle._composite(model, w, k) == plain, (p.gens, w, k)
 
 
 def _built_models(monkeypatch):

@@ -77,6 +77,40 @@ def test_member_u_ignores_torsion_shape():
         check_on_site(site_z(2), T(0, 3))
 
 
+def _site_error(site, M):
+    with pytest.raises(ValueError) as err:
+        check_on_site(site, M)
+    return str(err.value)
+
+
+def test_site_errors_keep_short_numbers_exact():
+    assert _site_error(site_z(2), F(0)) == "objects on Z2 are torsion"
+    assert _site_error(site_z(2), gm([], [(0, 3), (-4, 5), (1, 2)])) == \
+        "torsion length exceeds thickening 2: [(-4, 5), (0, 3)]"
+    n = 10 ** 40 - 1  # 40 digits: still written out
+    assert _site_error(site_z(n), F(0)) == "objects on Z%d are torsion" % n
+    assert _site_error(site_z(n - 1), gm([], [(0, n)])) == \
+        "torsion length exceeds thickening %d: [(0, %d)]" % (n - 1, n)
+
+
+def test_site_errors_cut_long_numbers_and_lists():
+    big = 10 ** 3999 + 7
+    assert _site_error(site_z(big), F(0)) == \
+        "objects on Z<4000 digits> are torsion"
+    assert _site_error(site_z(big), gm([], [(-big, 10 * big)])) == \
+        "torsion length exceeds thickening <4000 digits>: " \
+        "[(-<4000 digits>, <4001 digits>)]"
+    # past sys.get_int_max_str_digits(), where str() itself refuses
+    huge = 10 ** 6000
+    assert _site_error(site_z(huge), F(0)) == \
+        "objects on Z<6001 digits> are torsion"
+    many = gm([], [(g, 3) for g in range(100)])
+    msg = _site_error(site_z(2), many)
+    assert msg.startswith("torsion length exceeds thickening 2: "
+                          "[(0, 3), (1, 3), ")
+    assert msg.endswith("...") and len(msg) < 130
+
+
 # ---------------------------------------------------------------------------
 # the summand cut
 # ---------------------------------------------------------------------------

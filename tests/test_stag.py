@@ -340,6 +340,36 @@ def test_jh_audit_reports_tampered_steps():
     assert "step %d starts at the wrong object" % i in errs
 
 
+def test_jh_audit_reports_tampered_links():
+    # step 2 embeds OX = [0] F(0) into [0] F(0) + F(1) by a generator link
+    # onto F(0); tamper with that link and keep the recorded quotient
+    obj = FormalObject({0: gm([1, -1]), 1: V(0)})
+    rep = jh_factors(W, P01, obj)
+    i, st = 2, rep.steps[2]
+    assert (st.label, st.before, st.after) == \
+        ("OX", FormalObject({0: gm([0, 1])}), FormalObject({0: Fmod(1)}))
+    assert st.chain.maps[0].entries == {(0, 0): 1}
+
+    def audit(links):
+        steps = list(rep.steps)
+        steps[i] = dataclasses.replace(
+            st, chain=chain_map_on_embeds(st.simple, st.before, links))
+        return JHReport(rep.obj, rep.factors, steps).audit(W, P01)
+
+    assert audit({0: {(0, 0): 1}}) == []
+    # coefficient 0: the zero map, whose kernel is the whole simple
+    assert audit({0: {(0, 0): 0}}) == [
+        "step 2: witness not mono in the heart",
+        "step 2: quotient mismatch",
+        "step 2: cone differs from recorded quotient",
+    ]
+    # onto F(1) by x: still mono, but the quotient is F(0) + T(1,1)
+    assert audit({0: {(1, 0): 1}}) == [
+        "step 2: quotient mismatch",
+        "step 2: cone differs from recorded quotient",
+    ]
+
+
 def test_jh_random_heart_objects():
     rng = random.Random(31)
     for _ in range(40):
