@@ -28,12 +28,13 @@ The chain layer (``ChainComplex``, ``free_embed``, ``chain_map_on_embeds``,
 honestly: a formal object is embedded as an honest complex of free modules,
 maps are checked to be chain maps, and ``normal_form`` recovers the
 cohomology of a complex of free modules from the persistence pairing of
-the weight filtration, checked by an independent per-weight rank
-certificate (by the one rule, ``grmod.dim_mismatch``).  A free term is only
-its tuple of generator weights, and a differential or a component of a chain
-map is a bare ``MonoMatrix``; every step, and ``derived_hom``, visits only
-occupied degrees and the weights that occur, so its cost does not grow with
-the span between them.
+the weight filtration (``grmod._pairing_homology``, the one pairing, which
+also gives ``canonical_decompose``), checked by an independent per-weight
+rank certificate (by the one rule, ``grmod.dim_mismatch``).  A free term is
+only its tuple of generator weights, and a differential or a component of a
+chain map is a bare ``MonoMatrix``; every step, and ``derived_hom``, visits
+only occupied degrees and the weights that occur, so its cost does not grow
+with the span between them.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ from .grmod import (
     MonoMatrix,
     Q,
     ZERO,
-    _echelon_insert,
-    _integral,
+    _ker_xn,
+    _mod_xn,
+    _pairing_homology,
     _rank_steps,
     dim_mismatch,
     direct_sum,
@@ -142,22 +144,6 @@ def dualize(F: FormalObject) -> FormalObject:
 # ---------------------------------------------------------------------------
 # restriction to thickenings and the open orbit
 # ---------------------------------------------------------------------------
-
-
-def _mod_xn(M: GradedModule, n: int) -> GradedModule:
-    """M / x^n M."""
-    return gm(
-        [],
-        [(d, n) for d in M.free] + [(g, min(l, n)) for g, l in M.torsion],
-    )
-
-
-def _ker_xn(M: GradedModule, n: int) -> GradedModule:
-    """Kernel of x^n on M (free summands contribute nothing)."""
-    return gm(
-        [],
-        [(min(g, g - l + n), min(l, n)) for g, l in M.torsion],
-    )
 
 
 def li_star(F: FormalObject, n: int) -> FormalObject:
@@ -486,15 +472,9 @@ def normal_form(c: ChainComplex) -> FormalObject:
 
     H^k is the persistence pairing of the weight filtration (Zomorodian &
     Carlsson 2005, "Computing persistent homology"), read off by
-    ``_pairing_homology``.  Each term has one total order, descending
-    weight with ties by index: its columns in d_k are swept in it, and its
-    rows in d_{k-1} are keyed by its reverse, youngest first.  For k
-    ascending the columns of d_k are swept once; a column that stops at row
-    i kills generator i of term k + 1, which gives T(w_i, w_i - v) in
-    H^{k+1} or cancels when w_i == v, and the killed generator's column in
-    d_{k+1} is skipped (clearing: Chen & Kerber 2011, "Persistent homology
-    computation with a twist").  A generator whose column vanishes and that
-    nothing killed gives F(w) in H^k.
+    ``grmod._pairing_homology`` with clearing (Chen & Kerber 2011); it is
+    the same sweep that gives ``canonical_decompose``, a presentation being
+    a two-term complex.
 
     Every reconstructed weight dimension is then checked against rank
     arithmetic on the differentials (``_certify``).  A complex whose
@@ -511,55 +491,9 @@ def normal_form(c: ChainComplex) -> FormalObject:
     errs = c.validate()
     if errs:
         raise ValueError("invalid complex: " + "; ".join(errs))
-    hs = _pairing_homology(c)
+    hs = _pairing_homology(c.terms, c.diffs)
     _certify(c, hs)
     return FormalObject(hs)
-
-
-def _pairing_homology(c: ChainComplex) -> Dict[int, GradedModule]:
-    """H^k of a complex of free modules, for every degree with generators,
-    by the sweep ``normal_form`` describes.
-
-    Clearing is sound: the column that killed generator i has zero
-    differential, and its other entries sit at older generators (weight
-    >= w_i), so d_{k+1} e_i is a polynomial combination of their columns
-    and adds nothing to the span at any weight.  The summands do not depend
-    on how ties are broken.
-    """
-    # oldest first: descending weight, ties by index (the sort is stable)
-    order = {k: sorted(range(len(ws)), key=ws.__getitem__, reverse=True)
-             for k, ws in c.terms.items()}
-    out: Dict[int, GradedModule] = {}
-    killed: Dict[int, int] = {}  # generator of term k -> weight of its killer
-    for k in c.degrees():
-        gens = c.term(k)
-        if not gens:
-            continue
-        young = order.get(k + 1, [])[::-1]  # the rows of d_k by key
-        key = {i: r for r, i in enumerate(young)}
-        cols: Dict[int, Dict[int, Q]] = {}
-        dk = c.diffs.get(k)
-        if dk is not None:
-            for (i, j), q in dk.entries.items():
-                cols.setdefault(j, {})[key[i]] = q
-        free: List[int] = []
-        tors = [(gens[i], gens[i] - v) for i, v in killed.items()
-                if gens[i] > v]
-        nxt: Dict[int, int] = {}
-        basis: Dict[int, Dict[int, int]] = {}
-        for j in order[k]:
-            if j in killed:
-                continue
-            col = cols.get(j)
-            r = _echelon_insert(basis, _integral(col), len(young)) \
-                if col else None
-            if r is None:
-                free.append(gens[j])
-            else:
-                nxt[young[r]] = gens[j]
-        out[k] = GradedModule(tuple(sorted(free)), tuple(sorted(tors)))
-        killed = nxt
-    return out
 
 
 def _certify(c: ChainComplex, hs: Dict[int, GradedModule]) -> None:

@@ -310,21 +310,18 @@ class Presentation:
     """A graded module presented as coker(rel: +F(v_j) -> +F(w_i)).
 
     ``gens`` are the generator weights w_i (matrix rows); each relation is a
-    column of ``rel`` whose weight v_j is forced by homogeneity.  ``module``
-    optionally remembers the canonical module this presents.
+    column of ``rel`` whose weight v_j is forced by homogeneity.
     """
 
-    __slots__ = ("gens", "rel", "module")
+    __slots__ = ("gens", "rel")
 
-    def __init__(self, gens: Sequence[int], rel: Optional[MonoMatrix] = None,
-                 module: Optional[GradedModule] = None):
+    def __init__(self, gens: Sequence[int], rel: Optional[MonoMatrix] = None):
         self.gens = tuple(int(g) for g in gens)
         if rel is None:
             rel = MonoMatrix(self.gens, ())
         if rel.row_weights != self.gens:
             raise ValueError("relation matrix rows do not match generators")
         self.rel = rel
-        self.module = module
 
     @property
     def nrel(self) -> int:
@@ -340,11 +337,11 @@ def present(M: GradedModule) -> Presentation:
     rel = MonoMatrix(gens, [g - n for g, n in M.torsion])
     for t, (_g, _n) in enumerate(M.torsion):
         rel.set(len(M.free) + t, t, 1)
-    return Presentation(gens, rel, module=M)
+    return Presentation(gens, rel)
 
 
 # ---------------------------------------------------------------------------
-# sparse echelon sweep: ranks, relation spans, kernels and decompositions
+# sparse echelon sweep: ranks, relation spans, kernels and homology
 # ---------------------------------------------------------------------------
 #
 # An entry (i, j) of a ``MonoMatrix`` can be nonzero only where
@@ -352,14 +349,17 @@ def present(M: GradedModule) -> Presentation:
 # of weight >= w: the rank of the weight-w component is the rank of those
 # columns alone.  It only grows as w falls, so one sweep inserting the columns
 # by descending weight into an echelon basis yields the rank at every weight
-# at once.  The same sweep decides membership in the image of a relation
-# matrix: an element of weight w is in it iff it reduces to zero against the
-# relation columns of weight >= w.  It also yields kernels (``free_kernel``)
-# and canonical forms (``canonical_decompose``): reducing a column of weight
-# v by one of weight v' >= v subtracts x^(v' - v) times it, a genuine
-# polynomial multiple.  The sweep keeps every column and basis vector sparse,
-# as a {key: coefficient} dict of its nonzeros; no column is ever expanded to
-# a dense vector.
+# at once (``_rank_steps``).  The same sweep decides membership in the image
+# of a relation matrix (``_in_relation_span``): an element of weight w is in
+# it iff it reduces to zero against the relation columns of weight >= w.  It
+# also yields kernels (``free_kernel``) and the persistence pairing
+# (``_pairing_homology``), the one read-out of homology: the cohomology of a
+# complex of free modules, and a presentation's canonical form
+# (``canonical_decompose``) as the H^0 of its two-term complex.  Reducing a
+# column of weight v by one of weight v' >= v subtracts x^(v' - v) times
+# it, a genuine polynomial multiple.  The sweep keeps every column and basis
+# vector sparse, as a {key: coefficient} dict of its nonzeros; no column is
+# ever expanded to a dense vector.
 #
 # The sweep is fraction-free, in the style of Bareiss (1968, Math. Comp. 22)
 # but with content (gcd) removal in place of his exact division by the last
@@ -521,33 +521,75 @@ def free_kernel(mat: MonoMatrix) -> MonoMatrix:
     return out
 
 
-def canonical_decompose(p: Presentation) -> GradedModule:
-    """Canonical form of the presented module.
+def _pairing_homology(terms: Dict[int, Tuple[int, ...]],
+                      diffs: Dict[int, MonoMatrix]) -> Dict[int, GradedModule]:
+    """H^k of a complex of free modules, for every degree with generators.
 
-    Pivot rule: the rows are renumbered by ascending generator weight and
-    the relation columns enter the sweep by descending weight, so a column
-    is reduced only by columns of weight at least its own, at its
-    least-weight (youngest) generator.  A column of weight v that stops at
-    a row of weight w gives T(w, w - v) if w > v and cancels the pair if
-    w == v; a column that vanishes is dropped; unpaired rows are the free
-    summands.  Pivoting at an older row would be wrong: generators of
-    weight 2 and 0 with the relation e1 + x^2 e0 present F(2), not
-    T(2,2) + F(0).  Uniqueness: this is the persistence pairing of the
-    weight filtration (Zomorodian & Carlsson 2005), and its summands are
-    the canonical form, unique by Krull-Schmidt, whatever order equal
-    weights are taken in.
+    ``terms[k]`` holds the generator weights of term k and ``diffs[k]`` :
+    term_k -> term_{k+1} is a ``MonoMatrix``; a degree missing from either
+    is zero.  H^k is the persistence pairing of the weight filtration
+    (Zomorodian & Carlsson 2005, "Computing persistent homology").  Each
+    term has one total order, descending weight with ties by index: its
+    columns in d_k are swept in it, and its rows in d_{k-1} are keyed by its
+    reverse, youngest first, so a column is reduced only by columns of
+    weight at least its own, at its least-weight (youngest) generator.  For
+    k ascending the columns of d_k are swept once; a column of weight v
+    that stops at row i kills generator i of term k + 1, which gives
+    T(w_i, w_i - v) in H^{k+1}, or cancels when w_i == v, and the killed
+    generator's column in d_{k+1} is skipped (clearing: Chen & Kerber 2011,
+    "Persistent homology computation with a twist").  A generator whose
+    column vanishes and that nothing killed gives F(w) in H^k.
+
+    Pivoting at an older row would be wrong: generators of weight 2 and 0
+    with the relation e1 + x^2 e0 present F(2), not T(2,2) + F(0).
+    Clearing is sound: the column that killed generator i has zero
+    differential, and its other entries sit at older generators (weight
+    >= w_i), so d_{k+1} e_i is a polynomial combination of their columns
+    and adds nothing to the span at any weight.  The summands are the
+    canonical form, unique by Krull-Schmidt, whatever order equal weights
+    are taken in.
     """
-    rw = p.rel.row_weights
-    rel = p.rel.restrict_rows(sorted(range(len(rw)), key=rw.__getitem__))
-    ws = rel.row_weights
-    basis: Dict[int, Dict[int, int]] = {}
-    tors: List[Tuple[int, int]] = []
-    for v, vec in _columns_by_weight(rel, min(rel.col_weights, default=0)):
-        r = _echelon_insert(basis, vec, len(ws))
-        if r is not None and ws[r] > v:
-            tors.append((ws[r], ws[r] - v))
-    free = tuple(w for r, w in enumerate(ws) if r not in basis)
-    return GradedModule(free, tuple(sorted(tors)))
+    # oldest first: descending weight, ties by index (the sort is stable)
+    order = {k: sorted(range(len(ws)), key=ws.__getitem__, reverse=True)
+             for k, ws in terms.items()}
+    out: Dict[int, GradedModule] = {}
+    killed: Dict[int, int] = {}  # generator of term k -> weight of its killer
+    for k in sorted(terms):
+        gens = terms[k]
+        if not gens:
+            continue
+        young = order.get(k + 1, [])[::-1]  # the rows of d_k by key
+        key = {i: r for r, i in enumerate(young)}
+        cols: Dict[int, Dict[int, Q]] = {}
+        dk = diffs.get(k)
+        if dk is not None:
+            for (i, j), q in dk.entries.items():
+                cols.setdefault(j, {})[key[i]] = q
+        free: List[int] = []
+        tors = [(gens[i], gens[i] - v) for i, v in killed.items()
+                if gens[i] > v]
+        nxt: Dict[int, int] = {}
+        basis: Dict[int, Dict[int, int]] = {}
+        for j in order[k]:
+            if j in killed:
+                continue
+            col = cols.get(j)
+            r = _echelon_insert(basis, _integral(col), len(young)) \
+                if col else None
+            if r is None:
+                free.append(gens[j])
+            else:
+                nxt[young[r]] = gens[j]
+        out[k] = GradedModule(tuple(sorted(free)), tuple(sorted(tors)))
+        killed = nxt
+    return out
+
+
+def canonical_decompose(p: Presentation) -> GradedModule:
+    """Canonical form of the presented module: H^0 of the two-term free
+    complex rel: +F(v_j) -> +F(w_i), read off by ``_pairing_homology``."""
+    return _pairing_homology({-1: p.rel.col_weights, 0: p.gens},
+                             {-1: p.rel}).get(0, ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -629,21 +671,6 @@ class KernelImageCokernel:
     cokernel: GradedModule
 
 
-def submodule_presentation(p: Presentation, elems: MonoMatrix) -> Presentation:
-    """Presentation of the submodule generated by the given elements.
-
-    ``elems`` columns are homogeneous elements of the presented module, rows
-    over its generators.  Relations are the syzygies of the elements modulo
-    the relations of the ambient module.
-    """
-    if elems.row_weights != p.gens:
-        raise ValueError("element rows do not match presentation generators")
-    big = elems.hstack(p.rel)
-    ker = free_kernel(big)
-    rel = ker.restrict_rows(range(elems.ncols))
-    return Presentation(elems.col_weights, rel)
-
-
 def kernel_image_cokernel(f: GradedMap) -> KernelImageCokernel:
     """Kernel, image, cokernel of a map of presented modules (canonical forms).
 
@@ -651,13 +678,15 @@ def kernel_image_cokernel(f: GradedMap) -> KernelImageCokernel:
     * image: submodule of the target generated by the image columns;
     * kernel: elements of the source whose lift maps into the target
       relations; obtained from the kernel of [f | rel_dst] on free covers,
-      then presented as a submodule of the source.
+      then presented as a submodule of the source, its relations the
+      syzygies of those elements modulo rel_src.
 
     The kernel of [f | rel_dst] is computed once: its top block (rows = the
     source generators) is both the image's relation matrix (the syzygies of
-    the image columns modulo rel_dst, as in ``submodule_presentation``) and
-    the kernel's generators.  So a call costs two ``free_kernel`` runs (that
-    one and the kernel's own syzygies) and three ``canonical_decompose`` runs.
+    the image columns modulo rel_dst) and the kernel's generators.  So a
+    call costs two ``free_kernel`` runs (that one and the kernel's own
+    syzygies) and three ``canonical_decompose`` runs, each the H^0 of a
+    two-term complex by the one pairing ``_pairing_homology``.
     """
     coker = canonical_decompose(
         Presentation(f.dst.gens, f.dst.rel.hstack(f.mat))
@@ -665,7 +694,9 @@ def kernel_image_cokernel(f: GradedMap) -> KernelImageCokernel:
     big = free_kernel(f.mat.hstack(f.dst.rel))
     kgens = big.restrict_rows(range(len(f.src.gens)))
     image = canonical_decompose(Presentation(f.src.gens, kgens))
-    kernel = canonical_decompose(submodule_presentation(f.src, kgens))
+    krel = free_kernel(kgens.hstack(f.src.rel)).restrict_rows(
+        range(kgens.ncols))
+    kernel = canonical_decompose(Presentation(kgens.col_weights, krel))
     return KernelImageCokernel(kernel, image, coker)
 
 
@@ -695,6 +726,22 @@ def ext1_dim(M: GradedModule, N: GradedModule) -> int:
     for g, n in M.torsion:
         total += _xn_cokernel_dim(N, g, n)
     return total
+
+
+def _mod_xn(M: GradedModule, n: int) -> GradedModule:
+    """M / x^n M."""
+    return gm(
+        [],
+        [(d, n) for d in M.free] + [(g, min(l, n)) for g, l in M.torsion],
+    )
+
+
+def _ker_xn(M: GradedModule, n: int) -> GradedModule:
+    """Kernel of x^n on M (free summands contribute nothing)."""
+    return gm(
+        [],
+        [(min(g, g - l + n), min(l, n)) for g, l in M.torsion],
+    )
 
 
 def _xn_kernel_dim(N: GradedModule, g: int, n: int) -> int:

@@ -46,6 +46,7 @@ from .grmod import (
     MonoMatrix,
     T,
     ZERO,
+    _mod_xn,
     dim_mismatch,
     direct_sum,
     ext1_dim,
@@ -344,11 +345,6 @@ def step(site: Site, cfg: SConfig, M: GradedModule) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _i_star_reduced(M: GradedModule) -> GradedModule:
-    """M/xM on the reduced point: one skyscraper per generator weight."""
-    return gm([], [(d, 1) for d in M.gen_weights()])
-
-
 def axiom_suite(cfg: SConfig, seed: int = 1, samples: int = 200,
                 sigma_fn: Optional[Callable] = None) -> SuiteReport:
     """Randomized check of the s-structure axioms S1-S9 and adhesivity A1-A2.
@@ -365,7 +361,7 @@ def axiom_suite(cfg: SConfig, seed: int = 1, samples: int = 200,
 
     # A1 is a single deterministic fact: the fiber of the maximal ideal
     # (x) = F(-1) at the reduced point is V(-1), which lies in C_{<=0}.
-    ideal_fiber = _i_star_reduced(F(-1))
+    ideal_fiber = _mod_xn(F(-1), 1)
     rep.check("A1_ideal_fiber").record(
         ideal_fiber == T(-1, 1)
         and member(site_z(1), cfg, "le", 0, ideal_fiber),
@@ -513,7 +509,7 @@ def axiom_suite(cfg: SConfig, seed: int = 1, samples: int = 200,
         FX = sampling.random_module(rng)
         GZ = sampling.random_torsion_module(rng, max_len=n)
         c = rep.check("S9_A2_adhesive")
-        if member(site_z(1), cfg, "le", w, _i_star_reduced(FX)) and \
+        if member(site_z(1), cfg, "le", w, _mod_xn(FX, 1)) and \
                 member(zsite, cfg, "ge", w + 1, GZ):
             c.record(
                 hom_dim(FX, GZ) == 0 and ext1_dim(FX, GZ) == 0,

@@ -270,8 +270,7 @@ def aisle_member_z(cfg: SConfig, p: Perversity, site: Site, F: FormalObject,
         )
     if which != "ge0":
         raise ValueError("which must be 'le0' or 'ge0'")
-    g = geometry_report(cfg)
-    pz_dual = g.scod_z - p.pZ
+    pz_dual = dual_perversity(cfg, p).pZ
     D = dualize(F)
     return all(
         member(site, cfg, "le", pz_dual - k, m)

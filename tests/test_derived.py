@@ -393,8 +393,8 @@ def _drop_one_summand(M):
 def test_certificate_rejects_wrong_homology(monkeypatch, corrupt, where):
     # the fault goes into the pairing read-out, one module per degree
     real = derived._pairing_homology
-    monkeypatch.setattr(derived, "_pairing_homology", lambda c: {
-        k: corrupt(h) for k, h in real(c).items()})
+    monkeypatch.setattr(derived, "_pairing_homology", lambda t, d: {
+        k: corrupt(h) for k, h in real(t, d).items()})
     f = module_map(F(0), F(1), {(0, 0): 1})
     phi = chain_map_on_embeds(formal(F(0)), formal(F(1)), {0: f.mat.entries})
     with pytest.raises(AssertionError,
@@ -414,9 +414,9 @@ def test_certificate_needs_the_summand_end_weights(monkeypatch):
     dimension at weight -5 only, below every generator weight (0 and 1):
     the certificate sees it because -5 ends a summand of the read-out."""
     real = derived._pairing_homology
-    monkeypatch.setattr(derived, "_pairing_homology", lambda c: {
+    monkeypatch.setattr(derived, "_pairing_homology", lambda t, d: {
         k: direct_sum(h, T(-5, 1)) if k == 0 else h
-        for k, h in real(c).items()})
+        for k, h in real(t, d).items()})
     c = cone(chain_map_on_embeds(formal(F(0)), formal(F(1)),
                                  {0: {(0, 0): 1}}))
     with pytest.raises(AssertionError,
@@ -522,8 +522,8 @@ def test_dense_rank_check_catches_corrupted_readout(monkeypatch):
     # still disagrees with the dense ranks
     monkeypatch.setattr(derived, "_certify", lambda c, hs: None)
     real = derived._pairing_homology
-    monkeypatch.setattr(derived, "_pairing_homology", lambda c: {
-        k: _drop_one_summand(h) for k, h in real(c).items()})
+    monkeypatch.setattr(derived, "_pairing_homology", lambda t, d: {
+        k: _drop_one_summand(h) for k, h in real(t, d).items()})
     rng = random.Random(43)
     c = cone(_random_embed_map(rng))
     while normal_form(c).is_zero:

@@ -32,6 +32,7 @@ from stagger.grmod import (
     GradedMap,
     MonoMatrix,
     Presentation,
+    ZERO,
     canonical_decompose,
     fmt_module,
     free_kernel,
@@ -287,6 +288,20 @@ def test_free_kernel_contract_scrambled(n):
 # ---------------------------------------------------------------------------
 
 
+def _permuted(rng, p):
+    """``p`` with its generators and its relation columns each put in a
+    random order: the same module, equal weights met in another order."""
+    rows, cols = list(range(len(p.gens))), list(range(p.nrel))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    ri = {r: k for k, r in enumerate(rows)}
+    ci = {c: k for k, c in enumerate(cols)}
+    m = MonoMatrix([p.gens[r] for r in rows],
+                   [p.rel.col_weights[c] for c in cols],
+                   {(ri[i], ci[j]): c for (i, j), c in p.rel.entries.items()})
+    return Presentation(m.row_weights, m)
+
+
 @pytest.mark.parametrize("n", [5, 10, 15, 20])
 def test_decompose_agrees_with_oracle_scrambled(n):
     for seed in range(2):
@@ -299,11 +314,19 @@ def test_decompose_agrees_with_oracle_scrambled(n):
         for _ in range(15):
             m = _degenerate_matrix(rng, kind)
             p = Presentation(m.row_weights, m)
-            assert canonical_decompose(p) == oracle_decompose(p), (kind, m)
+            got = canonical_decompose(p)
+            assert got == oracle_decompose(p), (kind, m)
+            # ties between equal weights may be broken either way
+            q = _permuted(rng, p)
+            assert canonical_decompose(q) == got == oracle_decompose(q), \
+                (kind, m, q.rel)
     # e1 + x^2 e0 = 0 on generators of weight 2 and 0 kills the younger
     # one: pivoting at the older row would give T(2,2) + F(0)
     p = Presentation((2, 0), MonoMatrix((2, 0), (0,), {(0, 0): 1, (1, 0): 1}))
     assert canonical_decompose(p) == oracle_decompose(p) == gm([2])
+    # no generators, with and without a relation column
+    for p in (Presentation(()), Presentation((), MonoMatrix((), (3,)))):
+        assert canonical_decompose(p) == ZERO
 
 
 def test_kernel_image_cokernel_identities():
@@ -311,7 +334,7 @@ def test_kernel_image_cokernel_identities():
     for _ in range(150):
         f = _random_map(rng)
         kic = kernel_image_cokernel(f)
-        M, N = f.src.module, f.dst.module
+        M, N = oracle_decompose(f.src), oracle_decompose(f.dst)
         ws = [w for X in (M, N) for w in X.occupied_window()]
         for w in range(min(ws) - 6, max(ws) + 2):
             assert weight_dim(kic.kernel, w) + weight_dim(kic.image, w) \

@@ -12,7 +12,6 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 @pytest.mark.parametrize("script, args, last_line", [
     ("run_suites.py", ["--samples", "1", "--seeds", "1"], "all suites clean"),
-    ("flag_report.py", ["--window", "1"], None),
 ])
 def test_script_runs_outside_repo_root(tmp_path, script, args, last_line):
     env = dict(os.environ)
@@ -24,5 +23,4 @@ def test_script_runs_outside_repo_root(tmp_path, script, args, last_line):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert lines
-    if last_line is not None:
-        assert lines[-1] == last_line
+    assert lines[-1] == last_line
