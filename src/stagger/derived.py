@@ -367,7 +367,8 @@ def free_embed(F: FormalObject) -> ChainComplex:
     terms: Dict[int, Weights] = {}
     for k in sorted(set(comps) | {k - 1 for k in comps}):
         gens = comps[k].gen_weights() if k in comps else ()
-        rels = tuple(g - n for g, n in comps[k + 1].torsion) \
+        # from a list, not a generator: see GradedModule.gen_weights
+        rels = tuple([g - n for g, n in comps[k + 1].torsion]) \
             if k + 1 in comps else ()
         if gens or rels:
             terms[k] = gens + rels

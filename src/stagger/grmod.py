@@ -75,7 +75,11 @@ class GradedModule:
         return not self.free and not self.torsion
 
     def gen_weights(self) -> Tuple[int, ...]:
-        return tuple(self.free) + tuple(g for g, _ in self.torsion)
+        # tuple([...]), not tuple(<generator>), on hot paths: a generator's
+        # tuple is allocated at 10 items and resized, so each call moves one
+        # tuple between the interpreter's per-size free lists; those fill up
+        # (about 2 MB) and stay full until a full garbage collection
+        return tuple(self.free) + tuple([g for g, _ in self.torsion])
 
     def max_torsion_length(self) -> int:
         return max((n for _, n in self.torsion), default=0)
@@ -83,8 +87,8 @@ class GradedModule:
     def twist(self, m: int) -> "GradedModule":
         """Tensor with V-type character: shift every weight up by m."""
         return GradedModule(
-            tuple(d + m for d in self.free),
-            tuple((g + m, n) for g, n in self.torsion),
+            tuple([d + m for d in self.free]),
+            tuple([(g + m, n) for g, n in self.torsion]),
         )
 
     def torsion_part(self) -> "GradedModule":
@@ -316,7 +320,7 @@ class Presentation:
     __slots__ = ("gens", "rel")
 
     def __init__(self, gens: Sequence[int], rel: Optional[MonoMatrix] = None):
-        self.gens = tuple(int(g) for g in gens)
+        self.gens = tuple([int(g) for g in gens])
         if rel is None:
             rel = MonoMatrix(self.gens, ())
         if rel.row_weights != self.gens:

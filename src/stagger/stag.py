@@ -30,7 +30,11 @@ embedding of the object by ``derived.chain_map_on_embeds`` (a generator link
 per cut piece, an Ext link per rotated one), and the cone's normal form must
 reproduce the above-part on the nose.  The same machinery gives kernels and
 cokernels in the heart, and a Jordan-Holder peeling with auditable mono
-witnesses.
+witnesses.  Each peel touches one summand of the running object, its block,
+and its witness is a chain map into that block alone; the audit certifies
+each distinct witness once and checks that the rest of the object passes
+to the quotient unchanged (``JHReport.audit`` has the proof that this is
+the whole-object certificate).
 """
 
 from __future__ import annotations
@@ -44,18 +48,22 @@ from .grmod import (
     F as Fmod,
     GradedMap,
     GradedModule,
+    MonoMatrix,
     T as Tmod,
     ZERO,
     gm,
 )
 from .derived import (
+    ChainComplex,
     ChainMap,
     FormalObject,
+    _accumulate,
     chain_map_on_embeds,
     cone,
     derived_hom,
     dualize,
     formal,
+    free_embed,
     li_star,
     normal_form,
     push_z,
@@ -512,11 +520,34 @@ def ic(cfg: SConfig, p: Perversity, orbit: str, param: int) -> FormalObject:
 
 @dataclass
 class JHStep:
+    """One peel: the simple ``simple`` embeds in ``before`` with quotient
+    ``after``.
+
+    ``block`` is the one summand of ``before`` the witness lands in, at its
+    degree: T(n,1) @ (pZ - n), or F(-1), F(0) or F(1) @ pU.  ``chain`` is
+    the witness, a chain map from ``free_embed(simple)`` to
+    ``free_embed(block)``; on the rest of ``before`` the embedding is 0.
+    Steps with the same simple and block share one witness object.
+    """
+
     label: str
     simple: FormalObject
     before: FormalObject
     after: FormalObject
+    block: FormalObject
     chain: ChainMap
+
+
+def _mats_key(mats: Dict[int, MonoMatrix]) -> tuple:
+    """A hashable copy of matrices by degree: their weights and entries."""
+    return tuple([(k, m.row_weights, m.col_weights,
+                   tuple(sorted(m.entries.items())))
+                  for k, m in sorted(mats.items())])
+
+
+def _complex_key(c: ChainComplex) -> tuple:
+    """A hashable copy of a complex: its terms and differentials."""
+    return tuple(sorted(c.terms.items())), _mats_key(c.diffs)
 
 
 @dataclass
@@ -530,34 +561,97 @@ class JHReport:
         return len(self.factors)
 
     def audit(self, cfg: SConfig, p: Perversity) -> List[str]:
-        """Verify each peel: valid chain mono with zero heart-kernel whose
-        cone is the next stage, the peeled piece a genuine simple.
+        """Verify each peel: a chain mono with zero heart-kernel from a
+        genuine simple into a summand ``block`` of ``before``, whose
+        cokernel and cone, put back beside the rest of ``before``, are the
+        recorded ``after``.  The factors must be the step labels, the
+        number of steps the closed-form length, and ``obj`` in the heart.
 
         The peel writes each quotient in closed form; this audit is its
-        certificate: per step it computes ``normal_form(cone(chain))``,
-        with the homology rank certificate, and compares it with the
-        recorded ``after``.
+        certificate.  It certifies each distinct (simple, block, chain)
+        once per call, by ``normal_form(cone(chain))`` with its homology
+        rank certificate and the heart truncation of that cone.
+
+        Why the block suffices.  Write ``before`` = B (+) H' with B the
+        block; the whole-object witness is phi = (phi_B, 0): S -> B (+) H'.
+        ``free_embed`` is additive, so cone(phi) = cone(phi_B) (+)
+        free_embed(H') on the nose, and its normal form is that of
+        cone(phi_B) plus H'.  The staggered truncations are additive too.
+        H' is a direct summand of a heart object (``obj`` is checked to be
+        in the heart, and each later ``before`` is the previous step's
+        cokernel in the heart), so H' is in the heart: its truncation at -1
+        is (0, H').  Hence ker phi = ker phi_B, coker phi = coker phi_B (+)
+        H' and the cone of phi is the cone of phi_B (+) H'.
         """
         errs: List[str] = []
+        if not (aisle_member(cfg, p, self.obj, "le0")
+                and aisle_member(cfg, p, self.obj, "ge0")):
+            errs.append("object is not in the heart of %s" % p)
+        certs: Dict[tuple, tuple] = {}
         cur = self.obj
         for i, st in enumerate(self.steps):
             if st.before != cur:
                 errs.append("step %d starts at the wrong object" % i)
-            errs.extend("step %d: %s" % (i, e) for e in st.chain.validate())
-            hm = HeartMorphism(cfg, p, st.simple, st.before, st.chain)
-            kc = heart_kernel_cokernel(hm)
-            if not kc.kernel.is_zero:
-                errs.append("step %d: witness not mono in the heart" % i)
-            if kc.cokernel != st.after:
-                errs.append("step %d: quotient mismatch" % i)
-            if kc.cone != st.after:
-                errs.append("step %d: cone differs from recorded quotient" % i)
+            cur = st.after
+            errs.extend("step %d: %s" % (i, e)
+                        for e in _step_errors(cfg, p, st, certs))
             if not _is_simple_shape(cfg, p, st.label, st.simple):
                 errs.append("step %d: peeled piece is not the labeled simple" % i)
-            cur = st.after
         if not cur.is_zero:
             errs.append("filtration does not terminate at zero")
+        if self.factors != [st.label for st in self.steps]:
+            errs.append("factors differ from the step labels")
+        n = _jh_length(self.obj)
+        if len(self.steps) != n:
+            errs.append("%d steps for an object of length %d"
+                        % (len(self.steps), n))
         return errs
+
+
+def _step_errors(cfg: SConfig, p: Perversity, st: JHStep,
+                 certs: Dict[tuple, tuple]) -> List[str]:
+    """The checks of one step on its block: ``block`` is a summand of
+    ``before``, the witness runs between the embeddings of ``simple`` and
+    ``block``, is a chain map with heart kernel 0, and its cokernel and
+    cone beside the rest of ``before`` are ``after``.  The checks that read
+    only the witness are made once per distinct content key in ``certs``.
+    """
+    try:
+        rest = _without(st.before, st.block)
+    except ValueError:
+        return ["block is not a summand of the object"]
+    ch = st.chain
+    key = (str(st.simple), str(st.block), _mats_key(ch.maps),
+           _complex_key(ch.src), _complex_key(ch.dst))
+    if key not in certs:
+        certs[key] = _certify_witness(cfg, p, st, key[3:])
+    werrs, kc = certs[key]
+    if kc is None:
+        return werrs
+    errs = list(werrs)
+    if _plus(rest, kc.cokernel) != st.after:
+        errs.append("quotient mismatch")
+    if _plus(rest, kc.cone) != st.after:
+        errs.append("cone differs from recorded quotient")
+    return errs
+
+
+def _certify_witness(cfg: SConfig, p: Perversity, st: JHStep, ends: tuple
+                     ) -> Tuple[List[str], Optional[HeartKerCoker]]:
+    """The checks of a step that read only its witness, whose ends have
+    the content keys ``ends``: the errors, and the heart kernel, cokernel
+    and cone when the ends and squares hold."""
+    if ends != (_complex_key(free_embed(st.simple)),
+                _complex_key(free_embed(st.block))):
+        return ["witness does not run from the simple to the block"], None
+    errs = st.chain.validate()
+    if errs:
+        return errs, None
+    kc = heart_kernel_cokernel(
+        HeartMorphism(cfg, p, st.simple, st.block, st.chain))
+    if not kc.kernel.is_zero:
+        errs.append("witness not mono in the heart")
+    return errs, kc
 
 
 def _is_simple_shape(cfg: SConfig, p: Perversity, label: str,
@@ -570,74 +664,65 @@ def _is_simple_shape(cfg: SConfig, p: Perversity, label: str,
     return False
 
 
-def _swap_summand(H: FormalObject, k: int, drop: GradedModule,
-                  add: GradedModule = ZERO) -> FormalObject:
-    """H with the summands of ``drop`` taken out of its degree-k component
-    and those of ``add`` put in."""
-    m = H.components[k]
-    free, tors = list(m.free), list(m.torsion)
-    for d in drop.free:
-        free.remove(d)
-    for t in drop.torsion:
-        tors.remove(t)
+def _without(H: FormalObject, B: FormalObject) -> FormalObject:
+    """H with the summands of B taken out (ValueError if one is missing)."""
     comps = dict(H.components)
-    comps[k] = gm(free + list(add.free), tors + list(add.torsion))
+    for k, b in B.components.items():
+        m = comps.get(k, ZERO)
+        free, tors = list(m.free), list(m.torsion)
+        for d in b.free:
+            free.remove(d)
+        for t in b.torsion:
+            tors.remove(t)
+        comps[k] = GradedModule(tuple(free), tuple(tors))
     return FormalObject(comps)
 
 
-def _peel_torsion(cfg: SConfig, p: Perversity, H: FormalObject,
-                  n: int) -> JHStep:
-    """Peel the direct summand T(n,1) @ (pZ - n) (a shifted simple).
+def _plus(A: FormalObject, B: FormalObject) -> FormalObject:
+    """A (+) B, degree by degree."""
+    comps = dict(A.components)
+    for k, m in B.components.items():
+        _accumulate(comps, k, m)
+    return FormalObject(comps)
 
-    The quotient is H without that summand, written down directly;
-    ``JHReport.audit`` certifies it against the cone's normal form.
+
+def _jh_witness(p: Perversity, piece: Tuple[str, int]) -> tuple:
+    """(label, simple, block, chain, quotient) of the peel from one heart
+    summand: ('T', n) is T(n,1) @ (pZ - n), ('F', d) is F(d) @ pU.
+
+    A skyscraper summand and F(0) are simples, peeled by the identity with
+    quotient 0; OX embeds in F(1) via x with quotient SZ(1), so F(1)
+    becomes T(1,1); SZ(0) embeds in F(-1) via the Ext component (its
+    relation column, of weight -1, onto the generator), and F(-1) becomes
+    F(0).  The quotient is that closed form; ``JHReport.audit`` certifies
+    it by the cone of the chain.
     """
-    k = p.pZ - n
-    m = H.components[k]
-    tidx = next(
-        i for i, (g, l) in enumerate(m.torsion) if g == n and l == 1
-    )
-    S = formal(Tmod(n, 1), k)
-    ch = chain_map_on_embeds(S, H, {k: {(len(m.free) + tidx, 0): 1}})
-    return JHStep(label="SZ(%d)" % n, simple=S, before=H,
-                  after=_swap_summand(H, k, Tmod(n, 1)), chain=ch)
-
-
-def _peel_free(cfg: SConfig, p: Perversity, H: FormalObject,
-               d: int) -> JHStep:
-    """Peel from a free summand F(d) @ pU (d in {-1, 0, 1}).
-
-    d = 0: the summand is the simple OX, and the quotient drops it; d = 1:
-    OX embeds via x with quotient SZ(1), so F(1) becomes T(1,1); d = -1:
-    SZ(0) embeds via the Ext component, and F(-1) becomes F(0).  The
-    quotient is written down in that closed form; ``JHReport.audit``
-    certifies it against the cone's normal form.
-    """
+    kind, n = piece
     a = p.pU
-    m = H.components[a]
-    fidx = next(i for i, w in enumerate(m.free) if w == d)
-    if d in (0, 1):
+    if kind == "T":
+        S = formal(Tmod(n, 1), p.pZ - n)
+        return ("SZ(%d)" % n, S, S,
+                chain_map_on_embeds(S, S, {p.pZ - n: {(0, 0): 1}}),
+                FormalObject())
+    block = formal(Fmod(n), a)
+    if n in (0, 1):
         S = formal(Fmod(0), a)
-        ch = chain_map_on_embeds(S, H, {a: {(fidx, 0): 1}})
-        label = "OX"
-        after = _swap_summand(H, a, Fmod(d), Tmod(1, 1) if d else ZERO)
-    elif d == -1:
+        return ("OX", S, block,
+                chain_map_on_embeds(S, block, {a: {(0, 0): 1}}),
+                formal(Tmod(1, 1) if n else ZERO, a))
+    if n == -1:
         S = formal(Tmod(0, 1), a + 1)
-        # the inclusion lives in the Ext component: the skyscraper's
-        # relation column (weight -1) maps onto the generator of F(-1)
-        ch = chain_map_on_embeds(S, H, {}, {a: {(fidx, 0): 1}})
-        label = "SZ(0)"
-        after = _swap_summand(H, a, Fmod(-1), Fmod(0))
-    else:
-        raise ValueError("free heart summands have generator in {-1, 0, 1}")
-    return JHStep(label=label, simple=S, before=H, after=after, chain=ch)
+        return ("SZ(0)", S, block,
+                chain_map_on_embeds(S, block, {}, {a: {(0, 0): 1}}),
+                formal(Fmod(0), a))
+    raise ValueError("free heart summands have generator in {-1, 0, 1}")
 
 
 def _jh_length(H: FormalObject) -> int:
     """Jordan-Holder length of a heart object of a strict perversity, in
     closed form: each skyscraper summand T(n,1) and each F(0) is one simple,
     F(1) and F(-1) are two (OX and a skyscraper)."""
-    return sum(len(m.torsion) + sum(1 if d == 0 else 2 for d in m.free)
+    return sum(len(m.torsion) + 2 * len(m.free) - m.free.count(0)
                for m in H.components.values())
 
 
@@ -651,11 +736,13 @@ def jh_factors(cfg: SConfig, p: Perversity, Fo: FormalObject,
     '_order' knob re-runs the peel with different preferences; the factor
     multiset is an invariant and the suite checks it.
 
-    Each quotient (the next stage) is written in closed form from the
-    simples of a strict perversity, not computed; ``JHReport.audit``
-    certifies every one by the normal form of the witness's cone.  Every
-    peel lowers the closed-form length ``_jh_length`` by exactly 1 (this is
-    asserted), so the loop ends after that many peels, at any length.
+    Each step touches one summand, its ``block``: the quotient (the next
+    stage) is the rest of the object plus the block's closed-form quotient
+    (``_jh_witness``), not computed; ``JHReport.audit`` certifies every one
+    by the normal form of the witness's cone.  Each distinct witness is
+    built once per call and shared by its steps.  Every peel lowers the
+    closed-form length ``_jh_length`` by exactly 1 (this is asserted), so
+    the loop ends after that many peels, at any length.
     """
     _require_strict(cfg, p)
     if not (aisle_member(cfg, p, Fo, "le0")
@@ -663,37 +750,28 @@ def jh_factors(cfg: SConfig, p: Perversity, Fo: FormalObject,
         raise ValueError("object is not in the heart of %s" % p)
     H = Fo
     steps: List[JHStep] = []
+    wits: Dict[Tuple[str, int], tuple] = {}
     left = _jh_length(H)
     while not H.is_zero:
-        tors_ns = sorted(
-            g
-            for k, m in H.components.items()
-            for g, l in m.torsion
-        )
-        frees = sorted(H.components.get(p.pU, ZERO).free) \
-            if p.pU in H.components else []
-
-        step_: Optional[JHStep] = None
+        # each torsion tuple is sorted, so its ends are its extreme weights
+        tors = [m.torsion for m in H.components.values() if m.torsion]
+        frees = H.component(p.pU).free
         if _order == "default":
-            if tors_ns:
-                step_ = _peel_torsion(cfg, p, H, tors_ns[0])
-            elif -1 in frees:
-                step_ = _peel_free(cfg, p, H, -1)
-            elif 0 in frees:
-                step_ = _peel_free(cfg, p, H, 0)
+            if tors:
+                piece = ("T", min(t[0][0] for t in tors))
             else:
-                step_ = _peel_free(cfg, p, H, 1)
+                piece = ("F", next(d for d in (-1, 0, 1) if d in frees))
         else:  # alternate order: frees first, torsion largest-first
-            if 0 in frees:
-                step_ = _peel_free(cfg, p, H, 0)
-            elif 1 in frees:
-                step_ = _peel_free(cfg, p, H, 1)
-            elif -1 in frees:
-                step_ = _peel_free(cfg, p, H, -1)
-            else:
-                step_ = _peel_torsion(cfg, p, H, tors_ns[-1])
-        steps.append(step_)
-        H = step_.after
+            d = next((d for d in (0, 1, -1) if d in frees), None)
+            piece = ("F", d) if d is not None else \
+                ("T", max(t[-1][0] for t in tors))
+        if piece not in wits:
+            wits[piece] = _jh_witness(p, piece)
+        label, S, block, ch, quot = wits[piece]
+        after = _plus(_without(H, block), quot)
+        steps.append(JHStep(label=label, simple=S, before=H, after=after,
+                            block=block, chain=ch))
+        H = after
         if _jh_length(H) != left - 1:
             raise AssertionError("Jordan-Holder peel did not lower the length")
         left -= 1

@@ -341,33 +341,116 @@ def test_jh_audit_reports_tampered_steps():
 
 
 def test_jh_audit_reports_tampered_links():
-    # step 2 embeds OX = [0] F(0) into [0] F(0) + F(1) by a generator link
-    # onto F(0); tamper with that link and keep the recorded quotient
+    # step 2 embeds OX = [0] F(0) into its block F(0) of [0] F(0) + F(1) by
+    # a generator link; tamper through the block and keep the recorded
+    # quotient
     obj = FormalObject({0: gm([1, -1]), 1: V(0)})
     rep = jh_factors(W, P01, obj)
     i, st = 2, rep.steps[2]
-    assert (st.label, st.before, st.after) == \
-        ("OX", FormalObject({0: gm([0, 1])}), FormalObject({0: Fmod(1)}))
+    assert (st.label, st.before, st.after, st.block) == \
+        ("OX", FormalObject({0: gm([0, 1])}), FormalObject({0: Fmod(1)}),
+         formal(Fmod(0), 0))
     assert st.chain.maps[0].entries == {(0, 0): 1}
 
-    def audit(links):
+    def audit(block, links):
         steps = list(rep.steps)
-        steps[i] = dataclasses.replace(
-            st, chain=chain_map_on_embeds(st.simple, st.before, links))
+        chain = chain_map_on_embeds(st.simple, block, links)
+        steps[i] = dataclasses.replace(st, block=block, chain=chain)
         return JHReport(rep.obj, rep.factors, steps).audit(W, P01)
 
-    assert audit({0: {(0, 0): 1}}) == []
+    assert audit(st.block, {0: {(0, 0): 1}}) == []
     # coefficient 0: the zero map, whose kernel is the whole simple
-    assert audit({0: {(0, 0): 0}}) == [
+    assert audit(st.block, {0: {(0, 0): 0}}) == [
         "step 2: witness not mono in the heart",
         "step 2: quotient mismatch",
         "step 2: cone differs from recorded quotient",
     ]
     # onto F(1) by x: still mono, but the quotient is F(0) + T(1,1)
-    assert audit({0: {(1, 0): 1}}) == [
+    assert audit(formal(Fmod(1), 0), {0: {(0, 0): 1}}) == [
         "step 2: quotient mismatch",
         "step 2: cone differs from recorded quotient",
     ]
+
+
+def test_jh_audit_checks_factors_and_length():
+    obj = FormalObject({0: gm([1, -1]), 1: V(0)})
+    rep = jh_factors(W, P01, obj)
+    assert rep.factors == ["SZ(0)", "SZ(0)", "OX", "OX", "SZ(1)"]
+    relabelled = ["SZ(0)", "SZ(0)", "OX", "SZ(1)", "SZ(1)"]
+    assert JHReport(rep.obj, relabelled, rep.steps).audit(W, P01) == [
+        "factors differ from the step labels"]
+    # the last step and its factor dropped
+    assert JHReport(rep.obj, rep.factors[:-1], rep.steps[:-1]).audit(
+        W, P01) == ["filtration does not terminate at zero",
+                    "4 steps for an object of length 5"]
+    outside = JHReport(formal(Fmod(2), 0), rep.factors, rep.steps)
+    assert "object is not in the heart of %s" % P01 in outside.audit(W, P01)
+
+
+def test_jh_audit_checks_witness_ends():
+    # a witness built for SZ(1) recorded on the SZ(2) step
+    rep = jh_factors(W, P01, FormalObject({0: V(1), -1: V(2)}))
+    assert rep.factors == ["SZ(1)", "SZ(2)"]
+    steps = list(rep.steps)
+    steps[1] = dataclasses.replace(steps[1], chain=steps[0].chain)
+    assert JHReport(rep.obj, rep.factors, steps).audit(W, P01) == [
+        "step 1: witness does not run from the simple to the block"]
+
+
+def test_jh_audit_checks_untouched_summands_and_block():
+    obj = FormalObject({0: gm([0, 1, -1]), 1: V(0), -1: V(2)})
+    rep = jh_factors(W, P01, obj)
+    assert rep.audit(W, P01) == []
+    st = rep.steps[0]
+    assert st.label == "SZ(0)" and st.block == formal(V(0), 1)
+    # an untouched summand of the quotient altered: F(-1) becomes F(2)
+    wrong = FormalObject({**st.after.components, 0: gm([0, 1, 2])})
+    steps = list(rep.steps)
+    steps[0] = dataclasses.replace(st, after=wrong)
+    assert JHReport(rep.obj, rep.factors, steps).audit(W, P01) == [
+        "step 0: quotient mismatch",
+        "step 0: cone differs from recorded quotient",
+        "step 1 starts at the wrong object",
+    ]
+    # a block that is not a summand of the object: V(0) twice
+    absent = formal(gm([], [(0, 1), (0, 1)]), 1)
+    steps[0] = dataclasses.replace(
+        st, block=absent,
+        chain=chain_map_on_embeds(st.simple, absent, {1: {(0, 0): 1}}))
+    assert JHReport(rep.obj, rep.factors, steps).audit(W, P01) == [
+        "step 0: block is not a summand of the object"]
+
+
+def test_jh_audit_certifies_each_chain_it_reads():
+    # both OX steps share one witness; a second step with the same label
+    # and block but another chain is certified on its own
+    rep = jh_factors(W, P01, formal(gm([0, 0]), 0))
+    first, second = rep.steps
+    assert first.chain is second.chain and rep.audit(W, P01) == []
+    zero = chain_map_on_embeds(second.simple, second.block, {0: {(0, 0): 0}})
+    steps = [first, dataclasses.replace(second, chain=zero)]
+    assert JHReport(rep.obj, rep.factors, steps).audit(W, P01) == [
+        "step 1: witness not mono in the heart",
+        "step 1: quotient mismatch",
+        "step 1: cone differs from recorded quotient",
+    ]
+
+
+def test_jh_audit_certifies_each_witness_once(monkeypatch):
+    rep = jh_factors(W, P01, _heart_object(random.Random(20), P01, 1280))
+    assert rep.length == 1280
+    calls = []
+    real = stag.heart_kernel_cokernel
+
+    def counted(hm):
+        calls.append(hm)
+        return real(hm)
+
+    monkeypatch.setattr(stag, "heart_kernel_cokernel", counted)
+    assert rep.audit(W, P01) == []
+    distinct = {(str(st.simple), str(st.block)) for st in rep.steps}
+    # seven skyscraper weights and three free blocks at most
+    assert len(calls) == len(distinct) <= 10
 
 
 def test_jh_random_heart_objects():
@@ -463,7 +546,23 @@ def test_jh_closed_form_peel():
         rep = jh_factors(W, p, H, _order=order)
         assert _jh_record(rep, p, order) == want
         for st in rep.steps:
-            assert st.after == normal_form(cone(st.chain)), (p, order, H)
+            full = _whole_object_chain(st)
+            assert st.after == normal_form(cone(full)), (p, order, H)
+
+
+def _whole_object_chain(st):
+    """The witness of a step as a chain map into all of ``before``: its one
+    link moved from the block's generator to that summand's generator in
+    ``before`` (free first, then torsion), and zero elsewhere."""
+    (k, b), = st.block.components.items()
+    m = st.before.components[k]
+    i = m.free.index(b.free[0]) if b.free else \
+        len(m.free) + m.torsion.index(b.torsion[0])
+    link = {k: {(i, 0): 1}}
+    if b.free and not any(s.free for s in st.simple.components.values()):
+        # SZ(0) into F(-1): the Ext component
+        return chain_map_on_embeds(st.simple, st.before, {}, link)
+    return chain_map_on_embeds(st.simple, st.before, link)
 
 
 def test_jh_peel_past_one_thousand():
@@ -477,6 +576,7 @@ def test_jh_peel_past_one_thousand():
     assert sorted(rep.factors) == sorted(
         ["OX"] * 600 + ["SZ(1)"] * 250 + ["SZ(0)"] * 151)
     assert rep.steps[-1].after.is_zero
+    assert rep.audit(W, P01) == []
 
 
 def _int_coefficients(mats):
