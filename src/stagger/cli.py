@@ -109,6 +109,18 @@ def _parse_perversity(s: str) -> Perversity:
         raise _ArgError("perversity must be 'pU,pZ' with integers")
 
 
+def _positive_int(text: str) -> int:
+    """--samples and --window: none would check nothing and pass."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a positive integer, got %.40s" % text)
+    return n
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -454,7 +466,7 @@ def _add_common(sp, site=False, mode=True, perversity=False, expr=1,
                         help="run the brute-force oracle and diff")
     if suite:
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--samples", type=int, default=200)
+        sp.add_argument("--samples", type=_positive_int, default=200)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out", default=None, metavar="FILE")
     if expr >= 1:
@@ -498,7 +510,7 @@ _VERBS = {
     "tsuite": (_cmd_suite, dict(expr=0, suite=True)),
     "oracle-suite": (_cmd_suite, dict(expr=0, suite=True, mode=False)),
     "flag-verify": (_cmd_flag_verify, dict(expr=0, mode=False, extra=[
-        ("--window", dict(type=int, default=4)),
+        ("--window", dict(type=_positive_int, default=4)),
     ])),
 }
 

@@ -146,6 +146,36 @@ def direct_sum(*mods: GradedModule) -> GradedModule:
     return GradedModule(tuple(sorted(free)), tuple(sorted(tors)))
 
 
+def summand_pieces(M: GradedModule) -> List[Tuple]:
+    """The summands of M as pieces ('F', d) and ('T', g, l), in canonical
+    generator order (free first, then torsion)."""
+    return [("F", d) for d in M.free] + [("T", g, l) for g, l in M.torsion]
+
+
+def pieces_module(pieces: List[Tuple]) -> GradedModule:
+    """The direct sum of the pieces ('F', d) and ('T', g, l)."""
+    return gm(
+        [p[1] for p in pieces if p[0] == "F"],
+        [(p[1], p[2]) for p in pieces if p[0] == "T"],
+    )
+
+
+def _canonical_positions(pieces: List[Tuple]) -> List[int]:
+    """Index of each piece ('F', d) or ('T', g, n) in the canonical order."""
+    frees = sorted(
+        (p[1], i) for i, p in enumerate(pieces) if p[0] == "F"
+    )
+    tors = sorted(
+        ((p[1], p[2]), i) for i, p in enumerate(pieces) if p[0] == "T"
+    )
+    pos = [0] * len(pieces)
+    for slot, (_w, i) in enumerate(frees):
+        pos[i] = slot
+    for slot, (_k, i) in enumerate(tors):
+        pos[i] = len(frees) + slot
+    return pos
+
+
 def weight_dim(M: GradedModule, w: int) -> int:
     """k-dimension of the weight-w component."""
     d = sum(1 for b in M.free if w <= b)
@@ -247,6 +277,11 @@ class MonoMatrix:
 
     def get(self, i: int, j: int) -> Q:
         return self.entries.get((i, j), 0)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MonoMatrix) and \
+            (self.row_weights, self.col_weights, self.entries) == \
+            (other.row_weights, other.col_weights, other.entries)
 
     @property
     def nrows(self) -> int:

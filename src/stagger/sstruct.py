@@ -46,6 +46,7 @@ from .grmod import (
     MonoMatrix,
     T,
     ZERO,
+    _canonical_positions,
     _mod_xn,
     dim_mismatch,
     direct_sum,
@@ -55,8 +56,10 @@ from .grmod import (
     hom_dim,
     internal_hom,
     kernel_image_cokernel,
+    pieces_module,
     present,
     summand_ends,
+    summand_pieces,
     tensor,
 )
 from .report import SuiteReport
@@ -237,20 +240,6 @@ class SigmaWitness:
         return errs
 
 
-def summand_pieces(M: GradedModule) -> List[Tuple]:
-    """The summands of M as pieces ('F', d) and ('T', g, l), in canonical
-    generator order (free first, then torsion)."""
-    return [("F", d) for d in M.free] + [("T", g, l) for g, l in M.torsion]
-
-
-def pieces_module(pieces: List[Tuple]) -> GradedModule:
-    """The direct sum of the pieces ('F', d) and ('T', g, l)."""
-    return gm(
-        [p[1] for p in pieces if p[0] == "F"],
-        [(p[1], p[2]) for p in pieces if p[0] == "T"],
-    )
-
-
 def cut_summand(site: Site, cfg: SConfig, piece: Tuple,
                 c: int) -> Tuple[Optional[Tuple], Optional[Tuple]]:
     """Cut one summand at weight c: (sub, quotient), either None when zero.
@@ -272,22 +261,6 @@ def cut_summand(site: Site, cfg: SConfig, piece: Tuple,
         return ("F", c), ("T", d, d - c)
     _t, g, l = piece
     return ("T", c, l - g + c), ("T", g, g - c)
-
-
-def _canonical_positions(pieces: List[Tuple]) -> List[int]:
-    """Index of each piece ('F', d) or ('T', g, n) in the canonical order."""
-    frees = sorted(
-        (p[1], i) for i, p in enumerate(pieces) if p[0] == "F"
-    )
-    tors = sorted(
-        ((p[1], p[2]), i) for i, p in enumerate(pieces) if p[0] == "T"
-    )
-    pos = [0] * len(pieces)
-    for slot, (_w, i) in enumerate(frees):
-        pos[i] = slot
-    for slot, (_k, i) in enumerate(tors):
-        pos[i] = len(frees) + slot
-    return pos
 
 
 def sigma(site: Site, cfg: SConfig, direction: str, w: int,

@@ -30,34 +30,36 @@ embedding of the object by ``derived.chain_map_on_embeds`` (a generator link
 per cut piece, an Ext link per rotated one), and the cone's normal form must
 reproduce the above-part on the nose.  The same machinery gives kernels and
 cokernels in the heart, and a Jordan-Holder peeling with auditable mono
-witnesses.  Each peel touches one summand of the running object, its block,
-and its witness is a chain map into that block alone; the audit certifies
-each distinct witness once and checks that the rest of the object passes
-to the quotient unchanged (``JHReport.audit`` has the proof that this is
-the whole-object certificate).
+witnesses.  Each peel is a delta on one summand of the running object, its
+block, and the running object is kept as summand counts; the witness is a
+chain map into the block alone, and the audit certifies each distinct step
+once (``JHReport.audit`` has the proof that this is the whole-object
+certificate).
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .grmod import (
     F as Fmod,
     GradedMap,
     GradedModule,
-    MonoMatrix,
     T as Tmod,
     ZERO,
+    _canonical_positions,
     gm,
+    pieces_module,
+    summand_pieces,
 )
 from .derived import (
-    ChainComplex,
     ChainMap,
     FormalObject,
-    _accumulate,
     chain_map_on_embeds,
     cone,
     derived_hom,
@@ -77,14 +79,11 @@ from .sstruct import (
     SITE_U,
     SITE_X,
     Site,
-    _canonical_positions,
     check_on_site,
     cut_summand,
     max_ge,
     member,
-    pieces_module,
     site_z,
-    summand_pieces,
 )
 from . import sampling
 
@@ -518,36 +517,55 @@ def ic(cfg: SConfig, p: Perversity, orbit: str, param: int) -> FormalObject:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class JHStep:
-    """One peel: the simple ``simple`` embeds in ``before`` with quotient
-    ``after``.
+    """One peel as a delta: the simple ``simple`` embeds in ``block``, one
+    summand of the running object at its degree, with cokernel
+    ``quotient``; the rest of the object passes on unchanged.
 
-    ``block`` is the one summand of ``before`` the witness lands in, at its
-    degree: T(n,1) @ (pZ - n), or F(-1), F(0) or F(1) @ pU.  ``chain`` is
-    the witness, a chain map from ``free_embed(simple)`` to
-    ``free_embed(block)``; on the rest of ``before`` the embedding is 0.
-    Steps with the same simple and block share one witness object.
+    ``block`` is T(n,1) @ (pZ - n), or F(-1), F(0) or F(1) @ pU, and
+    ``quotient`` its closed-form cokernel: 0, T(1,1) @ pU or F(0) @ pU.
+    ``chain`` is the witness, a chain map from ``free_embed(simple)`` to
+    ``free_embed(block)``.  ``jh_factors`` repeats one step object per
+    distinct block; ``JHReport.replay`` gives the whole objects.
     """
 
     label: str
     simple: FormalObject
-    before: FormalObject
-    after: FormalObject
     block: FormalObject
     chain: ChainMap
+    quotient: FormalObject
+
+    @functools.cached_property
+    def delta(self) -> Tuple[Counter, Counter]:
+        """The summand counts of ``block`` and of ``quotient``."""
+        return _summand_counts(self.block), _summand_counts(self.quotient)
 
 
-def _mats_key(mats: Dict[int, MonoMatrix]) -> tuple:
-    """A hashable copy of matrices by degree: their weights and entries."""
-    return tuple([(k, m.row_weights, m.col_weights,
-                   tuple(sorted(m.entries.items())))
-                  for k, m in sorted(mats.items())])
+def _summand_counts(Fo: FormalObject) -> Counter:
+    """Fo's summands counted per (degree, ``grmod.summand_pieces`` piece)."""
+    return Counter([(k, s) for k, m in Fo.components.items()
+                    for s in summand_pieces(m)])
 
 
-def _complex_key(c: ChainComplex) -> tuple:
-    """A hashable copy of a complex: its terms and differentials."""
-    return tuple(sorted(c.terms.items())), _mats_key(c.diffs)
+def _counts_formal(counts: Counter) -> FormalObject:
+    """The object with ``counts[(k, piece)]`` copies of each piece at k."""
+    pieces: Dict[int, list] = {}
+    for (k, s), c in counts.items():
+        pieces.setdefault(k, []).extend([(s, None)] * c)
+    return _pieces_to_formal(pieces)
+
+
+def _move(counts: Counter, st: JHStep) -> bool:
+    """Take the block of ``st`` out of ``counts`` and put its quotient in.
+    False when the block is not a summand; then what the counts hold of it
+    is taken."""
+    take, put = st.delta
+    held = all(counts[kp] >= c for kp, c in take.items())
+    for kp, c in take.items():
+        counts[kp] = max(counts[kp] - c, 0)
+    counts.update(put)
+    return held
 
 
 @dataclass
@@ -560,44 +578,55 @@ class JHReport:
     def length(self) -> int:
         return len(self.factors)
 
+    def replay(self) -> Iterator[Tuple[FormalObject, FormalObject]]:
+        """(before, after) of each step: the whole object the step peels
+        and the one it leaves, by the summand counts the audit keeps."""
+        counts = _summand_counts(self.obj)
+        after = _counts_formal(counts)
+        for st in self.steps:
+            before = after
+            _move(counts, st)
+            after = _counts_formal(counts)
+            yield before, after
+
     def audit(self, cfg: SConfig, p: Perversity) -> List[str]:
-        """Verify each peel: a chain mono with zero heart-kernel from a
-        genuine simple into a summand ``block`` of ``before``, whose
-        cokernel and cone, put back beside the rest of ``before``, are the
-        recorded ``after``.  The factors must be the step labels, the
-        number of steps the closed-form length, and ``obj`` in the heart.
+        """Verify the peel by replaying the summand counts from ``obj``:
+        each step needs a positive count of its block, takes it out and
+        puts its quotient in, and the counts must end at zero.  Each
+        distinct step object is certified once per call (``_step_errors``);
+        a step with another chain is another object.  The factors must be
+        the step labels, the number of steps the closed-form length, and
+        ``obj`` in the heart.
 
-        The peel writes each quotient in closed form; this audit is its
-        certificate.  It certifies each distinct (simple, block, chain)
-        once per call, by ``normal_form(cone(chain))`` with its homology
-        rank certificate and the heart truncation of that cone.
-
-        Why the block suffices.  Write ``before`` = B (+) H' with B the
-        block; the whole-object witness is phi = (phi_B, 0): S -> B (+) H'.
-        ``free_embed`` is additive, so cone(phi) = cone(phi_B) (+)
-        free_embed(H') on the nose, and its normal form is that of
-        cone(phi_B) plus H'.  The staggered truncations are additive too.
-        H' is a direct summand of a heart object (``obj`` is checked to be
-        in the heart, and each later ``before`` is the previous step's
-        cokernel in the heart), so H' is in the heart: its truncation at -1
-        is (0, H').  Hence ker phi = ker phi_B, coker phi = coker phi_B (+)
-        H' and the cone of phi is the cone of phi_B (+) H'.
+        Why the block suffices.  Write the running object as B (+) H', with
+        B the block and H' the counts minus the block; the whole-object
+        witness is phi = (phi_B, 0): S -> B (+) H'.  ``free_embed`` is
+        additive, so cone(phi) = cone(phi_B) (+) free_embed(H') on the
+        nose, and its normal form is that of cone(phi_B) plus H'.  The
+        staggered truncations are additive too.  H' is a direct summand of
+        a heart object (``obj`` is checked to be in the heart, and each
+        later running object is the previous step's cokernel in the heart),
+        so H' is in the heart: its truncation at -1 is (0, H').  Hence
+        ker phi = ker phi_B, coker phi = coker phi_B (+) H' and the cone of
+        phi is the cone of phi_B (+) H'.
         """
         errs: List[str] = []
         if not (aisle_member(cfg, p, self.obj, "le0")
                 and aisle_member(cfg, p, self.obj, "ge0")):
             errs.append("object is not in the heart of %s" % p)
-        certs: Dict[tuple, tuple] = {}
-        cur = self.obj
+        counts = _summand_counts(self.obj)
+        seen: Dict[int, tuple] = {}  # id(step) -> (its errors, simple ok)
         for i, st in enumerate(self.steps):
-            if st.before != cur:
-                errs.append("step %d starts at the wrong object" % i)
-            cur = st.after
-            errs.extend("step %d: %s" % (i, e)
-                        for e in _step_errors(cfg, p, st, certs))
-            if not _is_simple_shape(cfg, p, st.label, st.simple):
+            if id(st) not in seen:
+                seen[id(st)] = (_step_errors(cfg, p, st),
+                                _is_simple_shape(cfg, p, st.label, st.simple))
+            werrs, simple = seen[id(st)]
+            if not _move(counts, st):
+                werrs = ["block is not a summand of the object"]
+            errs.extend("step %d: %s" % (i, e) for e in werrs)
+            if not simple:
                 errs.append("step %d: peeled piece is not the labeled simple" % i)
-        if not cur.is_zero:
+        if any(counts.values()):
             errs.append("filtration does not terminate at zero")
         if self.factors != [st.label for st in self.steps]:
             errs.append("factors differ from the step labels")
@@ -608,50 +637,27 @@ class JHReport:
         return errs
 
 
-def _step_errors(cfg: SConfig, p: Perversity, st: JHStep,
-                 certs: Dict[tuple, tuple]) -> List[str]:
-    """The checks of one step on its block: ``block`` is a summand of
-    ``before``, the witness runs between the embeddings of ``simple`` and
-    ``block``, is a chain map with heart kernel 0, and its cokernel and
-    cone beside the rest of ``before`` are ``after``.  The checks that read
-    only the witness are made once per distinct content key in ``certs``.
-    """
-    try:
-        rest = _without(st.before, st.block)
-    except ValueError:
-        return ["block is not a summand of the object"]
+def _step_errors(cfg: SConfig, p: Perversity, st: JHStep) -> List[str]:
+    """The checks of one step on its block, which certify the closed-form
+    quotient of the peel: the witness runs between the embeddings of
+    ``simple`` and ``block``, is a chain map, has heart kernel 0, and its
+    cokernel and cone (``normal_form`` with its homology rank certificate,
+    then the heart truncation) are ``quotient``."""
     ch = st.chain
-    key = (str(st.simple), str(st.block), _mats_key(ch.maps),
-           _complex_key(ch.src), _complex_key(ch.dst))
-    if key not in certs:
-        certs[key] = _certify_witness(cfg, p, st, key[3:])
-    werrs, kc = certs[key]
-    if kc is None:
-        return werrs
-    errs = list(werrs)
-    if _plus(rest, kc.cokernel) != st.after:
-        errs.append("quotient mismatch")
-    if _plus(rest, kc.cone) != st.after:
-        errs.append("cone differs from recorded quotient")
-    return errs
-
-
-def _certify_witness(cfg: SConfig, p: Perversity, st: JHStep, ends: tuple
-                     ) -> Tuple[List[str], Optional[HeartKerCoker]]:
-    """The checks of a step that read only its witness, whose ends have
-    the content keys ``ends``: the errors, and the heart kernel, cokernel
-    and cone when the ends and squares hold."""
-    if ends != (_complex_key(free_embed(st.simple)),
-                _complex_key(free_embed(st.block))):
-        return ["witness does not run from the simple to the block"], None
-    errs = st.chain.validate()
+    if (ch.src, ch.dst) != (free_embed(st.simple), free_embed(st.block)):
+        return ["witness does not run from the simple to the block"]
+    errs = ch.validate()
     if errs:
-        return errs, None
+        return errs
     kc = heart_kernel_cokernel(
-        HeartMorphism(cfg, p, st.simple, st.block, st.chain))
+        HeartMorphism(cfg, p, st.simple, st.block, ch))
     if not kc.kernel.is_zero:
         errs.append("witness not mono in the heart")
-    return errs, kc
+    if kc.cokernel != st.quotient:
+        errs.append("quotient mismatch")
+    if kc.cone != st.quotient:
+        errs.append("cone differs from recorded quotient")
+    return errs
 
 
 def _is_simple_shape(cfg: SConfig, p: Perversity, label: str,
@@ -664,31 +670,9 @@ def _is_simple_shape(cfg: SConfig, p: Perversity, label: str,
     return False
 
 
-def _without(H: FormalObject, B: FormalObject) -> FormalObject:
-    """H with the summands of B taken out (ValueError if one is missing)."""
-    comps = dict(H.components)
-    for k, b in B.components.items():
-        m = comps.get(k, ZERO)
-        free, tors = list(m.free), list(m.torsion)
-        for d in b.free:
-            free.remove(d)
-        for t in b.torsion:
-            tors.remove(t)
-        comps[k] = GradedModule(tuple(free), tuple(tors))
-    return FormalObject(comps)
-
-
-def _plus(A: FormalObject, B: FormalObject) -> FormalObject:
-    """A (+) B, degree by degree."""
-    comps = dict(A.components)
-    for k, m in B.components.items():
-        _accumulate(comps, k, m)
-    return FormalObject(comps)
-
-
-def _jh_witness(p: Perversity, piece: Tuple[str, int]) -> tuple:
-    """(label, simple, block, chain, quotient) of the peel from one heart
-    summand: ('T', n) is T(n,1) @ (pZ - n), ('F', d) is F(d) @ pU.
+def _jh_step(key: tuple) -> JHStep:
+    """The peel from the heart summand keyed (k, piece): T(n,1) @ k with
+    k = pZ - n, or F(d) @ k with k = pU.
 
     A skyscraper summand and F(0) are simples, peeled by the identity with
     quotient 0; OX embeds in F(1) via x with quotient SZ(1), so F(1)
@@ -697,24 +681,22 @@ def _jh_witness(p: Perversity, piece: Tuple[str, int]) -> tuple:
     F(0).  The quotient is that closed form; ``JHReport.audit`` certifies
     it by the cone of the chain.
     """
-    kind, n = piece
-    a = p.pU
+    k, (kind, n, *_l) = key
+    one = {k: {(0, 0): 1}}  # the generator link at degree k
     if kind == "T":
-        S = formal(Tmod(n, 1), p.pZ - n)
-        return ("SZ(%d)" % n, S, S,
-                chain_map_on_embeds(S, S, {p.pZ - n: {(0, 0): 1}}),
-                FormalObject())
-    block = formal(Fmod(n), a)
+        S = formal(Tmod(n, 1), k)
+        return JHStep("SZ(%d)" % n, S, S, chain_map_on_embeds(S, S, one),
+                      FormalObject())
+    block = formal(Fmod(n), k)
     if n in (0, 1):
-        S = formal(Fmod(0), a)
-        return ("OX", S, block,
-                chain_map_on_embeds(S, block, {a: {(0, 0): 1}}),
-                formal(Tmod(1, 1) if n else ZERO, a))
+        S = formal(Fmod(0), k)
+        return JHStep("OX", S, block, chain_map_on_embeds(S, block, one),
+                      formal(Tmod(1, 1) if n else ZERO, k))
     if n == -1:
-        S = formal(Tmod(0, 1), a + 1)
-        return ("SZ(0)", S, block,
-                chain_map_on_embeds(S, block, {}, {a: {(0, 0): 1}}),
-                formal(Fmod(0), a))
+        S = formal(Tmod(0, 1), k + 1)
+        return JHStep("SZ(0)", S, block,
+                      chain_map_on_embeds(S, block, {}, one),
+                      formal(Fmod(0), k))
     raise ValueError("free heart summands have generator in {-1, 0, 1}")
 
 
@@ -736,45 +718,41 @@ def jh_factors(cfg: SConfig, p: Perversity, Fo: FormalObject,
     '_order' knob re-runs the peel with different preferences; the factor
     multiset is an invariant and the suite checks it.
 
-    Each step touches one summand, its ``block``: the quotient (the next
-    stage) is the rest of the object plus the block's closed-form quotient
-    (``_jh_witness``), not computed; ``JHReport.audit`` certifies every one
-    by the normal form of the witness's cone.  Each distinct witness is
-    built once per call and shared by its steps.  Every peel lowers the
-    closed-form length ``_jh_length`` by exactly 1 (this is asserted), so
-    the loop ends after that many peels, at any length.
+    The running object is summand counts, the skyscrapers in a heap by
+    weight, so a step picks its block in O(log L) and applies its delta
+    (``_jh_step``, built once per block; ``JHReport.audit`` certifies it).
+    Each step lowers the closed-form length by exactly 1 (asserted per
+    block), so the peel ends after ``_jh_length`` steps, at any length.
     """
     _require_strict(cfg, p)
     if not (aisle_member(cfg, p, Fo, "le0")
             and aisle_member(cfg, p, Fo, "ge0")):
         raise ValueError("object is not in the heart of %s" % p)
-    H = Fo
+    sign = 1 if _order == "default" else -1  # alt: torsion largest-first
+    frees = [(p.pU, ("F", d)) for d in ((-1, 0, 1) if sign > 0 else (0, 1, -1))]
+    counts = _summand_counts(Fo)
+    # a heap of (sign * n, key), one per torsion key put in
+    sky = [(sign * s[1], (k, s)) for k, s in counts if s[0] == "T"]
+    heapq.heapify(sky)
     steps: List[JHStep] = []
-    wits: Dict[Tuple[str, int], tuple] = {}
-    left = _jh_length(H)
-    while not H.is_zero:
-        # each torsion tuple is sorted, so its ends are its extreme weights
-        tors = [m.torsion for m in H.components.values() if m.torsion]
-        frees = H.component(p.pU).free
-        if _order == "default":
-            if tors:
-                piece = ("T", min(t[0][0] for t in tors))
-            else:
-                piece = ("F", next(d for d in (-1, 0, 1) if d in frees))
-        else:  # alternate order: frees first, torsion largest-first
-            d = next((d for d in (0, 1, -1) if d in frees), None)
-            piece = ("F", d) if d is not None else \
-                ("T", max(t[-1][0] for t in tors))
-        if piece not in wits:
-            wits[piece] = _jh_witness(p, piece)
-        label, S, block, ch, quot = wits[piece]
-        after = _plus(_without(H, block), quot)
-        steps.append(JHStep(label=label, simple=S, before=H, after=after,
-                            block=block, chain=ch))
-        H = after
-        if _jh_length(H) != left - 1:
-            raise AssertionError("Jordan-Holder peel did not lower the length")
-        left -= 1
+    wits: Dict[tuple, JHStep] = {}
+    for _ in range(_jh_length(Fo)):
+        while sky and not counts[sky[0][1]]:
+            heapq.heappop(sky)  # its count ran out
+        key = next((f for f in frees if counts[f]), None)
+        if sky and (sign > 0 or key is None):
+            key = sky[0][1]
+        if key not in wits:
+            st = wits[key] = _jh_step(key)
+            if _jh_length(st.block) != _jh_length(st.quotient) + 1:
+                raise AssertionError(
+                    "Jordan-Holder peel did not lower the length")
+        st = wits[key]
+        _move(counts, st)
+        for k, s in st.delta[1]:
+            if s[0] == "T":
+                heapq.heappush(sky, (sign * s[1], (k, s)))
+        steps.append(st)
     return JHReport(obj=Fo, factors=[s.label for s in steps], steps=steps)
 
 

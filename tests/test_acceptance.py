@@ -110,8 +110,8 @@ def test_criterion_06_composition_series():
     first = rep.steps[0]
     assert first.label == "OX"
     assert first.simple == formal(Fmod(0), 0)
-    assert first.before == formal(Fmod(1), 0)
-    assert first.after == formal(Tmod(1, 1), 0)
+    assert first.quotient == formal(Tmod(1, 1), 0)
+    assert next(rep.replay()) == (formal(Fmod(1), 0), formal(Tmod(1, 1), 0))
     assert rep.audit(W, P01) == []
     _ok(6, "jh(x^{-1}A) = {O_X, S_Z(1)} with an audited filtration witness")
 

@@ -158,6 +158,20 @@ def test_suites_exit_zero(capsys):
     assert run(capsys, "flag-verify", "--window", "3")[0] == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("verb, flag", [
+    ("axioms", "--samples"), ("tsuite", "--samples"),
+    ("oracle-suite", "--samples"), ("flag-verify", "--window"),
+])
+def test_empty_suite_or_window_exits_one(capsys, verb, flag, value):
+    # no samples or no window checks nothing: refused before any work
+    rc = cli.main([verb, flag, value])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err == "error: argument %s: must be a positive integer, got %s\n" \
+        % (flag, value)
+
+
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------

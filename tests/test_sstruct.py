@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from stagger.grmod import F, T, V, gm, module_map, weight_dim
+from stagger.grmod import F, T, V, gm, module_map, pieces_module, weight_dim
 from stagger.sstruct import (
     SConfig,
     SITE_U,
@@ -17,7 +17,6 @@ from stagger.sstruct import (
     max_ge,
     member,
     min_le,
-    pieces_module,
     sigma,
     site_z,
     step,

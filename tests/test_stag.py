@@ -1,12 +1,14 @@
 """Staggered t-structures: aisles, truncation triangles, the heart,
 simple objects and Jordan-Holder filtrations."""
 
+import collections
 import dataclasses
 import fractions
 import json
 import os
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -327,17 +329,22 @@ def test_jh_audit_reports_tampered_steps():
     assert rep.audit(W, P01) == []
     i = 1
     st = rep.steps[i]
-    wrong = FormalObject({**st.after.components,
-                          3: direct_sum(st.after.component(3), V(7))})
+    wrong = FormalObject({**st.quotient.components,
+                          3: direct_sum(st.quotient.component(3), V(7))})
     steps = list(rep.steps)
-    steps[i] = dataclasses.replace(st, after=wrong)
-    errs = JHReport(rep.obj, rep.factors, steps).audit(W, P01)
-    assert "step %d: quotient mismatch" % i in errs
-    assert "step %d: cone differs from recorded quotient" % i in errs
+    steps[i] = dataclasses.replace(st, quotient=wrong)
+    assert JHReport(rep.obj, rep.factors, steps).audit(W, P01) == [
+        "step %d: quotient mismatch" % i,
+        "step %d: cone differs from recorded quotient" % i,
+        "filtration does not terminate at zero",
+    ]
+    # the SZ(0) step of V(0) @ 1 recorded twice: its block's count is 1
     steps = list(rep.steps)
-    steps[i] = dataclasses.replace(st, before=wrong)
-    errs = JHReport(rep.obj, rep.factors, steps).audit(W, P01)
-    assert "step %d starts at the wrong object" % i in errs
+    steps[i] = steps[0]
+    assert JHReport(rep.obj, [s.label for s in steps], steps).audit(
+        W, P01) == ["step %d: block is not a summand of the object" % i,
+                    "step 2: block is not a summand of the object",
+                    "filtration does not terminate at zero"]
 
 
 def test_jh_audit_reports_tampered_links():
@@ -347,9 +354,10 @@ def test_jh_audit_reports_tampered_links():
     obj = FormalObject({0: gm([1, -1]), 1: V(0)})
     rep = jh_factors(W, P01, obj)
     i, st = 2, rep.steps[2]
-    assert (st.label, st.before, st.after, st.block) == \
-        ("OX", FormalObject({0: gm([0, 1])}), FormalObject({0: Fmod(1)}),
-         formal(Fmod(0), 0))
+    assert (st.label, st.block, st.quotient) == \
+        ("OX", formal(Fmod(0), 0), FormalObject())
+    assert list(rep.replay())[i] == \
+        (FormalObject({0: gm([0, 1])}), FormalObject({0: Fmod(1)}))
     assert st.chain.maps[0].entries == {(0, 0): 1}
 
     def audit(block, links):
@@ -365,10 +373,13 @@ def test_jh_audit_reports_tampered_links():
         "step 2: quotient mismatch",
         "step 2: cone differs from recorded quotient",
     ]
-    # onto F(1) by x: still mono, but the quotient is F(0) + T(1,1)
+    # onto F(1) by x: still mono, but the quotient is F(0) + T(1,1); the
+    # counts then lack the F(1) that step 3 peels and keep an F(0)
     assert audit(formal(Fmod(1), 0), {0: {(0, 0): 1}}) == [
         "step 2: quotient mismatch",
         "step 2: cone differs from recorded quotient",
+        "step 3: block is not a summand of the object",
+        "filtration does not terminate at zero",
     ]
 
 
@@ -403,14 +414,14 @@ def test_jh_audit_checks_untouched_summands_and_block():
     assert rep.audit(W, P01) == []
     st = rep.steps[0]
     assert st.label == "SZ(0)" and st.block == formal(V(0), 1)
-    # an untouched summand of the quotient altered: F(-1) becomes F(2)
-    wrong = FormalObject({**st.after.components, 0: gm([0, 1, 2])})
+    # the untouched summands pass on in the counts; a quotient that puts
+    # F(2) beside them is caught, and F(2) is never peeled
     steps = list(rep.steps)
-    steps[0] = dataclasses.replace(st, after=wrong)
+    steps[0] = dataclasses.replace(st, quotient=formal(Fmod(2), 0))
     assert JHReport(rep.obj, rep.factors, steps).audit(W, P01) == [
         "step 0: quotient mismatch",
         "step 0: cone differs from recorded quotient",
-        "step 1 starts at the wrong object",
+        "filtration does not terminate at zero",
     ]
     # a block that is not a summand of the object: V(0) twice
     absent = formal(gm([], [(0, 1), (0, 1)]), 1)
@@ -530,7 +541,8 @@ def _jh_peel_cases():
 
 def _jh_record(rep, p, order):
     return {"p": [p.pU, p.pZ], "order": order, "object": str(rep.obj),
-            "factors": rep.factors, "after": [str(s.after) for s in rep.steps]}
+            "factors": rep.factors,
+            "after": [str(after) for _before, after in rep.replay()]}
 
 
 def test_jh_closed_form_peel():
@@ -545,24 +557,24 @@ def test_jh_closed_form_peel():
     for (p, order, H), want in zip(cases, golden):
         rep = jh_factors(W, p, H, _order=order)
         assert _jh_record(rep, p, order) == want
-        for st in rep.steps:
-            full = _whole_object_chain(st)
-            assert st.after == normal_form(cone(full)), (p, order, H)
+        for st, (before, after) in zip(rep.steps, rep.replay()):
+            full = _whole_object_chain(st, before)
+            assert after == normal_form(cone(full)), (p, order, H)
 
 
-def _whole_object_chain(st):
+def _whole_object_chain(st, before):
     """The witness of a step as a chain map into all of ``before``: its one
     link moved from the block's generator to that summand's generator in
     ``before`` (free first, then torsion), and zero elsewhere."""
     (k, b), = st.block.components.items()
-    m = st.before.components[k]
+    m = before.components[k]
     i = m.free.index(b.free[0]) if b.free else \
         len(m.free) + m.torsion.index(b.torsion[0])
     link = {k: {(i, 0): 1}}
     if b.free and not any(s.free for s in st.simple.components.values()):
         # SZ(0) into F(-1): the Ext component
-        return chain_map_on_embeds(st.simple, st.before, {}, link)
-    return chain_map_on_embeds(st.simple, st.before, link)
+        return chain_map_on_embeds(st.simple, before, {}, link)
+    return chain_map_on_embeds(st.simple, before, link)
 
 
 def test_jh_peel_past_one_thousand():
@@ -575,8 +587,29 @@ def test_jh_peel_past_one_thousand():
     assert rep.length == 1001
     assert sorted(rep.factors) == sorted(
         ["OX"] * 600 + ["SZ(1)"] * 250 + ["SZ(0)"] * 151)
-    assert rep.steps[-1].after.is_zero
+    assert list(rep.replay())[-1][1].is_zero
     assert rep.audit(W, P01) == []
+
+
+def test_jh_mixed_heart_object_of_length_20480():
+    # the mixed heart object of CI's fresh-process step, scaled 16 times;
+    # each step is a delta on one summand, so the report stays small
+    f = 16
+    comps = {1 - n: gm([], [(n, 1)] * 40 * f) for n in (-2, -1, 0, 2, 3)}
+    comps[0] = gm([-1] * 150 * f + [0] * 280 * f + [1] * 150 * f,
+                  [(1, 1)] * 200 * f)
+    tracemalloc.start()
+    try:
+        rep = jh_factors(W, P01, FormalObject(comps))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 30 * 2 ** 20
+    assert rep.length == 20480 and rep.audit(W, P01) == []
+    # F(-1) and F(1) give OX and SZ(0) or SZ(1), F(0) and T(n,1) one each
+    want = {"OX": 580 * f, "SZ(0)": 190 * f, "SZ(1)": 350 * f}
+    want.update({"SZ(%d)" % n: 40 * f for n in (-2, -1, 2, 3)})
+    assert collections.Counter(rep.factors) == want
 
 
 def _int_coefficients(mats):
