@@ -109,16 +109,23 @@ def _parse_perversity(s: str) -> Perversity:
         raise _ArgError("perversity must be 'pU,pZ' with integers")
 
 
-def _positive_int(text: str) -> int:
-    """--samples and --window: none would check nothing and pass."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            "must be a positive integer, got %.40s" % text)
-    return n
+def _count(name: str, budget: int):
+    """The type of --samples and --window: a positive integer, as none
+    would check nothing and pass, and at most ``budget``, the constant
+    ``name``, as the work grows with it."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise argparse.ArgumentTypeError(
+                "must be a positive integer, got %.40s" % text)
+        if n > budget:
+            raise argparse.ArgumentTypeError(
+                "%.40s is over the budget %s = %d" % (text, name, budget))
+        return n
+    return parse
 
 
 def _seed(args) -> int:
@@ -368,6 +375,14 @@ def _cmd_jh(args) -> int:
 # output grows with both, and 10^5 simples take over a second.
 OUTPUT_BUDGET = 10000
 
+# Largest --samples of a suite and --window of flag-verify.  A suite sample
+# costs 1 to 2 ms and flag-verify grows faster than the square of its
+# window; on a 2-vCPU host (Python 3.11), in fresh processes,
+# `oracle-suite --samples 10000` took 19.6 s, `axioms --samples 10000`
+# 13.8 s and `flag-verify --window 2048` 13.7 s.
+SAMPLE_BUDGET = 10000
+WINDOW_BUDGET = 2048
+
 
 def _check_output_budget(what: str, count: int) -> None:
     if count > OUTPUT_BUDGET:
@@ -466,7 +481,8 @@ def _add_common(sp, site=False, mode=True, perversity=False, expr=1,
                         help="run the brute-force oracle and diff")
     if suite:
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--samples", type=_positive_int, default=200)
+        sp.add_argument("--samples", default=200,
+                        type=_count("SAMPLE_BUDGET", SAMPLE_BUDGET))
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out", default=None, metavar="FILE")
     if expr >= 1:
@@ -510,7 +526,8 @@ _VERBS = {
     "tsuite": (_cmd_suite, dict(expr=0, suite=True)),
     "oracle-suite": (_cmd_suite, dict(expr=0, suite=True, mode=False)),
     "flag-verify": (_cmd_flag_verify, dict(expr=0, mode=False, extra=[
-        ("--window", dict(type=_positive_int, default=4)),
+        ("--window", dict(type=_count("WINDOW_BUDGET", WINDOW_BUDGET),
+                          default=4)),
     ])),
 }
 

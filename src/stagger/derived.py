@@ -58,6 +58,7 @@ from .grmod import (
     gm,
     hom_dim,
     summand_ends,
+    summand_pieces,
     weight_dim,
 )
 from .sstruct import Site, check_on_site
@@ -93,6 +94,11 @@ class FormalObject:
         """F[s]: H^k(F[s]) = H^{k+s}(F)."""
         return FormalObject({k - s: m for k, m in self.components.items()})
 
+    def pieces(self) -> List[Tuple[int, Tuple]]:
+        """(degree, ``grmod.summand_pieces`` piece) for every summand."""
+        return [(k, s) for k, m in self.components.items()
+                for s in summand_pieces(m)]
+
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalObject) and \
             self.components == other.components
@@ -111,13 +117,17 @@ def formal(M: GradedModule, k: int = 0) -> FormalObject:
     return FormalObject({k: M})
 
 
-def _accumulate(comps: Dict[int, GradedModule], k: int,
-                m: GradedModule) -> None:
-    """Add m to the module at degree k of ``comps``; zero modules are
-    skipped."""
-    if m.is_zero:
-        return
-    comps[k] = direct_sum(comps[k], m) if k in comps else m
+def formal_sum(parts: List[Tuple[int, GradedModule]]) -> FormalObject:
+    """The direct sum of the (degree, module) parts: the modules at one
+    degree are summed, and a module alone at its degree is kept as it is.
+    The one assembler of formal objects; ``FormalObject.pieces`` takes
+    them apart."""
+    by_degree: Dict[int, List[GradedModule]] = {}
+    for k, m in parts:
+        if not m.is_zero:
+            by_degree.setdefault(k, []).append(m)
+    return FormalObject({k: ms[0] if len(ms) == 1 else direct_sum(*ms)
+                         for k, ms in by_degree.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +141,11 @@ def dualize(F: FormalObject) -> FormalObject:
     D(F(d) @ k) = F(-d) @ -k;  D(T(g, n) @ k) = T(n - g, n) @ (1 - k).
     An involution: D o D = id.
     """
-    comps: Dict[int, GradedModule] = {}
+    parts: List[Tuple[int, GradedModule]] = []
     for k, m in F.components.items():
-        if m.free:
-            _accumulate(comps, -k, gm([-d for d in m.free]))
-        if m.torsion:
-            _accumulate(comps, 1 - k,
-                        gm([], [(n - g, n) for g, n in m.torsion]))
-    return FormalObject(comps)
+        parts += [(-k, gm([-d for d in m.free])),
+                  (1 - k, gm([], [(n - g, n) for g, n in m.torsion]))]
+    return formal_sum(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +162,20 @@ def li_star(F: FormalObject, n: int) -> FormalObject:
     """
     if n < 1:
         raise ValueError("thickening must be >= 1")
-    comps: Dict[int, GradedModule] = {}
+    parts: List[Tuple[int, GradedModule]] = []
     for k, m in F.components.items():
-        _accumulate(comps, k, _mod_xn(m, n))
-        _accumulate(comps, k - 1, _ker_xn(m, n).twist(-n))
-    return FormalObject(comps)
+        parts += [(k, _mod_xn(m, n)), (k - 1, _ker_xn(m, n).twist(-n))]
+    return formal_sum(parts)
 
 
 def ri_flat(F: FormalObject, n: int) -> FormalObject:
     """Right adjoint Ri^flat to Z_n: H^0 = ker(x^n), H^{+1} = (M/x^n)(+n)."""
     if n < 1:
         raise ValueError("thickening must be >= 1")
-    comps: Dict[int, GradedModule] = {}
+    parts: List[Tuple[int, GradedModule]] = []
     for k, m in F.components.items():
-        _accumulate(comps, k, _ker_xn(m, n))
-        _accumulate(comps, k + 1, _mod_xn(m, n).twist(n))
-    return FormalObject(comps)
+        parts += [(k, _ker_xn(m, n)), (k + 1, _mod_xn(m, n).twist(n))]
+    return formal_sum(parts)
 
 
 def push_z(n: int, F: FormalObject) -> FormalObject:
@@ -235,14 +240,11 @@ def r_gamma_z(F: FormalObject) -> GammaObject:
     """Sections with support on Z: H^0_Z = torsion part, H^1_Z of a free
     summand F(d) is the cofree module with socle weight d + 1 (the colimit
     of (F(d)/x^n)(n) = T(d+n, n) as the thickening grows)."""
-    out = GammaObject()
-    for k, m in F.components.items():
-        _accumulate(out.torsion, k, m.torsion_part())
-        if m.free:
-            out.cofree[k + 1] = out.cofree.get(k + 1, ()) + tuple(
-                CoFree(d + 1) for d in sorted(m.free)
-            )
-    return out
+    comps = F.components
+    return GammaObject(
+        {k: m.torsion_part() for k, m in comps.items() if m.torsion},
+        {k + 1: tuple([CoFree(d + 1) for d in m.free])
+         for k, m in comps.items() if m.free})
 
 
 # ---------------------------------------------------------------------------

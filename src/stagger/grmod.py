@@ -110,14 +110,21 @@ class GradedModule:
 
 def gm(free: Iterable[int] = (), torsion: Iterable[Tuple[int, int]] = ()) -> GradedModule:
     """Normalizing constructor; drops zero-length torsion, sorts summands."""
-    fr = tuple(sorted(int(d) for d in free))
     to = []
     for g, n in torsion:
         if n < 0:
             raise ValueError("torsion length must be >= 0, got %r" % (n,))
         if n > 0:
             to.append((int(g), int(n)))
-    return GradedModule(fr, tuple(sorted(to)))
+    return _canonical([int(d) for d in free], to)
+
+
+def _canonical(free: List[int], tors: List[Tuple[int, int]]) -> GradedModule:
+    """The canonical form of the sum of these summands; sorts both lists in
+    place."""
+    free.sort()
+    tors.sort()
+    return GradedModule(tuple(free), tuple(tors))
 
 
 def F(d: int) -> GradedModule:
@@ -143,7 +150,7 @@ def direct_sum(*mods: GradedModule) -> GradedModule:
     for m in mods:
         free.extend(m.free)
         tors.extend(m.torsion)
-    return GradedModule(tuple(sorted(free)), tuple(sorted(tors)))
+    return _canonical(free, tors)
 
 
 def summand_pieces(M: GradedModule) -> List[Tuple]:
@@ -152,28 +159,24 @@ def summand_pieces(M: GradedModule) -> List[Tuple]:
     return [("F", d) for d in M.free] + [("T", g, l) for g, l in M.torsion]
 
 
-def pieces_module(pieces: List[Tuple]) -> GradedModule:
-    """The direct sum of the pieces ('F', d) and ('T', g, l)."""
-    return gm(
-        [p[1] for p in pieces if p[0] == "F"],
-        [(p[1], p[2]) for p in pieces if p[0] == "T"],
-    )
-
-
-def _canonical_positions(pieces: List[Tuple]) -> List[int]:
-    """Index of each piece ('F', d) or ('T', g, n) in the canonical order."""
-    frees = sorted(
-        (p[1], i) for i, p in enumerate(pieces) if p[0] == "F"
-    )
-    tors = sorted(
-        ((p[1], p[2]), i) for i, p in enumerate(pieces) if p[0] == "T"
-    )
+def pieces_module(pieces: List[Tuple]) -> Tuple[GradedModule, List[int]]:
+    """The direct sum of the pieces ('F', d) and ('T', g, l), and the index
+    of each piece among its generators.  One sort gives both: the canonical
+    order is that of the pieces themselves ('F' before 'T', then by weight
+    and length), equal pieces in list order.  Each length must be positive,
+    as ``sstruct.cut_summand`` makes them: none is dropped."""
     pos = [0] * len(pieces)
-    for slot, (_w, i) in enumerate(frees):
+    free: List[int] = []
+    tors: List[Tuple[int, int]] = []
+    for slot, i in enumerate(sorted(range(len(pieces)),
+                                    key=pieces.__getitem__)):
         pos[i] = slot
-    for slot, (_k, i) in enumerate(tors):
-        pos[i] = len(frees) + slot
-    return pos
+        p = pieces[i]
+        if p[0] == "F":
+            free.append(p[1])
+        else:
+            tors.append((p[1], p[2]))
+    return GradedModule(tuple(free), tuple(tors)), pos
 
 
 def weight_dim(M: GradedModule, w: int) -> int:
@@ -372,10 +375,10 @@ class Presentation:
 
 def present(M: GradedModule) -> Presentation:
     """Canonical presentation: free generators first, then torsion ones."""
-    gens = list(M.free) + [g for g, _ in M.torsion]
+    gens = M.gen_weights()
     rel = MonoMatrix(gens, [g - n for g, n in M.torsion])
-    for t, (_g, _n) in enumerate(M.torsion):
-        rel.set(len(M.free) + t, t, 1)
+    for t in range(len(M.torsion)):
+        rel.set(M.rank + t, t, 1)
     return Presentation(gens, rel)
 
 
@@ -619,7 +622,7 @@ def _pairing_homology(terms: Dict[int, Tuple[int, ...]],
                 free.append(gens[j])
             else:
                 nxt[young[r]] = gens[j]
-        out[k] = GradedModule(tuple(sorted(free)), tuple(sorted(tors)))
+        out[k] = _canonical(free, tors)
         killed = nxt
     return out
 
@@ -824,7 +827,7 @@ def tensor(M: GradedModule, N: GradedModule) -> GradedModule:
             tors.append((g + b, n))
         for h, m in N.torsion:
             tors.append((g + h, min(n, m)))
-    return GradedModule(tuple(sorted(free)), tuple(sorted(tors)))
+    return _canonical(free, tors)
 
 
 def internal_hom(M: GradedModule, N: GradedModule) -> GradedModule:
@@ -846,4 +849,4 @@ def internal_hom(M: GradedModule, N: GradedModule) -> GradedModule:
         for h, m in N.torsion:
             p = min(n, m)
             tors.append((h - g + p - m, p))
-    return GradedModule(tuple(sorted(free)), tuple(sorted(tors)))
+    return _canonical(free, tors)

@@ -46,7 +46,6 @@ from .grmod import (
     MonoMatrix,
     T,
     ZERO,
-    _canonical_positions,
     _mod_xn,
     dim_mismatch,
     direct_sum,
@@ -280,12 +279,9 @@ def sigma(site: Site, cfg: SConfig, direction: str, w: int,
         if quot is not None:
             quot_pieces.append((quot, idx))
 
-    sub = pieces_module([p for p, _i in sub_pieces])
-    quot = pieces_module([p for p, _i in quot_pieces])
-
+    sub, sub_pos = pieces_module([p for p, _i in sub_pieces])
+    quot, quot_pos = pieces_module([p for p, _i in quot_pieces])
     pm, psub, pquot = present(M), present(sub), present(quot)
-    sub_pos = _canonical_positions([p for p, _i in sub_pieces])
-    quot_pos = _canonical_positions([p for p, _i in quot_pieces])
 
     inc = MonoMatrix(pm.gens, psub.gens)
     for (piece, midx), col in zip(sub_pieces, sub_pos):

@@ -52,7 +52,6 @@ from .grmod import (
     GradedModule,
     T as Tmod,
     ZERO,
-    _canonical_positions,
     gm,
     pieces_module,
     summand_pieces,
@@ -65,6 +64,7 @@ from .derived import (
     derived_hom,
     dualize,
     formal,
+    formal_sum,
     free_embed,
     li_star,
     normal_form,
@@ -270,19 +270,13 @@ def aisle_member_z(cfg: SConfig, p: Perversity, site: Site, F: FormalObject,
         raise ValueError("aisle_member_z expects a Z site")
     for k, m in F.components.items():
         check_on_site(site, m)
-    if which == "le0":
-        return all(
-            member(site, cfg, "le", p.pZ - k, m)
-            for k, m in F.components.items()
-        )
-    if which != "ge0":
+    if which == "ge0":
+        return aisle_member_z(cfg, dual_perversity(cfg, p), site, dualize(F),
+                              "le0")
+    if which != "le0":
         raise ValueError("which must be 'le0' or 'ge0'")
-    pz_dual = dual_perversity(cfg, p).pZ
-    D = dualize(F)
-    return all(
-        member(site, cfg, "le", pz_dual - k, m)
-        for k, m in D.components.items()
-    )
+    return all(member(site, cfg, "le", p.pZ - k, m)
+               for k, m in F.components.items())
 
 
 def aisle_member_level(cfg: SConfig, p: Perversity, F: FormalObject,
@@ -345,12 +339,11 @@ class TriangleDecomp:
 
 def _truncation_pieces(cfg: SConfig, p: Perversity, Fo: FormalObject,
                        n: int):
-    """Per-summand truncation decision.
+    """Per-summand truncation decision: (below, above, wits).
 
-    Returns (below_pieces, above_pieces), each mapping a degree k to a list
-    of (piece, witness) with piece ('F', d) or ('T', g, l) contributing to
-    that part at degree k.  Above-pieces carry no witness (None); a
-    below-piece's witness is one of
+    ``below`` and ``above`` are the two parts, and ``wits[k]`` lists, for
+    each summand of the below-part at degree k, its generator index there
+    and its witness, one of
 
       ('sub', k_src, idx)  -- a submodule of summand idx of F at degree
                               k_src = k (generator-block map), or
@@ -362,36 +355,35 @@ def _truncation_pieces(cfg: SConfig, p: Perversity, Fo: FormalObject,
     the above-part in trivial mode; every other summand is cut at
     c = pZ + n - k by ``sstruct.cut_summand`` on X.
     """
-    below: Dict[int, list] = {}
-    above: Dict[int, list] = {}
-
-    def put(part, k, piece, wit=None):
-        part.setdefault(k, []).append((piece, wit))
-
+    below: Dict[int, list] = {}  # k -> [(piece, witness)]
+    above: Dict[int, list] = {}  # k -> [piece]
     for k in sorted(Fo.components):
         c = p.pZ + n - k
         for idx, s in enumerate(summand_pieces(Fo.components[k])):
             if s[0] == "F" and k > p.pU + n:
                 d, v = s[1], c - 1
                 if cfg.z_mode == "trivial" or d >= v:
-                    put(above, k, s)
+                    above.setdefault(k, []).append(s)
                 else:
                     # rotated: 0 -> F(d) -> F(v) -> T(v, v - d) -> 0 puts
                     # the cokernel one degree up in the below-part
-                    put(below, k + 1, ("T", v, v - d), ("rot", k, idx))
-                    put(above, k, ("F", v))
+                    below.setdefault(k + 1, []).append(
+                        (("T", v, v - d), ("rot", k, idx)))
+                    above.setdefault(k, []).append(("F", v))
                 continue
             sub, quot = cut_summand(SITE_X, cfg, s, c)
             if sub is not None:
-                put(below, k, sub, ("sub", k, idx))
+                below.setdefault(k, []).append((sub, ("sub", k, idx)))
             if quot is not None:
-                put(above, k, quot)
-    return below, above
-
-
-def _pieces_to_formal(pieces: Dict[int, list]) -> FormalObject:
-    return FormalObject({k: pieces_module([pp for pp, _w in lst])
-                         for k, lst in pieces.items()})
+                above.setdefault(k, []).append(quot)
+    comps: Dict[int, GradedModule] = {}
+    wits: Dict[int, list] = {}
+    for k, lst in below.items():
+        comps[k], cols = pieces_module([pp for pp, _w in lst])
+        wits[k] = [(col, w) for col, (_pp, w) in zip(cols, lst)]
+    return (FormalObject(comps),
+            FormalObject({k: pieces_module(lst)[0]
+                          for k, lst in above.items()}), wits)
 
 
 def _truncation_witness(cfg: SConfig, p: Perversity, Fo: FormalObject,
@@ -400,21 +392,18 @@ def _truncation_witness(cfg: SConfig, p: Perversity, Fo: FormalObject,
     by ``chain_map_on_embeds``: a 'sub' piece is a generator link onto the
     summand it was cut from, a 'rot' piece an Ext link from its relation
     column onto the generator of the free summand it rotated off."""
-    below_p, above_p = _truncation_pieces(cfg, p, Fo, n)
-    below = _pieces_to_formal(below_p)
+    below, above, wits = _truncation_pieces(cfg, p, Fo, n)
     links: Dict[int, dict] = {}
     ext_links: Dict[int, dict] = {}
-    for k, lst in below_p.items():
-        pieces = [pp for pp, _w in lst]
-        nfree = sum(1 for pp in pieces if pp[0] == "F")
-        for (_pp, (kind, k_src, idx)), col in zip(
-                lst, _canonical_positions(pieces)):
+    for k, lst in wits.items():
+        nfree = below.components[k].rank
+        for col, (kind, k_src, idx) in lst:
             if kind == "sub":
                 links.setdefault(k, {})[(idx, col)] = 1
             else:
                 ext_links.setdefault(k_src, {})[(idx, col - nfree)] = 1
     chain = chain_map_on_embeds(below, Fo, links, ext_links)
-    return below, _pieces_to_formal(above_p), chain
+    return below, above, chain
 
 
 def stag_truncate(cfg: SConfig, p: Perversity, Fo: FormalObject,
@@ -428,12 +417,9 @@ def stag_truncate(cfg: SConfig, p: Perversity, Fo: FormalObject,
         _require_strict(cfg, p)
     else:
         _require_valid(cfg, p)
-    below_p, above_p = _truncation_pieces(cfg, p, Fo, n)
-    return TriangleDecomp(
-        cfg=cfg, p=p, level=n, total=Fo,
-        below=_pieces_to_formal(below_p),
-        above=_pieces_to_formal(above_p),
-    )
+    below, above, _wits = _truncation_pieces(cfg, p, Fo, n)
+    return TriangleDecomp(cfg=cfg, p=p, level=n, total=Fo, below=below,
+                          above=above)
 
 
 # ---------------------------------------------------------------------------
@@ -486,18 +472,22 @@ def heart_kernel_cokernel(hm: HeartMorphism) -> HeartKerCoker:
                          cone=Cf)
 
 
+def _simple(p: Perversity, n: Optional[int] = None
+            ) -> Tuple[str, FormalObject]:
+    """The simple of the heart of a strict perversity, with its label: the
+    structure sheaf OX = F(0) @ pU (n None), or the pushed skyscraper
+    SZ(n) = T(n, 1) @ (pZ - n)."""
+    if n is None:
+        return "OX", formal(Fmod(0), p.pU)
+    return "SZ(%d)" % n, formal(Tmod(n, 1), p.pZ - n)
+
+
 def simples(cfg: SConfig, p: Perversity, n_lo: int, n_hi: int
             ) -> List[Tuple[str, FormalObject]]:
-    """The simple objects of the heart with skyscraper weight in a window.
-
-    For a strict perversity (a, a+1): the structure sheaf F(0) @ a, and for
-    each n the pushed skyscraper T(n, 1) @ (a + 1 - n).
-    """
+    """The simple objects of the heart with skyscraper weight in a window:
+    OX, then SZ(n) for n from n_lo to n_hi (``_simple``)."""
     _require_strict(cfg, p)
-    out: List[Tuple[str, FormalObject]] = [("OX", formal(Fmod(0), p.pU))]
-    for n in range(n_lo, n_hi + 1):
-        out.append(("SZ(%d)" % n, formal(Tmod(n, 1), p.pZ - n)))
-    return out
+    return [_simple(p)] + [_simple(p, n) for n in range(n_lo, n_hi + 1)]
 
 
 def ic(cfg: SConfig, p: Perversity, orbit: str, param: int) -> FormalObject:
@@ -508,7 +498,7 @@ def ic(cfg: SConfig, p: Perversity, orbit: str, param: int) -> FormalObject:
             raise ValueError("rank must be >= 0")
         return formal(gm([0] * param), p.pU)
     if orbit == "Z":
-        return formal(Tmod(param, 1), p.pZ - param)
+        return _simple(p, param)[1]
     raise ValueError("orbit must be 'U' or 'Z'")
 
 
@@ -539,21 +529,7 @@ class JHStep:
     @functools.cached_property
     def delta(self) -> Tuple[Counter, Counter]:
         """The summand counts of ``block`` and of ``quotient``."""
-        return _summand_counts(self.block), _summand_counts(self.quotient)
-
-
-def _summand_counts(Fo: FormalObject) -> Counter:
-    """Fo's summands counted per (degree, ``grmod.summand_pieces`` piece)."""
-    return Counter([(k, s) for k, m in Fo.components.items()
-                    for s in summand_pieces(m)])
-
-
-def _counts_formal(counts: Counter) -> FormalObject:
-    """The object with ``counts[(k, piece)]`` copies of each piece at k."""
-    pieces: Dict[int, list] = {}
-    for (k, s), c in counts.items():
-        pieces.setdefault(k, []).extend([(s, None)] * c)
-    return _pieces_to_formal(pieces)
+        return Counter(self.block.pieces()), Counter(self.quotient.pieces())
 
 
 def _move(counts: Counter, st: JHStep) -> bool:
@@ -581,12 +557,13 @@ class JHReport:
     def replay(self) -> Iterator[Tuple[FormalObject, FormalObject]]:
         """(before, after) of each step: the whole object the step peels
         and the one it leaves, by the summand counts the audit keeps."""
-        counts = _summand_counts(self.obj)
-        after = _counts_formal(counts)
+        counts = Counter(self.obj.pieces())
+        after = self.obj
         for st in self.steps:
             before = after
             _move(counts, st)
-            after = _counts_formal(counts)
+            after = formal_sum([(k, pieces_module([s] * c)[0])
+                                for (k, s), c in counts.items()])
             yield before, after
 
     def audit(self, cfg: SConfig, p: Perversity) -> List[str]:
@@ -611,15 +588,14 @@ class JHReport:
         phi is the cone of phi_B (+) H'.
         """
         errs: List[str] = []
-        if not (aisle_member(cfg, p, self.obj, "le0")
-                and aisle_member(cfg, p, self.obj, "ge0")):
+        if not _in_heart(cfg, p, self.obj):
             errs.append("object is not in the heart of %s" % p)
-        counts = _summand_counts(self.obj)
+        counts = Counter(self.obj.pieces())
         seen: Dict[int, tuple] = {}  # id(step) -> (its errors, simple ok)
         for i, st in enumerate(self.steps):
             if id(st) not in seen:
                 seen[id(st)] = (_step_errors(cfg, p, st),
-                                _is_simple_shape(cfg, p, st.label, st.simple))
+                                _is_simple_shape(p, st.label, st.simple))
             werrs, simple = seen[id(st)]
             if not _move(counts, st):
                 werrs = ["block is not a summand of the object"]
@@ -660,19 +636,21 @@ def _step_errors(cfg: SConfig, p: Perversity, st: JHStep) -> List[str]:
     return errs
 
 
-def _is_simple_shape(cfg: SConfig, p: Perversity, label: str,
-                     S: FormalObject) -> bool:
+def _is_simple_shape(p: Perversity, label: str, S: FormalObject) -> bool:
     if label == "OX":
-        return S == formal(Fmod(0), p.pU)
+        return _simple(p) == (label, S)
     if label.startswith("SZ(") and label.endswith(")"):
-        n = int(label[3:-1])
-        return S == formal(Tmod(n, 1), p.pZ - n)
+        return _simple(p, int(label[3:-1])) == (label, S)
     return False
 
 
-def _jh_step(key: tuple) -> JHStep:
+def _in_heart(cfg: SConfig, p: Perversity, Fo: FormalObject) -> bool:
+    return aisle_member(cfg, p, Fo, "le0") and aisle_member(cfg, p, Fo, "ge0")
+
+
+def _jh_step(p: Perversity, key: tuple) -> JHStep:
     """The peel from the heart summand keyed (k, piece): T(n,1) @ k with
-    k = pZ - n, or F(d) @ k with k = pU.
+    k = pZ - n, or F(d) @ k with k = pU (and pZ = pU + 1, as p is strict).
 
     A skyscraper summand and F(0) are simples, peeled by the identity with
     quotient 0; OX embeds in F(1) via x with quotient SZ(1), so F(1)
@@ -684,17 +662,17 @@ def _jh_step(key: tuple) -> JHStep:
     k, (kind, n, *_l) = key
     one = {k: {(0, 0): 1}}  # the generator link at degree k
     if kind == "T":
-        S = formal(Tmod(n, 1), k)
-        return JHStep("SZ(%d)" % n, S, S, chain_map_on_embeds(S, S, one),
+        label, S = _simple(p, n)
+        return JHStep(label, S, S, chain_map_on_embeds(S, S, one),
                       FormalObject())
     block = formal(Fmod(n), k)
     if n in (0, 1):
-        S = formal(Fmod(0), k)
-        return JHStep("OX", S, block, chain_map_on_embeds(S, block, one),
+        label, S = _simple(p)
+        return JHStep(label, S, block, chain_map_on_embeds(S, block, one),
                       formal(Tmod(1, 1) if n else ZERO, k))
     if n == -1:
-        S = formal(Tmod(0, 1), k + 1)
-        return JHStep("SZ(0)", S, block,
+        label, S = _simple(p, 0)
+        return JHStep(label, S, block,
                       chain_map_on_embeds(S, block, {}, one),
                       formal(Fmod(0), k))
     raise ValueError("free heart summands have generator in {-1, 0, 1}")
@@ -716,7 +694,9 @@ def jh_factors(cfg: SConfig, p: Perversity, Fo: FormalObject,
     (smallest skyscraper weight), then the free summands: F(-1) gives up
     SZ(0), F(0) is OX itself, F(1) contains OX with quotient SZ(1).  The
     '_order' knob re-runs the peel with different preferences; the factor
-    multiset is an invariant and the suite checks it.
+    multiset is an invariant, which ``tests/test_stag.py`` checks
+    (``test_jh_composite_multiset_invariant``,
+    ``test_jh_random_heart_objects`` and ``test_jh_closed_form_peel``).
 
     The running object is summand counts, the skyscrapers in a heap by
     weight, so a step picks its block in O(log L) and applies its delta
@@ -725,12 +705,11 @@ def jh_factors(cfg: SConfig, p: Perversity, Fo: FormalObject,
     block), so the peel ends after ``_jh_length`` steps, at any length.
     """
     _require_strict(cfg, p)
-    if not (aisle_member(cfg, p, Fo, "le0")
-            and aisle_member(cfg, p, Fo, "ge0")):
+    if not _in_heart(cfg, p, Fo):
         raise ValueError("object is not in the heart of %s" % p)
     sign = 1 if _order == "default" else -1  # alt: torsion largest-first
     frees = [(p.pU, ("F", d)) for d in ((-1, 0, 1) if sign > 0 else (0, 1, -1))]
-    counts = _summand_counts(Fo)
+    counts = Counter(Fo.pieces())
     # a heap of (sign * n, key), one per torsion key put in
     sky = [(sign * s[1], (k, s)) for k, s in counts if s[0] == "T"]
     heapq.heapify(sky)
@@ -743,7 +722,7 @@ def jh_factors(cfg: SConfig, p: Perversity, Fo: FormalObject,
         if sky and (sign > 0 or key is None):
             key = sky[0][1]
         if key not in wits:
-            st = wits[key] = _jh_step(key)
+            st = wits[key] = _jh_step(p, key)
             if _jh_length(st.block) != _jh_length(st.quotient) + 1:
                 raise AssertionError(
                     "Jordan-Holder peel did not lower the length")

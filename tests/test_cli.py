@@ -172,6 +172,24 @@ def test_empty_suite_or_window_exits_one(capsys, verb, flag, value):
         % (flag, value)
 
 
+@pytest.mark.parametrize("verb, flag, budget", [
+    ("axioms", "--samples", "SAMPLE_BUDGET"),
+    ("tsuite", "--samples", "SAMPLE_BUDGET"),
+    ("oracle-suite", "--samples", "SAMPLE_BUDGET"),
+    ("flag-verify", "--window", "WINDOW_BUDGET"),
+])
+def test_oversized_suite_or_window_exits_one_at_once(verb, flag, budget):
+    # 10^8 samples would run for days and a window of 10^8 longer still
+    # (both were running at a 3 s timeout): refused before any work
+    limit = getattr(cli, budget)
+    proc, elapsed = _run_cli(verb, flag, "100000000", timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: argument %s: 100000000 is over the " \
+        "budget %s = %d\n" % (flag, budget, limit)
+    assert elapsed < 5
+    assert cli.main([verb, flag, str(limit + 1)]) == 1
+
+
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------

@@ -56,6 +56,9 @@ def test_dualize_anchors():
     assert dualize(formal(T(0, 1), 0)) == formal(T(1, 1), 1)
     assert dualize(formal(T(2, 3), 0)) == formal(T(1, 3), 1)
     assert dualize(formal(V(1), 1)) == formal(V(0), 0)
+    # additive: F(2) @ -1 and T(0,1) @ 0 both land at degree 1
+    assert dualize(FormalObject({-1: F(2), 0: T(0, 1)})) == \
+        formal(gm([-2], [(1, 1)]), 1)
 
 
 def test_dualize_involutive():
@@ -85,6 +88,9 @@ def test_li_star_anchors():
     # derived tensor of a torsion module picks up the kernel in degree -1
     got = li_star(formal(T(1, 2), 0), 2)
     assert got == FormalObject({-1: T(-1, 2), 0: T(1, 2)})
+    # additive: the kernel of T(1,2) @ 1 lands beside the quotient of F(0)
+    got = li_star(FormalObject({0: F(0), 1: T(1, 2)}), 2)
+    assert got == FormalObject({0: gm([], [(0, 2), (-1, 2)]), 1: T(1, 2)})
 
 
 def test_ri_flat_anchors():
@@ -92,6 +98,9 @@ def test_ri_flat_anchors():
     # the dualizing module of the reduced point
     assert ri_flat(formal(F(0), 0), 1) == formal(V(1), 1)
     assert ri_flat(formal(T(1, 2), 0), 2) == FormalObject({0: T(1, 2), 1: T(3, 2)})
+    # additive: the twisted quotient of T(1,2) @ 0 lands beside ker of T(0,1)
+    assert ri_flat(FormalObject({0: T(1, 2), 1: T(0, 1)}), 2) == \
+        FormalObject({0: T(1, 2), 1: gm([], [(3, 2), (0, 1)]), 2: T(2, 1)})
 
 
 def test_li_star_free_is_underived():

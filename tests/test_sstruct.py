@@ -135,13 +135,13 @@ def test_cut_summand_contract(kind):
         summands = [("T", g, l) for g in range(-6, 7) for l in range(1, 5)]
     cases = 0
     for piece in summands:
-        M = pieces_module([piece])
+        M = pieces_module([piece])[0]
         for site in _sites_of(piece):
             for cfg in (W, TR):
                 for c in range(-8, 9):
                     sub, quot = cut_summand(site, cfg, piece, c)
-                    S = pieces_module([sub] if sub is not None else [])
-                    Qt = pieces_module([quot] if quot is not None else [])
+                    S = pieces_module([sub] if sub is not None else [])[0]
+                    Qt = pieces_module([quot] if quot is not None else [])[0]
                     ctx = (piece, str(site), cfg.z_mode, c)
                     # a piece is None exactly when it is zero
                     assert (sub is None, quot is None) == \
@@ -227,7 +227,7 @@ def test_step_anchors():
 
 def _small_modules(shapes):
     """Every direct sum of at most three of the summand shapes."""
-    return [pieces_module(list(c)) for r in range(4)
+    return [pieces_module(list(c))[0] for r in range(4)
             for c in itertools.combinations_with_replacement(shapes, r)]
 
 
