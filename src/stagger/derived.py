@@ -143,8 +143,10 @@ def dualize(F: FormalObject) -> FormalObject:
     """
     parts: List[Tuple[int, GradedModule]] = []
     for k, m in F.components.items():
-        parts += [(-k, gm([-d for d in m.free])),
-                  (1 - k, gm([], [(n - g, n) for g, n in m.torsion]))]
+        if m.free:
+            parts.append((-k, gm([-d for d in m.free])))
+        if m.torsion:
+            parts.append((1 - k, gm([], [(n - g, n) for g, n in m.torsion])))
     return formal_sum(parts)
 
 

@@ -637,11 +637,10 @@ def _step_errors(cfg: SConfig, p: Perversity, st: JHStep) -> List[str]:
 
 
 def _is_simple_shape(p: Perversity, label: str, S: FormalObject) -> bool:
-    if label == "OX":
-        return _simple(p) == (label, S)
-    if label.startswith("SZ(") and label.endswith(")"):
-        return _simple(p, int(label[3:-1])) == (label, S)
-    return False
+    """Is (label, S) a simple?  Its skyscraper weight, if any, is read off
+    S, so no label is parsed."""
+    tors = [s for _k, s in S.pieces() if s[0] == "T"]
+    return _simple(p, tors[0][1] if tors else None) == (label, S)
 
 
 def _in_heart(cfg: SConfig, p: Perversity, Fo: FormalObject) -> bool:

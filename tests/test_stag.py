@@ -345,6 +345,11 @@ def test_jh_audit_reports_tampered_steps():
         W, P01) == ["step %d: block is not a summand of the object" % i,
                     "step 2: block is not a summand of the object",
                     "filtration does not terminate at zero"]
+    # a label that names no simple is reported, not parsed
+    steps = [dataclasses.replace(st, label="SZ(x)") for st in rep.steps]
+    assert JHReport(rep.obj, [s.label for s in steps], steps).audit(
+        W, P01) == ["step %d: peeled piece is not the labeled simple" % i
+                    for i in range(len(steps))]
 
 
 def test_jh_audit_reports_tampered_links():
