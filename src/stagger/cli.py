@@ -109,6 +109,16 @@ def _parse_perversity(s: str) -> Perversity:
         raise _ArgError("perversity must be 'pU,pZ' with integers")
 
 
+def _integer(text: str) -> int:
+    """The type of every plain integer option.  int() past
+    sys.get_int_max_str_digits() would echo the whole value in argparse's
+    error, so the echo is cut at 40 characters, as the site's is."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %.40r" % text)
+
+
 def _count(name: str, budget: int):
     """The type of --samples and --window: a positive integer, as none
     would check nothing and pass, and at most ``budget``, the constant
@@ -177,12 +187,15 @@ def _diff_payload(kind: str, expr_in: str, fast, slow, minimized) -> dict:
 
 
 # Widest weight window (highest minus lowest occupied weight) that --oracle
-# accepts.  The brute-force oracles reduce a module only at the weights they
-# read, but a search still reads probes over the whole window and powers of
-# x across it, so their cost grows with about the third power of the span.
-# On a 2-vCPU host (Python 3.11), oracle_step on T(32,32)+T(0,1) takes
-# 0.08 s in-process and `step --oracle` on it 0.25 s in a fresh process;
-# at span 64 oracle_step takes 0.53 s, and at span 200 oracle_member 0.5 s.
+# accepts.  The brute-force oracles read ranks of x off relation blocks and
+# reduce a module only at the weights the maximal-sub search reads, but a
+# search still reads probes over the whole window and ranks of x across it,
+# so their cost grows with about the third power of the span.  On a 2-vCPU
+# host (Python 3.11, best of 3), oracle_step on T(32,32)+T(0,1) takes
+# 0.04-0.06 s in-process and `step --oracle` on it 0.19 s in a fresh
+# process; at span 64 oracle_step takes 0.25-0.26 s, and at span 200
+# oracle_member 0.9-1.2 s.  `decompose --oracle` on a presentation of span
+# 32 with dependent, non-diagonal relations takes 0.15 s in a fresh process.
 ORACLE_WEIGHT_BUDGET = 32
 
 
@@ -469,18 +482,18 @@ def _add_common(sp, site=False, mode=True, perversity=False, expr=1,
         sp.add_argument("--perversity", default="0,1",
                         help="'pU,pZ' (default 0,1)")
     if direction:
-        sp.add_argument("--le", type=int, default=None, metavar="W")
-        sp.add_argument("--ge", type=int, default=None, metavar="W")
+        sp.add_argument("--le", type=_integer, default=None, metavar="W")
+        sp.add_argument("--ge", type=_integer, default=None, metavar="W")
     if n is not None:
-        sp.add_argument("--n", type=int, default=n[1], help=n[0])
+        sp.add_argument("--n", type=_integer, default=n[1], help=n[0])
     if shift:
-        sp.add_argument("--shift", type=int, default=0,
+        sp.add_argument("--shift", type=_integer, default=0,
                         help="degree for bare module expressions")
     if oracle:
         sp.add_argument("--oracle", action="store_true",
                         help="run the brute-force oracle and diff")
     if suite:
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=_integer, default=None)
         sp.add_argument("--samples", default=200,
                         type=_count("SAMPLE_BUDGET", SAMPLE_BUDGET))
     sp.add_argument("--json", action="store_true")
@@ -512,12 +525,12 @@ _VERBS = {
     "heart": (_cmd_heart, dict(perversity=True, shift=True)),
     "jh": (_cmd_jh, dict(perversity=True, shift=True)),
     "simples": (_cmd_simples, dict(perversity=True, expr=0, extra=[
-        ("--n-lo", dict(type=int, default=-5, dest="n_lo")),
-        ("--n-hi", dict(type=int, default=5, dest="n_hi")),
+        ("--n-lo", dict(type=_integer, default=-5, dest="n_lo")),
+        ("--n-hi", dict(type=_integer, default=5, dest="n_hi")),
     ])),
     "ic": (_cmd_ic, dict(perversity=True, expr=0, extra=[
         ("--orbit", dict(required=True, choices=["U", "Z"])),
-        ("--param", dict(required=True, type=int,
+        ("--param", dict(required=True, type=_integer,
                          help="rank for U, skyscraper weight for Z")),
     ])),
     "geometry": (_cmd_geometry, dict(expr=0)),

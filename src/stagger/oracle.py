@@ -1,13 +1,12 @@
 """Brute-force oracles for the graded-module and s-structure operations.
 
-Everything here recomputes results from first principles by materializing
-modules weight-by-weight on a finite window and doing plain linear algebra
-over the rationals (its own Gauss-Jordan and fraction-free rank, no code
-shared with the closed-form fast paths).  An integral entry is stored as an
-``int`` and any other as a ``Fraction``.  The intended use is the agreement
-suite: every optimized operation in the package is cross-checked against its
-oracle on randomized inputs, and a disagreement is shrunk to a small
-counterexample.
+Everything here recomputes results from first principles on a finite
+window of weights with plain linear algebra over the rationals (its own
+Gauss-Jordan and fraction-free rank, no code shared with the closed-form
+fast paths).  An integral entry is stored as an ``int`` and any other as a
+``Fraction``.  The intended use is the agreement suite: every optimized
+operation in the package is cross-checked against its oracle on randomized
+inputs, and a disagreement is shrunk to a small counterexample.
 
 Window soundness.  A finitely generated graded module is determined on the
 window [lo, hi] with lo = (min occupied weight) - 2 and hi = (max occupied
@@ -15,19 +14,24 @@ weight) + 2: all torsion socles are >= lo + 2, so any string still alive
 at weight lo + 1 must be free, and nothing is generated above hi - 2.  The
 free part is truncated at the floor and recognized by its reach.
 
-Materialization at a weight is exact in any window containing it: the
-dimension at w depends on w alone and the matrix of x out of w on w and
-w - 1, never on the window's ends.  So a model reduces a weight on the first
-read of it and never one that is not read, and each call of
-``oracle_aisle``, ``oracle_member`` and ``oracle_step`` takes one union
-window over every module and weight it reads, and builds each distinct
-module's model on it once; the models, the powers of x read off them and
-the hom/ext answers live for that call only.
+Ranks of x.  The decomposition and the hom/ext dimensions need only
+dim M_w and the ranks of the powers x^j : M_{w+j} -> M_w.  Each is read
+straight off the presentation, as a rank of a block of its relation matrix
+(``_x_ranks``), with no basis or x-matrix built.  Only the maximal-sub
+search needs the maps themselves: it materializes a basis of M_w and the
+matrix of x out of w, which depend on w and w - 1 alone, never on the
+window's ends.  So a model reduces a weight on the first read of it and
+never one that is not read, and each call of ``oracle_aisle``,
+``oracle_member`` and ``oracle_step`` takes one union window over every
+module and weight it reads, and builds each distinct module's model on it
+once; the models, the ranks and powers of x read off them and the hom/ext
+answers live for that call only.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -233,12 +237,14 @@ class _Lazy(dict):
 
 
 class WindowModel:
-    """Explicit bases and x-action matrices of coker of a monomial-graded
-    matrix on the window [lo, hi], each weight reduced on its first read.
+    """Window model of coker of a monomial-graded matrix on [lo, hi].
 
-    ``dims[w]`` is dim M_w; ``xmat[w]`` (for lo < w <= hi) is the matrix of
-    x : M_w -> M_{w-1}, rows indexed by the basis of M_{w-1}; ``powers``
-    keeps the matrices of ``_composite``.
+    ``dims[w]`` is dim M_w and ``rank(j, w)`` the rank of x^j : M_{w+j} ->
+    M_w, both read off ranks of blocks of the relation matrix (``_x_ranks``).
+    ``xmat[w]`` (for lo < w <= hi) is the matrix of x : M_w -> M_{w-1}, rows
+    indexed by the basis of M_{w-1}, each weight reduced on its first read;
+    ``powers`` keeps the matrices of ``_composite``.  Only ``_max_sub``,
+    which needs the maps themselves, reads these two.
 
     At weight w the ambient space has one coordinate per generator of weight
     >= w (the monomial x^{g_i - w} e_i) and each relation column of weight
@@ -257,12 +263,58 @@ class WindowModel:
         # the readers close over the data, not over the model, so that a
         # model is freed as soon as its call drops it, with no cycle to wait
         # for the garbage collector
+        x_rank = self._x_rank = _x_ranks(gens, cols)
+        self.dims = _Lazy(lambda w: x_rank(0, w), lo, hi)
         reduced = self.reduced = _Lazy(lambda w: _reduce(gens, cols, w),
                                        lo, hi)
-        self.dims = _Lazy(lambda w: len(reduced[w][3]), lo, hi)
         self.xmat = _Lazy(lambda w: _x_out_of(reduced[w], reduced[w - 1]),
                           lo + 1, hi)
         self.powers: Dict[Tuple[int, int], List[List[Fraction]]] = {}
+
+    def rank(self, j: int, w: int) -> int:
+        """The rank of x^j : M_{w+j} -> M_w.  Both ends are read through
+        ``dims``, so a weight outside the window raises there."""
+        source, target = self.dims[w + j], self.dims[w]
+        if not (source and target):
+            return 0  # a map out of or into a zero space
+        return self._x_rank(j, w)
+
+
+def _x_ranks(gens: Tuple[int, ...],
+             cols: List[Tuple[int, Dict[int, Fraction]]]
+             ) -> Callable[[int, int], int]:
+    """r(j, w), the rank of x^j : M_{w+j} -> M_w, read off the relation
+    matrix.
+
+    Let R_w be the relation columns of weight >= w.  M_w is the span of the
+    generator coordinates of weight >= w modulo R_w, and the image of x^j is
+    the span of the coordinates of weight >= w + j modulo R_w.  Hence
+    r(j, w) = #{g_i >= w + j} + rank(R_w on the rows w <= g_i < w + j)
+    - rank(R_w on the rows g_i >= w), and r(0, w) = dim M_w.  A row block is
+    named by its highest generator weight, so each (w, block) is ranked
+    once (``_mat_rank``) for every j that reads it.
+    """
+    asc = sorted(gens)
+    blocks: Dict[Tuple[int, int], int] = {}
+
+    def block(w: int, top: int) -> int:
+        """The rank of R_w on the rows w <= g_i <= top."""
+        rk = blocks.get((w, top))
+        if rk is None:
+            rows = [i for i, g in enumerate(gens) if w <= g <= top]
+            rk = blocks[(w, top)] = _mat_rank(
+                [[col.get(i, 0) for i in rows] for v, col in cols if v >= w])
+        return rk
+
+    def x_rank(j: int, w: int) -> int:
+        if not asc or asc[-1] < w:
+            return 0
+        cut = bisect_left(asc, w + j)  # the generators of weight < w + j
+        below = asc[cut - 1] if cut else w - 1
+        low = block(w, below) if below >= w else 0
+        return len(asc) - cut + low - block(w, asc[-1])
+
+    return x_rank
 
 
 def _reduce(gens: Tuple[int, ...], cols: List[Tuple[int, Dict[int, Fraction]]],
@@ -329,9 +381,34 @@ def _composite(model: WindowModel, w_src: int, steps: int) -> List[List[Fraction
 # ---------------------------------------------------------------------------
 
 
-def _strings(lo: int, hi: int, dims: Dict[int, int],
-             xmat: Dict[int, List[List[Fraction]]]) -> GradedModule:
-    """Recover the canonical decomposition from ranks of iterated x-maps.
+def _rank_table(lo: int, hi: int, ranks_at: Callable[[int], Iterable[int]]
+                ) -> Dict[Tuple[int, int], int]:
+    """(j, w) -> r_j(w), the rank of x^j : M_{w+j} -> M_w, for w in
+    [lo, hi]; ``ranks_at(w)`` yields r_0(w) = dim M_w, r_1(w), ... up to
+    j = hi - w.  A row stops at its first 0, since x^(j+1) out of w + j + 1
+    factors through x^j out of w + j; an absent entry means 0."""
+    r: Dict[Tuple[int, int], int] = {}
+    for w in range(lo, hi + 1):
+        for j, rk in enumerate(ranks_at(w)):
+            r[(j, w)] = rk
+            if rk == 0:
+                break
+    return r
+
+
+def _matrix_ranks(dims: Dict[int, int], xmat: Dict[int, List[List[Fraction]]],
+                  w: int, hi: int) -> Iterable[int]:
+    """r_0(w), r_1(w), ... from products of explicit x-matrices."""
+    yield dims[w]
+    comp = _identity(dims[w])
+    for j in range(1, hi - w + 1):
+        comp = _matmul(comp, xmat[w + j])
+        yield _mat_rank(comp)
+
+
+def _strings(lo: int, hi: int, r: Dict[Tuple[int, int], int]) -> GradedModule:
+    """Recover the canonical decomposition from ranks of iterated x-maps,
+    a ``_rank_table``.
 
     r_j(w) = dim (x^j M)_w counts strings with generator weight >= w + j
     still alive at w.  D_j(w) = r_j(w) - r_{j+1}(w) counts strings with
@@ -341,16 +418,6 @@ def _strings(lo: int, hi: int, dims: Dict[int, int],
     free (their socle would be at the floor, which soundness of the window
     rules out for torsion).
     """
-    r: Dict[Tuple[int, int], int] = {}  # (j, w) -> r_j(w); absent means 0
-    for w in range(lo, hi + 1):
-        r[(0, w)] = dims[w]
-        comp = _identity(dims[w])
-        for j in range(1, hi - w + 1):
-            comp = _matmul(comp, xmat[w + j])
-            r[(j, w)] = rk = _mat_rank(comp)
-            if rk == 0:
-                break
-
     def A(g: int, l: int) -> int:
         w = g - l + 1
         return r.get((l - 1, w), 0) - r.get((l, w), 0)
@@ -372,7 +439,7 @@ def _strings(lo: int, hi: int, dims: Dict[int, int],
         dim = sum(1 for d in out.free if d >= w) + sum(
             1 for g, n in out.torsion if g >= w > g - n
         )
-        if dim != dims[w]:
+        if dim != r[(0, w)]:
             raise AssertionError(
                 "string reconstruction inconsistent at weight %d" % w
             )
@@ -385,13 +452,15 @@ def _strings(lo: int, hi: int, dims: Dict[int, int],
 
 
 def oracle_decompose(p: Presentation) -> GradedModule:
-    """Canonical form of coker(p) by window materialization."""
+    """Canonical form of coker(p) from the ranks of x on its window, read
+    off the relation matrix."""
     if not p.gens:
         return ZERO
     ws = list(p.gens) + list(p.rel.col_weights)
     lo, hi = min(ws) - 2, max(ws) + 2
     model = _model_of_presentation(p, lo, hi)
-    return _strings(lo, hi, model.dims, model.xmat)
+    return _strings(lo, hi, _rank_table(
+        lo, hi, lambda w: (model.rank(j, w) for j in range(hi - w + 1))))
 
 
 def _window(mods: Iterable[GradedModule], *weights: int) -> Tuple[int, int]:
@@ -409,7 +478,8 @@ def _hom_ext(M: GradedModule, model: WindowModel) -> Tuple[int, int]:
 
     Hom out of F(a) is N_a; Hom out of T(g, n) is the kernel of
     x^n : N_g -> N_{g-n} and Ext^1 out of it is the cokernel of the same
-    matrix (apply Hom(-, N) to 0 -> F(g-n) -> F(g) -> T(g,n) -> 0).  A
+    map (apply Hom(-, N) to 0 -> F(g-n) -> F(g) -> T(g,n) -> 0), so both
+    need only the dimensions and the rank of x^n (``WindowModel.rank``).  A
     weight outside the model's window raises (``_Lazy``): the model knows
     nothing there, and reading 0 would answer silently wrong.
     """
@@ -418,16 +488,15 @@ def _hom_ext(M: GradedModule, model: WindowModel) -> Tuple[int, int]:
         h += model.dims[a]
     for g, n in M.torsion:
         top, bottom = model.dims[g], model.dims[g - n]
-        # a map out of or into a zero space has rank 0
-        rk = _mat_rank(_composite(model, g, n)) if top and bottom else 0
+        rk = model.rank(n, g - n)
         h += top - rk
         e += bottom - rk
     return (h, e)
 
 
 def oracle_hom_ext(M: GradedModule, N: GradedModule) -> Tuple[int, int]:
-    """(dim Hom, dim Ext^1) from explicit x-action matrices of N, on the
-    window of M and N (see ``_hom_ext``)."""
+    """(dim Hom, dim Ext^1) from the ranks of x on N, on the window of M
+    and N (see ``_hom_ext``)."""
     if M.is_zero or N.is_zero:
         return (0, 0)
     lo, hi = _window((M, N))
@@ -537,7 +606,8 @@ def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
             cols.append(coords)
         xm[a] = [[cols[j][r] for j in range(len(cols))]
                  for r in range(dims[a - 1])]
-    return _strings(lo, hi, dims, xm)
+    return _strings(lo, hi, _rank_table(
+        lo, hi, lambda a: _matrix_ranks(dims, xm, a, hi)))
 
 
 def _member_family(site: Site, cfg: SConfig, bound: str, c: int,

@@ -1,6 +1,7 @@
 """Command-line interface: documented invocations, exit codes, JSON
 output against golden files, and the oracle-diff failure path."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -217,6 +218,46 @@ def test_unreadable_thickening_is_a_bad_site(capsys, site):
     assert rc == 1
     assert capsys.readouterr().err == \
         "error: bad site %.40r (use X, U, Z, or Zn)\n" % site
+
+
+# one call per integer option, its value 5,000 digits long
+DIGITS_5000 = "1" * 5000
+INT_OPTION_CALLS = [
+    ["member", "--site", "X", "--le", DIGITS_5000, "F(0)"],
+    ["member", "--site", "X", "--ge", DIGITS_5000, "F(0)"],
+    ["trunc", "--n", DIGITS_5000, "F(0)"],
+    ["heart", "--shift", DIGITS_5000, "F(0)"],
+    ["axioms", "--seed", DIGITS_5000],
+    ["simples", "--n-lo", DIGITS_5000],
+    ["simples", "--n-hi", DIGITS_5000],
+    ["ic", "--orbit", "Z", "--param", DIGITS_5000],
+]
+
+
+def _option_of(argv):
+    return argv[argv.index(DIGITS_5000) - 1]
+
+
+@pytest.mark.skipif(not 0 < INT_DIGITS < 5000,
+                    reason="int() reads 5,000 digits here")
+@pytest.mark.parametrize("argv", INT_OPTION_CALLS,
+                         ids=[_option_of(a) for a in INT_OPTION_CALLS])
+def test_long_integer_option_error_is_one_short_line(capsys, argv):
+    # argparse's own error echoed all 5,000 digits of the value
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: argument %s: invalid int value: '111"
+                          % _option_of(argv))
+    assert err.count("\n") == 1 and len(err.rstrip("\n")) <= 200
+
+
+def test_every_integer_option_has_a_long_value_call():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {a.option_strings[0] for sp in sub.choices.values()
+             for a in sp._actions if a.type in (int, cli._integer)}
+    assert flags == {_option_of(a) for a in INT_OPTION_CALLS}
 
 
 def test_short_bad_site_is_echoed_whole(capsys):

@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 
 from stagger.formats import parse_formal
-from stagger.grmod import (F, T, V, ZERO, canonical_decompose, gm, hom_dim,
-                           ext1_dim, present, weight_dim)
+from stagger.grmod import (F, T, V, ZERO, MonoMatrix, Presentation,
+                           canonical_decompose, gm, hom_dim, ext1_dim,
+                           present, weight_dim)
 from stagger.oracle import (
     _random_presentation,
     _shrink_module,
@@ -26,7 +27,7 @@ from stagger.oracle import (
 )
 from stagger.sstruct import (SConfig, SITE_U, SITE_X, check_on_site, member,
                              site_z, step)
-from stagger import oracle, sampling
+from stagger import grmod, oracle, sampling
 
 W = SConfig("weight")
 CFGS = (W, SConfig("trivial"))
@@ -273,7 +274,9 @@ def test_lazy_model_never_reads_outside_its_window():
                            match=r"weight %d outside the window \[-4, 4\]" % w):
             model.xmat[w]
     assert not model.reduced and not model.dims and not model.xmat
-    assert model.dims[-5] == 1 and list(model.reduced) == [-5]
+    # a dimension is read off the relation matrix: no weight is reduced
+    assert model.dims[-5] == 1 and list(model.dims) == [-5]
+    assert not model.reduced
 
 
 _ENTRIES = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
@@ -364,3 +367,116 @@ def test_step_builds_each_probe_once(monkeypatch):
     M = gm([], [(12, 12), (0, 1)])
     assert oracle_step(SITE_X, W, M) == step(SITE_X, W, M)
     assert len(built) == len(set(built)) > 12
+
+
+# ---------------------------------------------------------------------------
+# ranks of powers of x read off blocks of the relation matrix
+# ---------------------------------------------------------------------------
+
+
+_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7))
+
+
+def _rank_presentation(rng):
+    """A random presentation with dependent relation columns, Fraction
+    coefficients, zero columns and repeated weights, its generators in no
+    particular order."""
+    gens = [rng.randint(-2, 2) for _ in range(rng.randint(1, 5))]
+    cols = []  # (weight, {generator: coefficient})
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.random()
+        if kind < 0.15:  # a zero column
+            cols.append((rng.randint(min(gens) - 3, max(gens)), {}))
+        elif kind < 0.45 and len(cols) >= 2:  # a combination of two columns
+            (va, ca), (vb, cb) = rng.sample(cols, 2)
+            a, b = rng.choice(_COEFFS), rng.choice(_COEFFS)
+            col = {i: a * ca.get(i, 0) + b * cb.get(i, 0)
+                   for i in set(ca) | set(cb)}
+            cols.append((min(va, vb) - rng.randint(0, 2),
+                         {i: c for i, c in col.items() if c}))
+        else:
+            rows = [i for i in range(len(gens)) if rng.random() < 0.6]
+            if rows:
+                v = min(gens[i] for i in rows) - rng.randint(0, 3)
+                cols.append((v, {i: rng.choice(_COEFFS) for i in rows}))
+    rel = MonoMatrix(tuple(gens), tuple(v for v, _ in cols))
+    for j, (_v, col) in enumerate(cols):
+        for i, c in col.items():
+            rel.set(i, j, c)
+    return Presentation(tuple(gens), rel)
+
+
+def _x_power_ranks(model, lo, hi):
+    """(j, w) -> rank of x^j : M_{w+j} -> M_w, as the rank of the product
+    xmat[w+1] ... xmat[w+j] of the model's explicit x-matrices."""
+    def dim(v):
+        return len(model.reduced[v][3])
+
+    def times(a, b, n):  # a (m x k) times b (k x n)
+        return [[sum(row[t] * b[t][c] for t in range(len(row)))
+                 for c in range(n)] for row in a]
+
+    ranks = {}
+    for w in range(lo, hi + 1):
+        prod = [[int(i == k) for k in range(dim(w))] for i in range(dim(w))]
+        ranks[(0, w)] = dim(w)
+        for v in range(w + 1, hi + 1):
+            prod = times(prod, model.xmat[v], dim(v))
+            ranks[(v - w, w)] = len(oracle._rref(prod)[0])
+    return ranks
+
+
+def test_ranks_of_x_equal_x_matrix_products():
+    rng = random.Random(24)
+    kinds = {"fraction": 0, "dependent": 0, "zero column": 0,
+             "repeated weight": 0}
+    for _ in range(300):
+        p = _rank_presentation(rng)
+        lo, hi = _window_of(p)
+        model = oracle._model_of_presentation(p, lo, hi)
+        ref = _x_power_ranks(oracle._model_of_presentation(p, lo, hi), lo, hi)
+        assert {(j, w): model.rank(j, w) for j, w in ref} == ref, \
+            (p.gens, p.rel.col_weights, p.rel.entries)
+        assert all(model.dims[w] == ref[(0, w)] for w in range(lo, hi + 1))
+        cols = [[p.rel.entries.get((i, j), 0) for i in range(len(p.gens))]
+                for j in range(len(p.rel.col_weights))]
+        nonzero = [c for c in cols if any(c)]
+        kinds["fraction"] += any(type(c) is Fraction
+                                 for c in p.rel.entries.values())
+        kinds["zero column"] += len(nonzero) < len(cols)
+        kinds["dependent"] += oracle._mat_rank(nonzero) < len(nonzero)
+        kinds["repeated weight"] += len(set(p.gens)) < len(p.gens)
+        with pytest.raises(AssertionError, match="weight %d outside" % (hi + 1)):
+            model.rank(hi - lo, lo + 1)
+    assert all(kinds.values()), kinds
+
+
+def test_oracles_share_no_algorithm_with_the_fast_paths(monkeypatch):
+    # with the sparse echelon sweep and the persistence pairing broken, every
+    # oracle still answers, and answers as before
+    rng = random.Random(25)
+    calls = []
+    for _ in range(30):
+        cfg, site = rng.choice(CFGS), rng.choice(SITES)
+        M, N = _site_module(rng, site), sampling.random_module(rng)
+        w = rng.randint(-6, 6)
+        pU, pZ = _perversity(rng, cfg)
+        comps = sampling.random_formal_components(rng, max_len=3)
+        direction, which = rng.choice(["le", "ge"]), rng.choice(["le0", "ge0"])
+        calls += [(oracle_decompose, (_random_presentation(rng),)),
+                  (oracle_decompose, (_rank_presentation(rng),)),
+                  (oracle_hom_ext, (M, N)),
+                  (oracle_member, (site, cfg, direction, w, M)),
+                  (oracle_step, (site, cfg, M)),
+                  (oracle_max_sub, (site, cfg, w, M)),
+                  (oracle_aisle, (cfg, pU, pZ, comps, which))]
+    answers = [call(*args) for call, args in calls]
+
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("a fast-path algorithm was called")
+
+    for name in ("_echelon_insert", "_pairing_homology", "_rank_steps"):
+        monkeypatch.setattr(grmod, name, broken)
+    with pytest.raises(RuntimeError):
+        canonical_decompose(_random_presentation(rng))
+    assert [call(*args) for call, args in calls] == answers
