@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .grmod import (
     Presentation,
@@ -186,33 +186,35 @@ def _diff_payload(kind: str, expr_in: str, fast, slow, minimized) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# Widest weight window (highest minus lowest occupied weight) that --oracle
-# accepts.  The brute-force oracles read ranks of x off relation blocks and
-# reduce a module only at the weights the maximal-sub search reads, but a
-# search still reads probes over the whole window and ranks of x across it,
-# so their cost grows with about the third power of the span.  On a 2-vCPU
-# host (Python 3.11, best of 3), oracle_step on T(32,32)+T(0,1) takes
-# 0.04-0.06 s in-process and `step --oracle` on it 0.19 s in a fresh
-# process; at span 64 oracle_step takes 0.25-0.26 s, and at span 200
-# oracle_member 0.9-1.2 s.  `decompose --oracle` on a presentation of span
-# 32 with dependent, non-diagonal relations takes 0.15 s in a fresh process.
+# Widest weight window that --oracle accepts: highest minus lowest of the
+# subject's occupied weights and of the level (member, sigma) or weight 0
+# (step), which the oracle's window also covers.  A search reads probes over
+# the whole window and ranks of x across it, so the oracles' cost grows with
+# about the third power of the span.  On a 2-vCPU host (Python 3.11, best of
+# 3), oracle_step on T(32,32)+T(0,1) takes 0.05-0.06 s in-process and `step
+# --oracle` on it 0.23-0.31 s in a fresh process, about 0.25 s of it start-up;
+# at span 64 oracle_step takes 0.26-0.38 s, and at span 200 oracle_member
+# 0.96-1.19 s.  `decompose --oracle` on a presentation of span 32 with
+# dependent, non-diagonal relations takes 0.22-0.24 s in a fresh process.
 ORACLE_WEIGHT_BUDGET = 32
 
 
-def _weight_span(subject) -> int:
-    """Highest minus lowest weight occupied by a presentation, a module or
-    a formal object."""
+def _weight_span(subject, reach: Tuple[int, ...] = ()) -> int:
+    """Highest minus lowest of the weights occupied by a presentation, a
+    module or a formal object, and the weights ``reach``."""
     if isinstance(subject, Presentation):
-        ws = subject.gens + subject.rel.col_weights
+        ws = list(subject.gens + subject.rel.col_weights)
     else:
         mods = subject.components.values() \
             if isinstance(subject, FormalObject) else [subject]
         ws = [w for m in mods if not m.is_zero for w in m.occupied_window()]
+    ws.extend(reach)
     return max(ws) - min(ws) if ws else 0
 
 
 def _checked(args, kind: str, subject, fast, oracle, render,
-             answer=lambda v: v, audit=None, shrink: bool = False) -> int:
+             answer=lambda v: v, audit=None, shrink: bool = False,
+             reach: Tuple[int, ...] = ()) -> int:
     """Run a verb whose answer the brute-force oracle can cross-check.
 
     ``fast(subject)`` is the verb's result and ``audit(result)`` lists its
@@ -221,12 +223,13 @@ def _checked(args, kind: str, subject, fast, oracle, render,
     on a mismatch the input is shrunk to a minimal disagreement when
     ``shrink`` is set (otherwise echoed back), the diff is emitted and the
     exit code is 2.  Otherwise ``render(result)`` gives the payload and
-    the text lines.  An --oracle subject wider than
-    ``ORACLE_WEIGHT_BUDGET`` weights is refused as an input error.
+    the text lines.  An --oracle subject whose weights, with the weights
+    ``reach`` the oracle's window also covers (a level, or weight 0), span
+    more than ``ORACLE_WEIGHT_BUDGET`` is refused as an input error.
     """
-    span = _weight_span(subject) if args.oracle else 0
+    span = _weight_span(subject, reach) if args.oracle else 0
     if span > ORACLE_WEIGHT_BUDGET:
-        raise _ArgError("--oracle input has weight span %d, over the oracle "
+        raise _ArgError("--oracle window has weight span %d, over the oracle "
                         "budget ORACLE_WEIGHT_BUDGET = %d"
                         % (span, ORACLE_WEIGHT_BUDGET))
     val = fast(subject)
@@ -267,7 +270,7 @@ def _cmd_member(args) -> int:
     cfg = SConfig(args.z_mode)
     direction, w = _direction(args)
     return _checked(
-        args, "member", parse_module(args.expr), shrink=True,
+        args, "member", parse_module(args.expr), shrink=True, reach=(w,),
         fast=lambda m: member(site, cfg, direction, w, m),
         oracle=lambda m, _v: oracle_member(site, cfg, direction, w, m),
         render=lambda v: ({"member": v, "site": str(site),
@@ -281,7 +284,7 @@ def _cmd_sigma(args) -> int:
     cfg = SConfig(args.z_mode)
     direction, w = _direction(args)
     return _checked(
-        args, "sigma", parse_module(args.expr), shrink=True,
+        args, "sigma", parse_module(args.expr), shrink=True, reach=(w,),
         fast=lambda m: sigma(site, cfg, direction, w, m),
         audit=lambda wit: wit.verify(),
         answer=lambda wit: fmt_module(wit.sub),
@@ -298,7 +301,7 @@ def _cmd_step(args) -> int:
     site = _parse_site(args.site)
     cfg = SConfig(args.z_mode)
     return _checked(
-        args, "step", parse_module(args.expr), shrink=True,
+        args, "step", parse_module(args.expr), shrink=True, reach=(0,),
         fast=lambda m: step(site, cfg, m),
         oracle=lambda m, _v: oracle_step(site, cfg, m),
         render=lambda v: ({"step": v}, [str(v)]),

@@ -1,12 +1,13 @@
 """Brute-force oracles for the graded-module and s-structure operations.
 
 Everything here recomputes results from first principles on a finite
-window of weights with plain linear algebra over the rationals (its own
-Gauss-Jordan and fraction-free rank, no code shared with the closed-form
-fast paths).  An integral entry is stored as an ``int`` and any other as a
-``Fraction``.  The intended use is the agreement suite: every optimized
-operation in the package is cross-checked against its oracle on randomized
-inputs, and a disagreement is shrunk to a small counterexample.
+window of weights, with one exact rank algorithm over the rationals
+(fraction-free Bareiss elimination, ``_mat_rank``) and no code shared with
+the closed-form fast paths.  An integral entry is stored as an ``int`` and
+any other as a ``Fraction``.  The intended use is the agreement suite:
+every optimized operation in the package is cross-checked against its
+oracle on randomized inputs, and a disagreement is shrunk to a small
+counterexample.
 
 Window soundness.  A finitely generated graded module is determined on the
 window [lo, hi] with lo = (min occupied weight) - 2 and hi = (max occupied
@@ -14,26 +15,24 @@ weight) + 2: all torsion socles are >= lo + 2, so any string still alive
 at weight lo + 1 must be free, and nothing is generated above hi - 2.  The
 free part is truncated at the floor and recognized by its reach.
 
-Ranks of x.  The decomposition and the hom/ext dimensions need only
-dim M_w and the ranks of the powers x^j : M_{w+j} -> M_w.  Each is read
-straight off the presentation, as a rank of a block of its relation matrix
-(``_x_ranks``), with no basis or x-matrix built.  Only the maximal-sub
-search needs the maps themselves: it materializes a basis of M_w and the
-matrix of x out of w, which depend on w and w - 1 alone, never on the
-window's ends.  So a model reduces a weight on the first read of it and
-never one that is not read, and each call of ``oracle_aisle``,
+Ranks of x.  A graded k[x]-module is fixed by the ranks r(j, w) of the
+powers x^j : M_{w+j} -> M_w, with r(0, w) = dim M_w, and ``_strings``
+decodes them into the canonical decomposition.  Each is read straight off
+the presentation, as a rank of a block of its relation matrix
+(``_x_ranks``), with no basis or x-matrix built.  The decomposition, the
+hom/ext dimensions and the maximal sub (whose ranks are closed forms in the
+module's) read nothing else.  A model ranks a weight on the first read of
+it and never one that is not read, and each call of ``oracle_aisle``,
 ``oracle_member`` and ``oracle_step`` takes one union window over every
 module and weight it reads, and builds each distinct module's model on it
-once; the models, the ranks and powers of x read off them and the hom/ext
-answers live for that call only.
+once; the models, the ranks read off them and the hom/ext answers live for
+that call only.
 """
-
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -53,12 +52,11 @@ from .sstruct import SConfig, SITE_U, SITE_X, Site, check_on_site, member, sigma
 from . import sampling
 
 # ---------------------------------------------------------------------------
-# plain linear algebra over the rationals (independent of grmod's)
+# exact rank over the rationals (independent of grmod's elimination)
 #
 # An entry is an ``int`` when it is integral and a ``Fraction`` otherwise,
-# and every function below returns entries in that form, so the matrices of
-# a module whose presentation has integer coefficients build no Fraction
-# until an elimination divides by a pivot other than +-1.
+# so the blocks of a presentation with integer coefficients are ranked on
+# ints alone.
 # ---------------------------------------------------------------------------
 
 
@@ -73,53 +71,6 @@ def _all_ints(values: Iterable[Fraction]) -> bool:
 def _q(x):
     """x as an ``int`` when it is integral."""
     return x if type(x) is int or x.denominator != 1 else x.numerator
-
-
-def _div(a, b):
-    """a / b, an ``int`` when it is integral."""
-    if type(a) is int and type(b) is int:
-        quo, rem = divmod(a, b)
-        return Fraction(a, b) if rem else quo
-    return _q(a / b)
-
-
-def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
-
-    A pivot row is divided only by a pivot other than +-1, and a row update
-    normalizes its entries only when a fraction takes part in it."""
-    mat = [[_q(e) for e in r] for r in rows]
-    pivots: List[int] = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        p = mat[r][c]
-        if p == -1:
-            mat[r] = [-e for e in mat[r]]
-        elif p != 1:
-            mat[r] = [_div(e, p) for e in mat[r]]
-        prow = mat[r]
-        integral = _all_ints(prow)
-        for i in range(len(mat)):
-            f = mat[i][c]
-            if i != r and f:
-                row = [a - f * b for a, b in zip(mat[i], prow)]
-                if not (integral and type(f) is int):
-                    row = [_q(e) for e in row]
-                mat[i] = row
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
 
 
 def _mat_rank(rows: List[List[Fraction]]) -> int:
@@ -164,57 +115,8 @@ def _mat_rank(rows: List[List[Fraction]]) -> int:
     return rank
 
 
-def _matmul(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
-    """a (m x k) times b (k x n)."""
-    m = len(a)
-    k = len(b)
-    n = len(b[0]) if b else 0
-    out = [[0] * n for _ in range(m)]
-    for i in range(m):
-        ai = a[i]
-        for t in range(k):
-            c = ai[t]
-            if c == 0:
-                continue
-            bt = b[t]
-            row = out[i]
-            for j in range(n):
-                if bt[j] != 0:
-                    row[j] += c * bt[j]
-    if _all_ints(chain.from_iterable(a)) and _all_ints(chain.from_iterable(b)):
-        return out
-    return [[_q(e) for e in r] for r in out]
-
-
-def _apply(mat: List[List[Fraction]], v: List[Fraction]) -> List[Fraction]:
-    """The matrix ``mat`` times the column vector ``v``."""
-    return [_q(sum(c * e for c, e in zip(row, v))) for row in mat]
-
-
-def _identity(n: int) -> List[List[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _solve_coords(basis: List[List[Fraction]], target: List[Fraction]
-                  ) -> Optional[List[Fraction]]:
-    """Coordinates of target in the span of basis vectors, or None."""
-    if not basis:
-        return [] if all(e == 0 for e in target) else None
-    m = len(basis[0])
-    aug = [[basis[j][i] for j in range(len(basis))] + [target[i]]
-           for i in range(m)]
-    red, pivots = _rref(aug)
-    ncols = len(basis)
-    if ncols in pivots:
-        return None  # inconsistent
-    coords = [0] * ncols
-    for row, pc in zip(red, pivots):
-        coords[pc] = row[-1]
-    return coords
-
-
 # ---------------------------------------------------------------------------
-# window models, reduced weight by weight on first read
+# window models, ranked weight by weight on first read
 # ---------------------------------------------------------------------------
 
 
@@ -240,16 +142,8 @@ class WindowModel:
     """Window model of coker of a monomial-graded matrix on [lo, hi].
 
     ``dims[w]`` is dim M_w and ``rank(j, w)`` the rank of x^j : M_{w+j} ->
-    M_w, both read off ranks of blocks of the relation matrix (``_x_ranks``).
-    ``xmat[w]`` (for lo < w <= hi) is the matrix of x : M_w -> M_{w-1}, rows
-    indexed by the basis of M_{w-1}, each weight reduced on its first read;
-    ``powers`` keeps the matrices of ``_composite``.  Only ``_max_sub``,
-    which needs the maps themselves, reads these two.
-
-    At weight w the ambient space has one coordinate per generator of weight
-    >= w (the monomial x^{g_i - w} e_i) and each relation column of weight
-    >= w contributes the vector of its coefficients.  A basis of the
-    quotient is chosen as the non-pivot coordinates of the relation span.
+    M_w, both read off ranks of blocks of the relation matrix (``_x_ranks``)
+    on their first read.  A weight outside [lo, hi] raises (``_Lazy``).
     """
 
     def __init__(self, gens: Sequence[int], colw: Sequence[int],
@@ -260,16 +154,11 @@ class WindowModel:
             [(v, {}) for v in colw]  # (weight, {generator: coefficient})
         for (i, j), c in entries.items():
             cols[j][1][i] = _q(c)
-        # the readers close over the data, not over the model, so that a
+        # the reader closes over the data, not over the model, so that a
         # model is freed as soon as its call drops it, with no cycle to wait
         # for the garbage collector
         x_rank = self._x_rank = _x_ranks(gens, cols)
         self.dims = _Lazy(lambda w: x_rank(0, w), lo, hi)
-        reduced = self.reduced = _Lazy(lambda w: _reduce(gens, cols, w),
-                                       lo, hi)
-        self.xmat = _Lazy(lambda w: _x_out_of(reduced[w], reduced[w - 1]),
-                          lo + 1, hi)
-        self.powers: Dict[Tuple[int, int], List[List[Fraction]]] = {}
 
     def rank(self, j: int, w: int) -> int:
         """The rank of x^j : M_{w+j} -> M_w.  Both ends are read through
@@ -317,63 +206,12 @@ def _x_ranks(gens: Tuple[int, ...],
     return x_rank
 
 
-def _reduce(gens: Tuple[int, ...], cols: List[Tuple[int, Dict[int, Fraction]]],
-            w: int):
-    """The reduction at weight w: (generators alive at w, their coordinates,
-    the reduced relation row of each pivot coordinate, the non-pivot
-    coordinates)."""
-    rows = [i for i, g in enumerate(gens) if g >= w]
-    pos = {i: idx for idx, i in enumerate(rows)}
-    rel = [[col.get(i, 0) for i in rows] for v, col in cols if v >= w]
-    red, pivots = _rref(rel) if rel else ([], [])
-    pivot_row = dict(zip(pivots, red))
-    keep = [idx for idx in range(len(rows)) if idx not in pivot_row]
-    return rows, pos, pivot_row, keep
-
-
-def _x_out_of(at_w, below) -> List[List[Fraction]]:
-    """The matrix of x out of weight w, from the reductions ``at_w`` at w
-    and ``below`` at w - 1.
-
-    x maps the basis monomial of generator i at weight w to the same
-    generator's monomial at w - 1; its column is that unit vector reduced
-    against the relation rows there, read at the non-pivot coordinates."""
-    rows_w, _pos, _piv, keep_w = at_w
-    rows, pos, pivot_row, keep = below
-    cols = []
-    for idx_w in keep_w:
-        v = [0] * len(rows)
-        v[pos[rows_w[idx_w]]] = 1
-        for pc, row in pivot_row.items():
-            f = v[pc]
-            if f:
-                v = [_q(a - f * b) for a, b in zip(v, row)]
-        cols.append([v[idx] for idx in keep])
-    return [[col[r] for col in cols] for r in range(len(keep))]
-
-
 def _model_of_presentation(p: Presentation, lo: int, hi: int) -> WindowModel:
     return WindowModel(p.gens, p.rel.col_weights, p.rel.entries, lo, hi)
 
 
 def _model_of_module(M: GradedModule, lo: int, hi: int) -> WindowModel:
     return _model_of_presentation(present(M), lo, hi)
-
-
-def _composite(model: WindowModel, w_src: int, steps: int) -> List[List[Fraction]]:
-    """Matrix of x^steps : M_{w_src} -> M_{w_src - steps}, kept in
-    ``model.powers``: x^k out of w_src is x^(k-1) out of w_src followed by
-    one more x, so each power costs one product."""
-    powers = model.powers
-    if (w_src, 0) not in powers:
-        powers[(w_src, 0)] = _identity(model.dims[w_src])
-    k = steps
-    while (w_src, k) not in powers:
-        k -= 1
-    mat = powers[(w_src, k)]
-    for k in range(k + 1, steps + 1):
-        mat = powers[(w_src, k)] = _matmul(model.xmat[w_src - k + 1], mat)
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +232,6 @@ def _rank_table(lo: int, hi: int, ranks_at: Callable[[int], Iterable[int]]
             if rk == 0:
                 break
     return r
-
-
-def _matrix_ranks(dims: Dict[int, int], xmat: Dict[int, List[List[Fraction]]],
-                  w: int, hi: int) -> Iterable[int]:
-    """r_0(w), r_1(w), ... from products of explicit x-matrices."""
-    yield dims[w]
-    comp = _identity(dims[w])
-    for j in range(1, hi - w + 1):
-        comp = _matmul(comp, xmat[w + j])
-        yield _mat_rank(comp)
 
 
 def _strings(lo: int, hi: int, r: Dict[Tuple[int, int], int]) -> GradedModule:
@@ -536,11 +364,12 @@ class _Models:
 
 def oracle_max_sub(site: Site, cfg: SConfig, w: int,
                    M: GradedModule) -> GradedModule:
-    """Maximal submodule of M lying in C_{<=w}, by weight-subspace search.
+    """Maximal submodule of M lying in C_{<=w}, from the ranks of x on M.
 
-    Allowed generator subspaces are chosen per site and mode, closed
-    downward under the x-action, and the resulting sub-representation is
-    decomposed back into strings.
+    On Z_n, or on X with w >= 0, the sub is M at the weights <= w; on X
+    with w < 0 only torsion may generate, and the sub is the torsion at the
+    weights <= w.  Its ranks of x are closed forms in those of M (``_max_sub``)
+    and are decoded back into strings.
     """
     return _max_sub(site, cfg, w, M, _model_of_module)
 
@@ -549,7 +378,15 @@ def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
              model_of: Callable[[GradedModule, int, int], WindowModel]
              ) -> GradedModule:
     """``oracle_max_sub`` on its window [lo, hi], reading ``model_of(M, lo,
-    hi)``, a model of M whose window contains [lo, hi]."""
+    hi)``, a model of M whose window contains [lo, hi].
+
+    With r the ranks of x on M, the sub S has r_S(j, a) = 0 when a + j > w
+    and r_S(j, a) = r(j, a) otherwise, except on X with w < 0.  There S_b
+    is the torsion of M_b, which window soundness makes ker x^(b - lo) :
+    M_b -> M_lo.  It contains ker x^j for j <= b - lo, so x^j maps S_{a+j}
+    onto a space of dimension dim S_{a+j} - dim ker x^j, that is
+    r_S(j, a) = r(j, a) - r(a + j - lo, lo).
+    """
     check_on_site(site, M)
     if M.is_zero:
         return ZERO
@@ -561,53 +398,15 @@ def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
     if model.lo > lo or model.hi < hi:
         raise AssertionError("model window [%d, %d] misses [%d, %d]"
                              % (model.lo, model.hi, lo, hi))
+    torsion_only = site.kind == "X" and w < 0
 
-    def allowed(a: int) -> List[List[Fraction]]:
-        if a > w:
-            return []
-        dim = model.dims[a]
-        if dim == 0:
-            return []
-        if site.kind == "Z" or w >= 0:
-            return _identity(dim)
-        # site X, w < 0: only torsion elements may generate
-        mat = _composite(model, a, a - lo)
-        red, pivots = _rref(mat)
-        # kernel of mat: solve by rref of the matrix itself
-        ncols = dim
-        basis = []
-        for fc in range(ncols):
-            if fc in pivots:
-                continue
-            v = [0] * ncols
-            v[fc] = 1
-            for row, pc in zip(red, pivots):
-                v[pc] = -row[fc]
-            basis.append(v)
-        return basis
+    def ranks_at(a: int) -> Iterable[int]:
+        for j in range(min(w, hi) - a + 1):
+            yield model.rank(j, a) - (model.rank(a + j - lo, lo)
+                                      if torsion_only else 0)
+        yield 0  # past w, or a > w
 
-    span: Dict[int, List[List[Fraction]]] = {}
-    for a in range(hi, lo - 1, -1):
-        vecs = list(allowed(a))
-        if a + 1 <= hi:
-            x_a1 = model.xmat[a + 1]
-            vecs.extend(_apply(x_a1, v) for v in span[a + 1])
-        span[a] = _rref(vecs)[0]
-
-    dims = {a: len(span[a]) for a in range(lo, hi + 1)}
-    xm: Dict[int, List[List[Fraction]]] = {}
-    for a in range(lo + 1, hi + 1):
-        x_a = model.xmat[a]
-        cols = []
-        for v in span[a]:
-            coords = _solve_coords(span[a - 1], _apply(x_a, v))
-            if coords is None:
-                raise AssertionError("submodule span not x-stable")
-            cols.append(coords)
-        xm[a] = [[cols[j][r] for j in range(len(cols))]
-                 for r in range(dims[a - 1])]
-    return _strings(lo, hi, _rank_table(
-        lo, hi, lambda a: _matrix_ranks(dims, xm, a, hi)))
+    return _strings(lo, hi, _rank_table(lo, hi, ranks_at))
 
 
 def _member_family(site: Site, cfg: SConfig, bound: str, c: int,

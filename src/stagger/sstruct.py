@@ -24,7 +24,8 @@ C_{<=cut}.  Maximality on X for cut < 0 holds because a nonzero submodule of
 a free module is free and free modules never lie in C_{<=cut} for cut < 0;
 for cut >= 0 the sub is literally "all elements of weight <= cut", which is
 x-stable and generated in weights <= cut.  The brute-force oracle re-derives
-the same submodule by exhaustive weight-subspace search.
+the same submodule from the ranks of the powers of x on M, read off its
+relation matrix: the sub's ranks are closed forms in them.
 
 By nesting (S2) membership is a threshold, so ``_bounds``, the two
 thresholds of one summand, is the one home of the rule: ``member``,

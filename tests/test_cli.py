@@ -301,6 +301,29 @@ def test_oracle_over_weight_budget_exits_one_fast(capsys):
     assert run(capsys, *member, "--oracle", at_budget) == (0, "false\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("sigma", "--site", "X", "--le", "-100000000", "T(0,1)"),
+    ("sigma", "--site", "Z1", "--le", "-100000000", "T(0,1)"),
+    ("member", "--site", "X", "--le", "-100000000", "F(0)"),
+    ("member", "--site", "X", "--le", "0", "T(100000000,1)"),
+    ("sigma", "--site", "X", "--le", "0", "T(100000000,1)"),
+    ("step", "--site", "X", "T(100000000,1)"),
+    ("step", "--site", "Z1", "T(100000000,1)"),
+], ids=["sigma_X_far_level", "sigma_Z1_far_level", "member_far_level",
+        "member_far_module", "sigma_far_module", "step_X_far_module",
+        "step_Z1_far_module"])
+def test_oracle_window_past_the_budget_exits_one_at_once(argv):
+    # the subject spans one weight, but the oracle's window also reaches
+    # the level (member, sigma) or weight 0 (step): 10^8 weights, which
+    # were still being walked at a 10 s timeout
+    proc, elapsed = _run_cli(*argv, "--oracle", timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: --oracle window has weight span " \
+        "100000000, over the oracle budget ORACLE_WEIGHT_BUDGET = %d\n" \
+        % cli.ORACLE_WEIGHT_BUDGET
+    assert elapsed < 5
+
+
 def test_bad_json_presentation_exit_one(capsys):
     rc = cli.main(["decompose", '{"generators": [0], "relations": [[null]]}'])
     assert rc == 1

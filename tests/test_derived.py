@@ -364,7 +364,7 @@ def test_rank_steps_match_dense_reference():
     """The one-sweep ranks (the number of rank steps >= w) equal dense
     ranks of the (rows >= w) x (cols >= w) coefficient submatrix, the
     reference the certificate used to compute, here ranked by the
-    oracle's own Gauss-Jordan, over a window past every weight."""
+    oracle's fraction-free (Bareiss) rank, over a window past every weight."""
     rng = random.Random(21)
     cases = [MonoMatrix([], []), MonoMatrix([1, 0], []),
              MonoMatrix([], [2, -1])]
@@ -498,7 +498,7 @@ def _dense_rank(mat, w):
 def _dense_mismatches(c, hs):
     """(k, w, want, got) wherever ``hs[k]`` (a module per degree) has a
     weight dimension other than dim C^k_w - rank(d_k)_w - rank(d_{k-1})_w
-    of the free complex ``c``, ranked densely by the oracle's Gauss-Jordan
+    of the free complex ``c``, ranked densely by the oracle's Bareiss rank
     over the window of all generator weights."""
     ws = [w for t in c.terms.values() for w in t] or [0]
     bad = []

@@ -224,7 +224,7 @@ def _random_map(rng):
 def _coeff_rank(m, cols=None):
     """Rank over k[x] of the given columns (all by default): entries are
     monomials with forced exponents, so it is the rank of the coefficient
-    matrix (x = 1), by the oracle's own Gauss-Jordan."""
+    matrix (x = 1), by the oracle's fraction-free (Bareiss) rank."""
     cols = range(m.ncols) if cols is None else cols
     return _mat_rank([[m.get(i, j) for j in cols] for i in range(m.nrows)])
 

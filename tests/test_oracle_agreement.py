@@ -26,7 +26,7 @@ from stagger.oracle import (
     oracle_step,
 )
 from stagger.sstruct import (SConfig, SITE_U, SITE_X, check_on_site, member,
-                             site_z, step)
+                             sigma, site_z, step)
 from stagger import grmod, oracle, sampling
 
 W = SConfig("weight")
@@ -213,7 +213,7 @@ def test_reader_refuses_a_weight_outside_its_model():
 
 
 # ---------------------------------------------------------------------------
-# lazy window models, integer entries and the composite memo
+# lazy window models and the exact rank
 # ---------------------------------------------------------------------------
 
 
@@ -222,44 +222,27 @@ def _window_of(p):
     return min(ws) - 2, max(ws) + 2
 
 
-def _is_normal(e):
-    """An integral entry is stored as an int."""
-    return type(e) is int or (type(e) is Fraction and e.denominator != 1)
-
-
-def test_lazy_model_reads_alike_in_any_order(monkeypatch):
-    reduced = []
-    real = oracle._reduce
-
-    def counted(gens, cols, w):
-        reduced.append(w)
-        return real(gens, cols, w)
-
-    monkeypatch.setattr(oracle, "_reduce", counted)
+def test_lazy_model_reads_alike_in_any_order():
     rng = random.Random(21)
     for _ in range(500):
         p = _random_presentation(rng)
         lo, hi = _window_of(p)
         ws = list(range(lo, hi + 1))
-        shuffled = list(ws)
+        reads = [(j, w) for w in ws for j in range(hi - w + 1)]
+        shuffled = list(reads)
         rng.shuffle(shuffled)
-        reads = []
-        for order in (ws[::-1], ws, shuffled):
+        answers = []
+        for order in (reads[::-1], reads, shuffled):
             model = oracle._model_of_presentation(p, lo, hi)
-            del reduced[:]
-            for _twice in range(2):
-                read = ({w: model.dims[w] for w in order},
-                        {w: model.xmat[w] for w in order if w > lo})
-            # every weight is reduced once, however often it is read
-            assert sorted(reduced) == ws
-            reads.append(read)
-        assert reads[0] == reads[1] == reads[2], (p.gens, p.rel.entries)
-        dims, xmat = reads[0]
+            first, again = (({w: model.dims[w] for _j, w in order},
+                             {(j, w): model.rank(j, w) for j, w in order})
+                            for _twice in range(2))
+            assert first == again
+            answers.append(first)
+        assert answers[0] == answers[1] == answers[2], (p.gens, p.rel.entries)
+        dims = answers[0][0]
         M = canonical_decompose(p)
         assert all(dims[w] == weight_dim(M, w) for w in ws)
-        assert all(len(xmat[w]) == dims[w - 1] and
-                   all(len(r) == dims[w] and all(map(_is_normal, r))
-                       for r in xmat[w]) for w in ws[1:])
 
 
 def test_lazy_model_never_reads_outside_its_window():
@@ -268,19 +251,36 @@ def test_lazy_model_never_reads_outside_its_window():
         with pytest.raises(AssertionError,
                            match=r"weight %d outside the window \[-5, 4\]" % w):
             model.dims[w]
-    # x out of the window's floor would need the weight below it
-    for w in (-5, 5):
-        with pytest.raises(AssertionError,
-                           match=r"weight %d outside the window \[-4, 4\]" % w):
-            model.xmat[w]
-    assert not model.reduced and not model.dims and not model.xmat
-    # a dimension is read off the relation matrix: no weight is reduced
+    # x^j out of a weight above the window's ceiling
+    for j, w in ((1, 4), (10 ** 9, -5)):
+        with pytest.raises(AssertionError, match="weight %d outside" % (w + j)):
+            model.rank(j, w)
+    assert not model.dims
+    # x into the weight below the floor: only the source weight is read
+    with pytest.raises(AssertionError, match="weight -6 outside"):
+        model.rank(1, -6)
     assert model.dims[-5] == 1 and list(model.dims) == [-5]
-    assert not model.reduced
 
 
 _ENTRIES = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
             Fraction(5, 7), Fraction(4, 2))
+
+
+def _fraction_rank(rows):
+    """Rank by plain Gaussian elimination on ``Fraction`` entries."""
+    mat = [[Fraction(e) for e in r] for r in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] / prow[c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
+        rank += 1
+    return rank
 
 
 def test_mat_rank_equals_the_rref_rank():
@@ -301,29 +301,11 @@ def test_mat_rank_equals_the_rref_rank():
     ranks = set()
     for rows in cases:
         before = [list(r) for r in rows]
-        red, pivots = oracle._rref(rows)
-        assert oracle._mat_rank(rows) == len(red) == len(pivots), rows
+        rank = oracle._mat_rank(rows)
+        assert rank == _fraction_rank(rows), rows
         assert rows == before
-        assert all(_is_normal(e) for r in red for e in r), rows
-        ranks.add(len(red))
+        ranks.add(rank)
     assert ranks == set(range(7))
-
-
-def test_composite_equals_a_plain_product_loop():
-    rng = random.Random(23)
-    for _ in range(200):
-        p = _random_presentation(rng)
-        lo, hi = _window_of(p)
-        model = oracle._model_of_presentation(p, lo, hi)
-        queries = [(w, k) for w in range(lo, hi + 1)
-                   for k in range(w - lo + 1)]
-        rng.shuffle(queries)
-        for w, k in queries:
-            plain = [[int(i == j) for j in range(model.dims[w])]
-                     for i in range(model.dims[w])]
-            for v in range(w, w - k, -1):
-                plain = oracle._matmul(model.xmat[v], plain)
-            assert oracle._composite(model, w, k) == plain, (p.gens, w, k)
 
 
 def _built_models(monkeypatch):
@@ -369,6 +351,39 @@ def test_step_builds_each_probe_once(monkeypatch):
     assert len(built) == len(set(built)) > 12
 
 
+def _wide_module(rng, site):
+    """A module past the sampling envelope: weights in [-12, 12], torsion
+    up to length 8 (at most n on Z_n), up to four summands of each kind."""
+    cap = 8 if site.kind == "X" else min(8, site.n)
+    free = [rng.randint(-12, 12) for _ in range(rng.randint(0, 4))] \
+        if site.kind == "X" else []
+    return gm(free, [(rng.randint(-12, 12), rng.randint(1, cap))
+                     for _ in range(rng.randint(0, 4))])
+
+
+def test_max_sub_closed_form_on_wide_modules():
+    # the sub's ranks of x are closed forms in those of M; they must give
+    # sigma's sub on its own window and on a wider one, as oracle_step's
+    # shared models are
+    rng = random.Random(26)
+    kinds = {"X, w < 0": 0, "X, w >= 0": 0, "Z": 0, "proper": 0}
+    for i in range(600):
+        site = (SITE_X, SITE_X, site_z(2), site_z(5))[i % 4]
+        M, w = _wide_module(rng, site), rng.randint(-15, 15)
+        sub = sigma(site, W, "le", w, M).sub
+        assert oracle_max_sub(site, W, w, M) == sub, (site, w, M)
+        pad = rng.randint(1, 6)
+        wide = oracle._max_sub(site, W, w, M, lambda N, lo, hi:
+                               oracle._model_of_module(N, lo - pad, hi + pad))
+        assert wide == sub, (site, w, M, pad)
+        if i % 5 == 0:  # its probes make oracle_step the costly call
+            assert oracle_step(site, W, M) == step(site, W, M), (site, M)
+        kinds["Z" if site.kind == "Z" else
+              "X, w < 0" if w < 0 else "X, w >= 0"] += 1
+        kinds["proper"] += not sub.is_zero and sub != M
+    assert min(kinds.values()) >= 100, kinds
+
+
 # ---------------------------------------------------------------------------
 # ranks of powers of x read off blocks of the relation matrix
 # ---------------------------------------------------------------------------
@@ -406,27 +421,16 @@ def _rank_presentation(rng):
     return Presentation(tuple(gens), rel)
 
 
-def _x_power_ranks(model, lo, hi):
-    """(j, w) -> rank of x^j : M_{w+j} -> M_w, as the rank of the product
-    xmat[w+1] ... xmat[w+j] of the model's explicit x-matrices."""
-    def dim(v):
-        return len(model.reduced[v][3])
-
-    def times(a, b, n):  # a (m x k) times b (k x n)
-        return [[sum(row[t] * b[t][c] for t in range(len(row)))
-                 for c in range(n)] for row in a]
-
-    ranks = {}
-    for w in range(lo, hi + 1):
-        prod = [[int(i == k) for k in range(dim(w))] for i in range(dim(w))]
-        ranks[(0, w)] = dim(w)
-        for v in range(w + 1, hi + 1):
-            prod = times(prod, model.xmat[v], dim(v))
-            ranks[(v - w, w)] = len(oracle._rref(prod)[0])
-    return ranks
+def _string_ranks(M, lo, hi):
+    """(j, w) -> the rank of x^j : M_{w+j} -> M_w, counted off the strings
+    of M: the free summands F(d) with d >= w + j and the T(g, n) with
+    g >= w + j and g - n < w."""
+    return {(j, w): sum(1 for d in M.free if d >= w + j)
+            + sum(1 for g, n in M.torsion if g >= w + j and g - n < w)
+            for w in range(lo, hi + 1) for j in range(hi - w + 1)}
 
 
-def test_ranks_of_x_equal_x_matrix_products():
+def test_ranks_of_x_equal_the_string_counts():
     rng = random.Random(24)
     kinds = {"fraction": 0, "dependent": 0, "zero column": 0,
              "repeated weight": 0}
@@ -434,7 +438,7 @@ def test_ranks_of_x_equal_x_matrix_products():
         p = _rank_presentation(rng)
         lo, hi = _window_of(p)
         model = oracle._model_of_presentation(p, lo, hi)
-        ref = _x_power_ranks(oracle._model_of_presentation(p, lo, hi), lo, hi)
+        ref = _string_ranks(canonical_decompose(p), lo, hi)
         assert {(j, w): model.rank(j, w) for j, w in ref} == ref, \
             (p.gens, p.rel.col_weights, p.rel.entries)
         assert all(model.dims[w] == ref[(0, w)] for w in range(lo, hi + 1))
