@@ -191,25 +191,40 @@ def _diff_payload(kind: str, expr_in: str, fast, slow, minimized) -> dict:
 # (step), which the oracle's window also covers.  A search reads probes over
 # the whole window and ranks of x across it, so the oracles' cost grows with
 # about the third power of the span.  On a 2-vCPU host (Python 3.11, best of
-# 3), oracle_step on T(32,32)+T(0,1) takes 0.05-0.06 s in-process and `step
-# --oracle` on it 0.23-0.31 s in a fresh process, about 0.25 s of it start-up;
-# at span 64 oracle_step takes 0.26-0.38 s, and at span 200 oracle_member
-# 0.96-1.19 s.  `decompose --oracle` on a presentation of span 32 with
-# dependent, non-diagonal relations takes 0.22-0.24 s in a fresh process.
+# 3), oracle_step on T(32,32)+T(0,1) takes 0.008-0.009 s in-process and `step
+# --oracle` on it 0.10-0.11 s in a fresh process, about 0.1 s of it start-up;
+# at span 64 oracle_step takes 0.057-0.060 s, and at span 200 oracle_member
+# 0.023-0.027 s.  `decompose --oracle` on a presentation of span 32 with
+# dependent, non-diagonal relations takes 0.10-0.13 s in a fresh process.
 ORACLE_WEIGHT_BUDGET = 32
 
+# Most generators plus relations that --oracle accepts: those of a JSON
+# presentation, or of a module's (a torsion summand is one of each), summed
+# over the degrees of a formal object.  The oracles rank blocks of the
+# relation matrix by Bareiss elimination, so their cost grows about with the
+# third power of this size, and with the span.  On the same host, in fresh
+# processes, 66 free plus 66 torsion summands (size 198) in weights 3..32
+# took 2.6 s under `trunc --oracle`, 1.8 s under `decompose --oracle` and
+# 1.1 s under `step --oracle`, and 0.2-0.3 s each in weights 0..5.  Size 240
+# in weights 3..32 took 4.5 s under `trunc --oracle`, and 400 plus 400
+# summands in weights 0..5 took 32 s under `decompose --oracle`.
+ORACLE_SIZE_BUDGET = 200
 
-def _weight_span(subject, reach: Tuple[int, ...] = ()) -> int:
-    """Highest minus lowest of the weights occupied by a presentation, a
-    module or a formal object, and the weights ``reach``."""
+
+def _oracle_extent(subject, reach: Tuple[int, ...] = ()) -> Tuple[int, int]:
+    """The weight span and the size of an --oracle subject (a presentation,
+    a module or a formal object): highest minus lowest of its occupied
+    weights and the weights ``reach``, and its generators plus relations."""
     if isinstance(subject, Presentation):
         ws = list(subject.gens + subject.rel.col_weights)
+        size = len(ws)
     else:
-        mods = subject.components.values() \
-            if isinstance(subject, FormalObject) else [subject]
-        ws = [w for m in mods if not m.is_zero for w in m.occupied_window()]
+        mods = [m for m in (subject.components.values() if isinstance(
+            subject, FormalObject) else [subject]) if not m.is_zero]
+        ws = [w for m in mods for w in m.occupied_window()]
+        size = sum(len(m.free) + 2 * len(m.torsion) for m in mods)
     ws.extend(reach)
-    return max(ws) - min(ws) if ws else 0
+    return (max(ws) - min(ws) if ws else 0), size
 
 
 def _checked(args, kind: str, subject, fast, oracle, render,
@@ -225,13 +240,18 @@ def _checked(args, kind: str, subject, fast, oracle, render,
     exit code is 2.  Otherwise ``render(result)`` gives the payload and
     the text lines.  An --oracle subject whose weights, with the weights
     ``reach`` the oracle's window also covers (a level, or weight 0), span
-    more than ``ORACLE_WEIGHT_BUDGET`` is refused as an input error.
+    more than ``ORACLE_WEIGHT_BUDGET``, or that has more generators plus
+    relations than ``ORACLE_SIZE_BUDGET``, is refused as an input error.
     """
-    span = _weight_span(subject, reach) if args.oracle else 0
+    span, size = _oracle_extent(subject, reach) if args.oracle else (0, 0)
     if span > ORACLE_WEIGHT_BUDGET:
         raise _ArgError("--oracle window has weight span %d, over the oracle "
                         "budget ORACLE_WEIGHT_BUDGET = %d"
                         % (span, ORACLE_WEIGHT_BUDGET))
+    if size > ORACLE_SIZE_BUDGET:
+        raise _ArgError("--oracle subject has %d generators plus relations, "
+                        "over the oracle budget ORACLE_SIZE_BUDGET = %d"
+                        % (size, ORACLE_SIZE_BUDGET))
     val = fast(subject)
     errs = audit(val) if audit is not None else []
     if errs:
@@ -337,6 +357,8 @@ def _cmd_module_pair(args) -> int:
     """tensor and chom: a bifunctor applied to two modules."""
     M = parse_module(args.expr)
     N = parse_module(args.expr2)
+    m, n = (len(X.free) + len(X.torsion) for X in (M, N))
+    _check_output_budget("%s of %d by %d summands" % (args.verb, m, n), m * n)
     R = tensor(M, N) if args.verb == "tensor" else internal_hom(M, N)
     _emit(args, {"module": fmt_module(R)}, [fmt_module(R)])
     return 0
@@ -387,8 +409,10 @@ def _cmd_jh(args) -> int:
     return 0
 
 
-# Most simples in --n-lo..--n-hi, and largest ic --orbit U rank, printed:
-# output grows with both, and 10^5 simples take over a second.
+# Most simples in --n-lo..--n-hi, largest ic --orbit U rank, and most
+# summands |M|*|N| of a tensor or chom before merging, printed: output grows
+# with each, 10^5 simples take over a second, and a tensor of 3,000 by 3,000
+# summands once printed 107 MB in 14 s.
 OUTPUT_BUDGET = 10000
 
 # Largest --samples of a suite and --window of flag-verify.  A suite sample

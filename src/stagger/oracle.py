@@ -22,11 +22,16 @@ the presentation, as a rank of a block of its relation matrix
 (``_x_ranks``), with no basis or x-matrix built.  The decomposition, the
 hom/ext dimensions and the maximal sub (whose ranks are closed forms in the
 module's) read nothing else.  A model ranks a weight on the first read of
-it and never one that is not read, and each call of ``oracle_aisle``,
-``oracle_member`` and ``oracle_step`` takes one union window over every
-module and weight it reads, and builds each distinct module's model on it
-once; the models, the ranks read off them and the hom/ext answers live for
-that call only.
+it and never one that is not read.
+
+Probes.  ``oracle_aisle``, ``oracle_member`` and ``oracle_step`` decide by
+Hom-orthogonality against probes that are single strings, F(a) or T(a, l),
+named by (kind, weight, length) triples.  Hom and Ext^1 between a string
+and a module are a kernel and a cokernel of one power of x on the module
+(``_out_of``, ``_into``), so each call builds one model per distinct
+subject module, on one window in closed form from the subject and the
+probe range, and no probe module or probe model; the models live for that
+call only.
 """
 from __future__ import annotations
 
@@ -34,19 +39,12 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from .grmod import (
-    GradedModule,
-    Presentation,
-    ZERO,
-    canonical_decompose,
-    ext1_dim,
-    fmt_module,
-    gm,
-    hom_dim,
-    present,
-)
+from .grmod import (GradedModule, MonoMatrix, Presentation, ZERO,
+                    canonical_decompose, ext1_dim, fmt_module, gm, hom_dim,
+                    present)
 from .report import SuiteReport
 from .sstruct import SConfig, SITE_U, SITE_X, Site, check_on_site, member, sigma, site_z, step
 from . import sampling
@@ -291,86 +289,64 @@ def oracle_decompose(p: Presentation) -> GradedModule:
         lo, hi, lambda w: (model.rank(j, w) for j in range(hi - w + 1))))
 
 
-def _window(mods: Iterable[GradedModule], *weights: int) -> Tuple[int, int]:
-    """One window for an oracle call: the occupied weights of every nonzero
-    module and the extra ``weights``, padded by 2 on each side."""
-    ws = list(weights)
-    for m in mods:
-        if not m.is_zero:
-            ws.extend(m.occupied_window())
-    return min(ws) - 2, max(ws) + 2
+Probe = Tuple[str, int, int]  # ("F", a, 0) is F(a), ("T", a, l) is T(a, l)
+
+
+def _ker_coker(model: WindowModel, top: int, m: int) -> Tuple[int, int]:
+    """(dim ker, dim coker) of x^m : M_top -> M_{top-m}, read off a model of
+    M: d(top) - r(m, top-m) and d(top-m) - r(m, top-m), with d(w) = dim M_w
+    and r(j, w) the rank of x^j : M_{w+j} -> M_w."""
+    rk = model.rank(m, top - m)
+    return model.dims[top] - rk, model.dims[top - m] - rk
+
+
+def _out_of(model: WindowModel, probe: Probe) -> Tuple[int, int]:
+    """(dim Hom, dim Ext^1) out of a probe string into N, read off a model
+    of N: (N_a, 0) out of F(a), and out of T(a, l) the kernel and cokernel
+    of x^l : N_a -> N_{a-l} (apply Hom(-, N) to 0 -> F(a-l) -> F(a) ->
+    T(a, l) -> 0)."""
+    kind, a, l = probe
+    if kind == "F":
+        return model.dims[a], 0
+    return _ker_coker(model, a, l)
+
+
+def _into(model: WindowModel, probe: Probe) -> Tuple[int, int]:
+    """(dim Hom, dim Ext^1) out of M into a probe string, read off a model
+    of M: the cokernel and the kernel of x^m : M_{a+1} -> M_{a+1-m}, with
+    m = l for T(a, l) (Hom is M / x^l M at its socle weight).  For F(a),
+    m = a+1-lo with lo the window floor, where window soundness leaves only
+    free strings alive: the cokernel counts the free strings of M generated
+    at a or below, and the kernel the torsion strings alive at a+1."""
+    kind, a, l = probe
+    m = l if kind == "T" else a + 1 - model.lo
+    ker, coker = _ker_coker(model, a + 1, m)
+    return coker, ker
 
 
 def _hom_ext(M: GradedModule, model: WindowModel) -> Tuple[int, int]:
-    """(dim Hom, dim Ext^1) out of M, read off a window model of the target.
-
-    Hom out of F(a) is N_a; Hom out of T(g, n) is the kernel of
-    x^n : N_g -> N_{g-n} and Ext^1 out of it is the cokernel of the same
-    map (apply Hom(-, N) to 0 -> F(g-n) -> F(g) -> T(g,n) -> 0), so both
-    need only the dimensions and the rank of x^n (``WindowModel.rank``).  A
-    weight outside the model's window raises (``_Lazy``): the model knows
-    nothing there, and reading 0 would answer silently wrong.
-    """
-    h = e = 0
-    for a in M.free:
-        h += model.dims[a]
-    for g, n in M.torsion:
-        top, bottom = model.dims[g], model.dims[g - n]
-        rk = model.rank(n, g - n)
-        h += top - rk
-        e += bottom - rk
-    return (h, e)
+    """(dim Hom, dim Ext^1) out of M, read off a window model of the target,
+    summand by summand (``_out_of``).  A weight outside the model's window
+    raises (``_Lazy``): the model knows nothing there, and reading 0 would
+    answer silently wrong."""
+    pairs = [_out_of(model, ("F", a, 0)) for a in M.free] + \
+        [_out_of(model, ("T", g, n)) for g, n in M.torsion]
+    return (sum(h for h, _ in pairs), sum(e for _, e in pairs))
 
 
 def oracle_hom_ext(M: GradedModule, N: GradedModule) -> Tuple[int, int]:
     """(dim Hom, dim Ext^1) from the ranks of x on N, on the window of M
-    and N (see ``_hom_ext``)."""
+    and N padded by 2 (see ``_hom_ext``)."""
     if M.is_zero or N.is_zero:
         return (0, 0)
-    lo, hi = _window((M, N))
-    return _hom_ext(M, _model_of_module(N, lo, hi))
-
-
-class _Models:
-    """The window models of one oracle call.
-
-    One window covers every module and weight the call reads, and each
-    distinct module gets one model on it, on first use; each hom/ext answer
-    is kept too, since a search asks again for the probes its families
-    share.  An instance lives for one call: nothing is kept between calls.
-    """
-
-    def __init__(self, mods: Iterable[GradedModule], *weights: int) -> None:
-        self.lo, self.hi = _window(dict.fromkeys(mods), *weights)
-        self.built: Dict[GradedModule, WindowModel] = {}
-        self.answers: Dict[Tuple[GradedModule, GradedModule],
-                           Tuple[int, int]] = {}
-
-    def model(self, N: GradedModule) -> WindowModel:
-        model = self.built.get(N)
-        if model is None:
-            model = self.built[N] = _model_of_module(N, self.lo, self.hi)
-        return model
-
-    def hom_ext(self, M: GradedModule, N: GradedModule) -> Tuple[int, int]:
-        """``oracle_hom_ext(M, N)``, read off this call's model of N."""
-        if M.is_zero or N.is_zero:
-            return (0, 0)
-        ans = self.answers.get((M, N))
-        if ans is None:
-            ans = self.answers[(M, N)] = _hom_ext(M, self.model(N))
-        return ans
+    ws = M.occupied_window() + N.occupied_window()
+    return _hom_ext(M, _model_of_module(N, min(ws) - 2, max(ws) + 2))
 
 
 def oracle_max_sub(site: Site, cfg: SConfig, w: int,
                    M: GradedModule) -> GradedModule:
-    """Maximal submodule of M lying in C_{<=w}, from the ranks of x on M.
-
-    On Z_n, or on X with w >= 0, the sub is M at the weights <= w; on X
-    with w < 0 only torsion may generate, and the sub is the torsion at the
-    weights <= w.  Its ranks of x are closed forms in those of M (``_max_sub``)
-    and are decoded back into strings.
-    """
+    """Maximal submodule of M lying in C_{<=w}: its ranks of x are closed
+    forms in those of M (``_max_sub``), decoded back into strings."""
     return _max_sub(site, cfg, w, M, _model_of_module)
 
 
@@ -380,7 +356,9 @@ def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
     """``oracle_max_sub`` on its window [lo, hi], reading ``model_of(M, lo,
     hi)``, a model of M whose window contains [lo, hi].
 
-    With r the ranks of x on M, the sub S has r_S(j, a) = 0 when a + j > w
+    On Z_n, or on X with w >= 0, the sub S is M at the weights <= w; on X
+    with w < 0 only torsion may generate, and S is the torsion at the
+    weights <= w.  With r the ranks of x on M, r_S(j, a) = 0 when a + j > w
     and r_S(j, a) = r(j, a) otherwise, except on X with w < 0.  There S_b
     is the torsion of M_b, which window soundness makes ker x^(b - lo) :
     M_b -> M_lo.  It contains ker x^j for j <= b - lo, so x^j maps S_{a+j}
@@ -410,8 +388,9 @@ def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
 
 
 def _member_family(site: Site, cfg: SConfig, bound: str, c: int,
-                   M: GradedModule) -> List[GradedModule]:
-    """Windowed generating family of C_{<=c} (bound 'le') or C_{>=c} ('ge').
+                   M: GradedModule) -> Iterator[Probe]:
+    """Windowed generating family of C_{<=c} (bound 'le') or C_{>=c} ('ge'),
+    as probe triples.
 
     Every module of the cone whose Hom against M could be nonzero has a
     summand appearing here, so Hom-orthogonality against the family decides
@@ -419,54 +398,56 @@ def _member_family(site: Site, cfg: SConfig, bound: str, c: int,
     """
     lo, hi = M.occupied_window()
     L = max(1, M.max_torsion_length())
-    fam: List[GradedModule] = []
+    cap = L if site.kind != "Z" else min(L, site.n)
     if cfg.z_mode == "trivial" or site.kind == "U":
-        nontrivial = (c >= 0) if bound == "le" else (c <= 0)
-        if not nontrivial:
-            return []
+        if not ((c >= 0) if bound == "le" else (c <= 0)):
+            return
         if site.kind != "Z":
-            fam.extend(gm([a]) for a in range(lo, hi + 1))
+            yield from (("F", a, 0) for a in range(lo, hi + 1))
         if site.kind != "U":
-            cap = L if site.kind == "X" else min(L, site.n)
-            fam.extend(gm([], [(a, l)]) for a in range(lo, hi + 1)
-                       for l in range(1, cap + 1))
-        return fam
+            yield from (("T", a, l) for a in range(lo, hi + 1)
+                        for l in range(1, cap + 1))
+        return
     if bound == "le":
         top = min(c, hi)
-        for a in range(lo, top + 1):
-            for l in range(1, (L if site.kind == "X" else min(L, site.n)) + 1):
-                fam.append(gm([], [(a, l)]))
+        yield from (("T", a, l) for a in range(lo, top + 1)
+                    for l in range(1, cap + 1))
         if site.kind == "X" and c >= 0:
             # the free probes must reach down to c even when c < lo: a free
             # summand of M occupies every weight below its generator
-            fam.extend(gm([a]) for a in range(min(lo, c), top + 1))
-        return fam
+            yield from (("F", a, 0) for a in range(min(lo, c), top + 1))
+        return
     # bound == 'ge': torsion with socle >= c, plus free when c <= 0 on X
     for b in range(max(c, lo), hi + 1):
-        lcap = b - c + 1
-        if site.kind == "Z":
-            lcap = min(lcap, site.n)
-        for l in range(1, lcap + 1):
-            fam.append(gm([], [(b, l)]))
+        lcap = b - c + 1 if site.kind == "X" else min(b - c + 1, site.n)
+        yield from (("T", b, l) for l in range(1, lcap + 1))
     if site.kind == "X" and c <= 0:
-        fam.extend(gm([b]) for b in range(lo, hi + 1))
-    return fam
+        yield from (("F", b, 0) for b in range(lo, hi + 1))
+
+
+def _member_window(M: GradedModule, c: int) -> Tuple[int, int]:
+    """One window for M and every weight its member families at level c
+    read: with [lo, hi] M's occupied window and L its longest string (at
+    least 1), every read lies in [min(lo - L, c), hi + 1]; padded by 2."""
+    lo, hi = M.occupied_window()
+    return min(lo - max(1, M.max_torsion_length()), c) - 2, hi + 2
 
 
 def oracle_member(site: Site, cfg: SConfig, direction: str, w: int,
                   M: GradedModule) -> bool:
-    """Membership by Hom-orthogonality against the opposite cone's family."""
+    """Membership by Hom-orthogonality against the opposite cone's family,
+    read off one window model of M."""
     check_on_site(site, M)
     if M.is_zero:
         return True
     if direction == "ge":
-        fam = _member_family(site, cfg, "le", w - 1, M)
-        models = _Models([M, *fam])
-        return all(models.hom_ext(C, M)[0] == 0 for C in fam)
+        model = _model_of_module(M, *_member_window(M, w - 1))
+        return all(_out_of(model, C)[0] == 0
+                   for C in _member_family(site, cfg, "le", w - 1, M))
     if direction == "le":
-        fam = _member_family(site, cfg, "ge", w + 1, M)
-        models = _Models([M, *fam])
-        return all(models.hom_ext(M, G)[0] == 0 for G in fam)
+        model = _model_of_module(M, *_member_window(M, w + 1))
+        return all(_into(model, G)[0] == 0
+                   for G in _member_family(site, cfg, "ge", w + 1, M))
     raise ValueError("direction must be 'le' or 'ge'")
 
 
@@ -474,20 +455,19 @@ def oracle_step(site: Site, cfg: SConfig, M: GradedModule) -> Optional[int]:
     """Step by exhaustive search over the window.
 
     The first w with M in C_{<=w} (``oracle_member``'s 'le' test) is the
-    step when the maximal sub in C_{<=w-1} is zero.  One set of models
-    serves the whole search; its window also covers that of the sub.
+    step when the maximal sub in C_{<=w-1} is zero.  One model of M serves
+    the whole search; its window also covers that of the sub.
     """
     if M.is_zero:
         return None
     check_on_site(site, M)
     lo, hi = M.occupied_window()
     ws = range(min(lo, 0) - 1, max(hi, 0) + 2)
-    fams = [_member_family(site, cfg, "ge", w + 1, M) for w in ws]
-    models = _Models([M, *(G for fam in fams for G in fam)], ws[0] - 1)
-    for w, fam in zip(ws, fams):
-        if all(models.hom_ext(M, G)[0] == 0 for G in fam):
-            sub = _max_sub(site, cfg, w - 1, M,
-                           lambda N, _lo, _hi: models.model(N))
+    model = _model_of_module(M, *_member_window(M, ws[0] - 1))
+    for w in ws:
+        if all(_into(model, G)[0] == 0
+               for G in _member_family(site, cfg, "ge", w + 1, M)):
+            sub = _max_sub(site, cfg, w - 1, M, lambda _N, _lo, _hi: model)
             return w if sub.is_zero else None
     return None
 
@@ -497,14 +477,34 @@ def oracle_step(site: Site, cfg: SConfig, M: GradedModule) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _formal_window(components: Dict[int, GradedModule]) -> Tuple[int, int, int, int, int]:
-    degs = [k for k, m in components.items() if not m.is_zero]
-    if not degs:
-        return (0, 0, 0, 0, 0)
-    wlo = min(m.occupied_window()[0] for m in components.values() if not m.is_zero)
-    whi = max(m.occupied_window()[1] for m in components.values() if not m.is_zero)
-    L = max([m.max_torsion_length() for m in components.values()] + [1])
-    return (min(degs), max(degs), wlo, whi, L)
+def _probe_range(comps: Dict[int, GradedModule]) -> Tuple[range, range]:
+    """The degrees and the weights of the aisle probes over the nonzero
+    ``comps``: one degree past them on each side, and their occupied weights
+    padded by their longest string plus 2."""
+    windows = [m.occupied_window() for m in comps.values()]
+    pad = max([m.max_torsion_length() for m in comps.values()] + [1]) + 2
+    return (range(min(comps) - 1, max(comps) + 2),
+            range(min(lo for lo, _ in windows) - pad,
+                  max(hi for _, hi in windows) + pad + 1))
+
+
+class _Models:
+    """The window models of one ``oracle_aisle`` call: one window, in closed
+    form from the probe range and weight 0 (the structure sheaf's), and one
+    model on it per distinct component module, built on first use.  Every
+    probe is a single string, read off these; nothing is kept between calls.
+    """
+
+    def __init__(self, comps: Dict[int, GradedModule], lo: int, hi: int):
+        self.comps, self.lo, self.hi = comps, lo, hi
+        self.built: Dict[GradedModule, WindowModel] = {}
+
+    def at(self, k: int) -> Optional[WindowModel]:
+        """The model of the component in degree k, or None where it is 0."""
+        M = self.comps.get(k)
+        if M is not None and M not in self.built:
+            self.built[M] = _model_of_module(M, self.lo, self.hi)
+        return None if M is None else self.built[M]
 
 
 def oracle_aisle(cfg: SConfig, pU: int, pZ: int,
@@ -515,9 +515,11 @@ def oracle_aisle(cfg: SConfig, pU: int, pZ: int,
     strict (pZ = pU + 1), so the heart is generated by the structure sheaf
     and the skyscraper simples; in trivial mode free and skyscraper
     generators placed by degree suffice.  Hom groups in degree 0 of the
-    derived category are computed with the brute-force hom/ext oracle,
-    read off one model per distinct module:
-    Hom_D(F, G)_0 = sum_k hom(F_k, G_k) + ext1(F_k, G_{k-1}).
+    derived category,
+    Hom_D(F, G)_0 = sum_k hom(F_k, G_k) + ext1(F_k, G_{k-1}),
+    are read off one model per distinct component module (``_Models``):
+    out of a probe by ``_out_of``, into one by ``_into``.  No probe module
+    or probe model is built.
     """
     if which not in ("le0", "ge0"):
         raise ValueError("which must be 'le0' or 'ge0'")
@@ -526,55 +528,45 @@ def oracle_aisle(cfg: SConfig, pU: int, pZ: int,
         return True
     if cfg.z_mode == "weight" and pZ != pU + 1:
         raise ValueError("weight-mode aisle oracle needs a strict perversity")
-    gens = _aisle_generators(cfg, pU, pZ, comps, which)
-    zero = ZERO
-    models = _Models([*comps.values(), *(C for _, C in gens)])
-    for d, C in gens:
-        if which == "le0":
-            # Hom_D(F, C@d)_0 = hom(F_d, C) + ext1(F_{d+1}, C)
-            h = models.hom_ext(comps.get(d, zero), C)[0] \
-                + models.hom_ext(comps.get(d + 1, zero), C)[1]
-        else:
-            # Hom_D(C@d, F)_0 = hom(C, F_d) + ext1(C, F_{d-1})
-            h = models.hom_ext(C, comps.get(d, zero))[0] \
-                + models.hom_ext(C, comps.get(d - 1, zero))[1]
-        if h != 0:
-            return False
+    weights = _probe_range(comps)[1]
+    models = _Models(comps, min(weights[0], 0) - 2, max(weights[-1], 0) + 2)
+    read, step = (_into, 1) if which == "le0" else (_out_of, -1)
+    for d, probes in _aisle_generators(cfg, pU, pZ, comps, which):
+        # Hom_D(F, C@d)_0 = hom(F_d, C) + ext1(F_{d+1}, C) on 'le0', and
+        # Hom_D(C@d, F)_0 = hom(C, F_d) + ext1(C, F_{d-1}) on 'ge0'
+        hom_m, ext_m = models.at(d), models.at(d + step)
+        for C in probes:
+            if (hom_m and read(hom_m, C)[0]) or (ext_m and read(ext_m, C)[1]):
+                return False
     return True
 
 
 def _aisle_generators(cfg: SConfig, pU: int, pZ: int,
                       comps: Dict[int, GradedModule],
-                      which: str) -> List[Tuple[int, GradedModule]]:
-    """(degree, module) of the shifted heart generators in the cone opposite
-    ``which``, over the window of the nonzero ``comps``.  Each module is
-    built once and shared by every degree it is placed in."""
-    dlo, dhi, wlo, whi, L = _formal_window(comps)
-    pad = L + 2
-    weights = range(wlo - pad, whi + pad + 1)
-    skyscrapers = [(n, gm([], [(n, 1)])) for n in weights]
-    gens: List[Tuple[int, GradedModule]] = []  # (degree, module) in the cone
-    if cfg.z_mode == "weight":
-        structure = gm([0])
-        for d in range(dlo - 1, dhi + 2):
-            i = (d - pU) if which == "le0" else (pU - d)
-            if i >= 1:
-                gens.append((d, structure))
-            for n, S in skyscrapers:
-                base = pU + 1 - n
-                i = (d - base) if which == "le0" else (base - d)
-                if i >= 1:
-                    gens.append((d, S))
-        return gens
-    frees = [gm([a]) for a in weights]
-    for d in range(dlo - 1, dhi + 2):
-        i = (d - pU) if which == "le0" else (pU - d)
-        if i >= 1:
-            gens.extend((d, Fa) for Fa in frees)
-        i = (d - pZ) if which == "le0" else (pZ - d)
-        if i >= 1:
-            gens.extend((d, S) for _n, S in skyscrapers)
-    return gens
+                      which: str) -> Iterator[Tuple[int, List[Probe]]]:
+    """(degree, probes) of the shifted heart generators in the cone opposite
+    ``which``, over the probe range of the nonzero ``comps``
+    (``_probe_range``).  Each probe is a (kind, weight, length) triple, and
+    each list is built once and shared by every degree it is placed in."""
+    degrees, weights = _probe_range(comps)
+    skyscrapers = [("T", n, 1) for n in weights]
+    sign = 1 if which == "le0" else -1
+    weight = cfg.z_mode == "weight"
+    # the structure sheaf in weight mode, the free probes in trivial mode
+    frees = [("F", 0, 0)] if weight else [("F", a, 0) for a in weights]
+    for d in degrees:
+        if sign * (d - pU) >= 1:
+            yield d, frees
+        if not weight:
+            if sign * (d - pZ) >= 1:
+                yield d, skyscrapers
+            continue
+        # in weight mode T(n, 1) sits in degree pU + 1 - n, so it is in the
+        # cone when n >= pU + 2 - d ('le0') or n <= pU - d ('ge0')
+        some = skyscrapers[max(pU + 2 - d - weights[0], 0):] if sign > 0 \
+            else skyscrapers[:max(pU + 1 - d - weights[0], 0)]
+        if some:
+            yield d, some
 
 
 # ---------------------------------------------------------------------------
@@ -583,38 +575,41 @@ def _aisle_generators(cfg: SConfig, pU: int, pZ: int,
 
 
 def _shrink_module(M: GradedModule, fails) -> GradedModule:
-    """Greedy minimization: drop summands, then shorten torsion strings."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(M.free)):
-            cand = gm(M.free[:i] + M.free[i + 1:], M.torsion)
+    """Greedy minimization: drop summands, then shorten torsion strings,
+    taking the first smaller module that still fails until none does."""
+    while True:
+        for cand in _smaller(M):
             if fails(cand):
                 M = cand
-                changed = True
                 break
         else:
-            for i in range(len(M.torsion)):
-                cand = gm(M.free, M.torsion[:i] + M.torsion[i + 1:])
-                if fails(cand):
-                    M = cand
-                    changed = True
-                    break
-            else:
-                for i, (g, n) in enumerate(M.torsion):
-                    if n > 1:
-                        cand = gm(M.free,
-                                  M.torsion[:i] + ((g, n - 1),) + M.torsion[i + 1:])
-                        if fails(cand):
-                            M = cand
-                            changed = True
-                            break
-    return M
+            return M
+
+
+def _smaller(M: GradedModule) -> Iterator[GradedModule]:
+    """M without one free summand, then without one torsion summand, then
+    with one torsion string shortened by 1."""
+    for i in range(len(M.free)):
+        yield gm(M.free[:i] + M.free[i + 1:], M.torsion)
+    for i in range(len(M.torsion)):
+        yield gm(M.free, M.torsion[:i] + M.torsion[i + 1:])
+    for i, (g, n) in enumerate(M.torsion):
+        if n > 1:
+            yield gm(M.free, M.torsion[:i] + ((g, n - 1),) + M.torsion[i + 1:])
+
+
+def _record(check, M: GradedModule, fast, slow, describe) -> None:
+    """Record whether ``fast(M) == slow(M)``.  On a disagreement M is first
+    shrunk to a smaller module that still disagrees, and the message is
+    ``describe(M, fast(M), slow(M))``."""
+    if fast(M) == slow(M):
+        check.record(True, "")
+        return
+    M = _shrink_module(M, lambda m: fast(m) != slow(m))
+    check.record(False, describe(M, fast(M), slow(M)))
 
 
 def _random_presentation(rng: random.Random) -> Presentation:
-    from .grmod import MonoMatrix
-
     ngen = rng.randint(1, 4)
     gens = sorted((rng.randint(-5, 5) for _ in range(ngen)), reverse=True)
     ncol = rng.randint(0, 4)
@@ -662,19 +657,16 @@ def agreement_suite(seed: int = 1, samples: int = 200) -> SuiteReport:
                         fmt_module(slow)))
 
     c_he = rep.check("agree_hom_ext")
+
+    def disagree(M, N):
+        return (hom_dim(M, N), ext1_dim(M, N)) != oracle_hom_ext(M, N)
+
     for _ in range(samples):
         M = sampling.random_module(rng)
         N = sampling.random_module(rng)
-        fast = (hom_dim(M, N), ext1_dim(M, N))
-        slow = oracle_hom_ext(M, N)
-        if fast != slow:
-            def bad_m(mm):
-                return (hom_dim(mm, N), ext1_dim(mm, N)) != oracle_hom_ext(mm, N)
-            M = _shrink_module(M, bad_m)
-
-            def bad_n(nn):
-                return (hom_dim(M, nn), ext1_dim(M, nn)) != oracle_hom_ext(M, nn)
-            N = _shrink_module(N, bad_n)
+        if disagree(M, N):
+            M = _shrink_module(M, lambda m: disagree(m, N))
+            N = _shrink_module(N, lambda n: disagree(M, n))
             c_he.record(False, "hom/ext mismatch on (%s, %s): fast=%r oracle=%r"
                         % (fmt_module(M), fmt_module(N),
                            (hom_dim(M, N), ext1_dim(M, N)),
@@ -695,20 +687,11 @@ def agreement_suite(seed: int = 1, samples: int = 200) -> SuiteReport:
             M = sampling.random_module(rng).free_part()
         else:
             M = sampling.random_torsion_module(rng, max_len=site.n)
-        fast = member(site, cfg, direction, w, M)
-        slow = oracle_member(site, cfg, direction, w, M)
-        if fast != slow:
-            def bad(mm):
-                return member(site, cfg, direction, w, mm) != \
-                    oracle_member(site, cfg, direction, w, mm)
-            M = _shrink_module(M, bad)
-            c_mem.record(False,
-                         "member mismatch %s %s %s w=%d on %s: fast=%r oracle=%r"
-                         % (site, cfg.z_mode, direction, w, fmt_module(M),
-                            member(site, cfg, direction, w, M),
-                            oracle_member(site, cfg, direction, w, M)))
-        else:
-            c_mem.record(True, "")
+        _record(c_mem, M, lambda m: member(site, cfg, direction, w, m),
+                lambda m: oracle_member(site, cfg, direction, w, m),
+                lambda m, f, o: "member mismatch %s %s %s w=%d on %s: fast=%r "
+                "oracle=%r" % (site, cfg.z_mode, direction, w, fmt_module(m),
+                               f, o))
 
     c_sig = rep.check("agree_sigma")
     c_st = rep.check("agree_step")
@@ -720,44 +703,30 @@ def agreement_suite(seed: int = 1, samples: int = 200) -> SuiteReport:
             M = sampling.random_module(rng)
         else:
             M = sampling.random_torsion_module(rng, max_len=site.n)
-        fast = sigma(site, cfg, "le", w, M).sub
-        slow = oracle_max_sub(site, cfg, w, M)
-        if fast != slow:
-            def bad(mm):
-                return sigma(site, cfg, "le", w, mm).sub != \
-                    oracle_max_sub(site, cfg, w, mm)
-            M = _shrink_module(M, bad)
-            c_sig.record(False,
-                         "sigma mismatch %s %s w=%d on %s: fast=%s oracle=%s"
-                         % (site, cfg.z_mode, w, fmt_module(M),
-                            fmt_module(sigma(site, cfg, "le", w, M).sub),
-                            fmt_module(oracle_max_sub(site, cfg, w, M))))
-        else:
-            c_sig.record(True, "")
+        _record(c_sig, M, lambda m: sigma(site, cfg, "le", w, m).sub,
+                lambda m: oracle_max_sub(site, cfg, w, m),
+                lambda m, f, o: "sigma mismatch %s %s w=%d on %s: fast=%s "
+                "oracle=%s" % (site, cfg.z_mode, w, fmt_module(m),
+                               fmt_module(f), fmt_module(o)))
         fs = step(site, cfg, M)
         ss = oracle_step(site, cfg, M)
         c_st.record(fs == ss, "step mismatch %s %s on %s: fast=%r oracle=%r"
                     % (site, cfg.z_mode, fmt_module(M), fs, ss))
 
     c_ais = rep.check("agree_aisle")
+    from .derived import FormalObject
     from .stag import Perversity, aisle_member
 
     for _ in range(samples):
         cfg = rng.choice(cfgs)
-        if cfg.z_mode == "weight":
-            pU = rng.choice([-1, 0, 1])
-            pZ = pU + 1
-        else:
-            pU = rng.choice([-1, 0, 1])
-            pZ = pU + rng.choice([0, 1])
+        pU = rng.choice([-1, 0, 1])
+        pZ = pU + (1 if cfg.z_mode == "weight" else rng.choice([0, 1]))
         comps = sampling.random_formal_components(rng, deg_lo=-2, deg_hi=2,
                                                   max_len=3)
         which = rng.choice(["le0", "ge0"])
         p = Perversity(pU, pZ)
-        from .derived import FormalObject
-
-        Fo = FormalObject(components=dict(comps))
-        fast = aisle_member(cfg, p, Fo, which)
+        fast = aisle_member(cfg, p, FormalObject(components=dict(comps)),
+                            which)
         slow = oracle_aisle(cfg, pU, pZ, comps, which)
         if fast != slow:
             # shrink by dropping whole degrees, then summands inside them

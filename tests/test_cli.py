@@ -11,6 +11,8 @@ import time
 import pytest
 
 import stagger.cli as cli
+from stagger.formats import parse_module
+from stagger.grmod import fmt_module, internal_hom, tensor
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 # more digits than int() reads; INT_DIGITS is 0 where it has no limit
@@ -322,6 +324,69 @@ def test_oracle_window_past_the_budget_exits_one_at_once(argv):
         "100000000, over the oracle budget ORACLE_WEIGHT_BUDGET = %d\n" \
         % cli.ORACLE_WEIGHT_BUDGET
     assert elapsed < 5
+
+
+def _mixed(n_free, n_torsion):
+    """n_free free and n_torsion torsion summands in weights 0..5."""
+    return "+".join(["F(%d)" % (k % 6) for k in range(n_free)]
+                    + ["T(%d,1)" % (k % 6) for k in range(n_torsion)])
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose",), ("step", "--site", "X"),
+    ("trunc", "--perversity=0,1", "--n=0"),
+], ids=["decompose", "step", "trunc"])
+def test_oracle_over_size_budget_exits_one_at_once(argv):
+    # 400 free plus 400 torsion summands span 5 weights, but the oracles
+    # rank relation blocks of 1,200 generators plus relations: each verb
+    # ran for more than 12 s
+    proc, elapsed = _run_cli(*argv, "--oracle", _mixed(400, 400), timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: --oracle subject has 1200 generators " \
+        "plus relations, over the oracle budget ORACLE_SIZE_BUDGET = %d\n" \
+        % cli.ORACLE_SIZE_BUDGET
+    assert elapsed < 5
+
+
+def test_oracle_at_size_budget_is_checked(capsys):
+    budget = cli.ORACLE_SIZE_BUDGET
+    at_budget = _mixed(budget % 2, budget // 2)
+    step = ("step", "--site", "X")
+    assert run(capsys, *step, "--oracle", at_budget) \
+        == run(capsys, *step, at_budget) == (0, "None\n")
+    over = _mixed(budget % 2 + 1, budget // 2)
+    assert cli.main([*step, "--oracle", over]) == 1
+    assert "ORACLE_SIZE_BUDGET" in capsys.readouterr().err
+    # a JSON presentation counts its generators and relation columns: here
+    # x on each of budget / 2 generators, then one more generator
+    n = budget // 2
+    rows = [[{"c": "1", "k": 1} if i == j else None for j in range(n)]
+            for i in range(n)]
+    pres = {"generators": [0] * n, "relations": rows}
+    assert run(capsys, "decompose", "--oracle", json.dumps(pres)) \
+        == (0, " + ".join(["T(0,1)"] * n) + "\n")
+    pres = {"generators": [0] * (n + 1), "relations": rows + [[None] * n]}
+    assert cli.main(["decompose", "--oracle", json.dumps(pres)]) == 1
+
+
+@pytest.mark.parametrize("verb", ["tensor", "chom"])
+def test_module_pair_over_output_budget_exits_one_at_once(verb):
+    # 3,000 by 3,000 summands: 9*10^6 before merging; tensor printed 107 MB
+    # in 14 s, and 12,000 by 12,000 ended in a MemoryError
+    expr = "+".join(["F(0)", "T(1,2)", "F(-1)"] * 1000)
+    proc, elapsed = _run_cli(verb, expr, expr, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: %s of 3000 by 3000 summands is over the " \
+        "output budget OUTPUT_BUDGET = %d\n" % (verb, cli.OUTPUT_BUDGET)
+    assert elapsed < 5
+
+
+def test_module_pair_at_output_budget_is_answered(capsys):
+    side = "+".join(["F(0)", "T(1,2)"] * 50)  # 100 by 100 summands
+    assert cli.OUTPUT_BUDGET == 100 * 100
+    M = parse_module(side)
+    for verb, op in (("tensor", tensor), ("chom", internal_hom)):
+        assert run(capsys, verb, side, side) == (0, fmt_module(op(M, M)) + "\n")
 
 
 def test_bad_json_presentation_exit_one(capsys):

@@ -110,11 +110,17 @@ def test_shrink_preserves_failure():
 
 
 # ---------------------------------------------------------------------------
-# one window model per module per call
+# one window model per subject per call
 #
-# The references below are the per-probe definitions: one public
-# oracle_hom_ext call, and so one fresh window model, per probe.
+# The references below are the per-probe definitions: each probe triple is
+# built into a module here, and read by one public oracle_hom_ext call, and
+# so one fresh window model, per probe.
 # ---------------------------------------------------------------------------
+
+
+def _probe_module(probe):
+    kind, a, l = probe
+    return gm([a]) if kind == "F" else gm([], [(a, l)])
 
 
 def _ref_member(site, cfg, direction, w, M):
@@ -123,9 +129,9 @@ def _ref_member(site, cfg, direction, w, M):
         return True
     if direction == "ge":
         fam = oracle._member_family(site, cfg, "le", w - 1, M)
-        return all(oracle_hom_ext(C, M)[0] == 0 for C in fam)
+        return all(oracle_hom_ext(_probe_module(C), M)[0] == 0 for C in fam)
     fam = oracle._member_family(site, cfg, "ge", w + 1, M)
-    return all(oracle_hom_ext(M, G)[0] == 0 for G in fam)
+    return all(oracle_hom_ext(M, _probe_module(G))[0] == 0 for G in fam)
 
 
 def _ref_step(site, cfg, M):
@@ -142,15 +148,16 @@ def _ref_aisle(cfg, pU, pZ, comps, which):
     comps = {k: m for k, m in comps.items() if not m.is_zero}
     if not comps:
         return True
-    for d, C in oracle._aisle_generators(cfg, pU, pZ, comps, which):
-        if which == "le0":
-            h = oracle_hom_ext(comps.get(d, ZERO), C)[0] \
-                + oracle_hom_ext(comps.get(d + 1, ZERO), C)[1]
-        else:
-            h = oracle_hom_ext(C, comps.get(d, ZERO))[0] \
-                + oracle_hom_ext(C, comps.get(d - 1, ZERO))[1]
-        if h != 0:
-            return False
+    for d, probes in oracle._aisle_generators(cfg, pU, pZ, comps, which):
+        for C in map(_probe_module, probes):
+            if which == "le0":
+                h = oracle_hom_ext(comps.get(d, ZERO), C)[0] \
+                    + oracle_hom_ext(comps.get(d + 1, ZERO), C)[1]
+            else:
+                h = oracle_hom_ext(C, comps.get(d, ZERO))[0] \
+                    + oracle_hom_ext(C, comps.get(d - 1, ZERO))[1]
+            if h != 0:
+                return False
     return True
 
 
@@ -162,6 +169,19 @@ def _site_module(rng, site):
     return sampling.random_torsion_module(rng, max_len=site.n)
 
 
+def _wide_module(rng, site):
+    """A module past the sampling envelope: weights in [-12, 12], torsion
+    up to length 8 (at most n on Z_n), up to four summands of each kind
+    (free only on U)."""
+    cap = 8 if site.kind != "Z" else min(8, site.n)
+    free = [rng.randint(-12, 12) for _ in range(rng.randint(0, 4))] \
+        if site.kind != "Z" else []
+    if site.kind == "U":
+        return gm(free)
+    return gm(free, [(rng.randint(-12, 12), rng.randint(1, cap))
+                     for _ in range(rng.randint(0, 4))])
+
+
 def _perversity(rng, cfg):
     pU = rng.choice([-1, 0, 1])
     return pU, pU + (1 if cfg.z_mode == "weight" else rng.choice([0, 1]))
@@ -169,10 +189,11 @@ def _perversity(rng, cfg):
 
 def test_member_and_step_equal_the_per_probe_reference():
     rng = random.Random(13)
-    for _ in range(80):
+    for i in range(80 + 300):
         cfg, site = rng.choice(CFGS), rng.choice(SITES)
-        M = _site_module(rng, site)
-        w = rng.randint(-6, 6)
+        # past 80 cases, modules beyond the envelope (_wide_module)
+        M = _site_module(rng, site) if i < 80 else _wide_module(rng, site)
+        w = rng.randint(-6, 6) if i < 80 else rng.randint(-15, 15)
         for direction in ("le", "ge"):
             assert oracle_member(site, cfg, direction, w, M) == \
                 _ref_member(site, cfg, direction, w, M), (site, cfg, w, M)
@@ -182,10 +203,13 @@ def test_member_and_step_equal_the_per_probe_reference():
 
 def test_aisle_equals_the_per_probe_reference():
     rng = random.Random(14)
-    for _ in range(60):
+    for i in range(60 + 300):
         cfg = rng.choice(CFGS)
         pU, pZ = _perversity(rng, cfg)
-        comps = sampling.random_formal_components(rng, max_len=3)
+        # past 60 cases, components beyond the envelope (_wide_module)
+        comps = sampling.random_formal_components(rng, max_len=3) if i < 60 \
+            else {k: _wide_module(rng, SITE_X) for k in range(-2, 3)
+                  if rng.random() < 0.45}
         for which in ("le0", "ge0"):
             assert oracle_aisle(cfg, pU, pZ, comps, which) == \
                 _ref_aisle(cfg, pU, pZ, comps, which), (cfg, pU, pZ, comps)
@@ -200,6 +224,31 @@ def test_aisle_window_covers_the_structure_sheaf_probe():
             assert oracle_aisle(cfg, 1, 2, comps, which) == \
                 _ref_aisle(cfg, 1, 2, comps, which)
     assert not oracle_aisle(W, 1, 2, comps, "ge0")
+
+
+def test_reads_into_a_probe_equal_the_hom_ext_oracle():
+    # Hom and Ext^1 into a single string, read off the subject's own ranks
+    # of x on a window of any width, against oracle_hom_ext into the probe
+    # module built here
+    rng = random.Random(27)
+    nonzero = {}
+    for _ in range(2500):
+        M = gm([rng.randint(-8, 8) for _ in range(rng.randint(0, 3))],
+               [(rng.randint(-8, 8), rng.randint(1, 5))
+                for _ in range(rng.randint(0, 3))])
+        if M.is_zero:
+            continue
+        a, l, pad = rng.randint(-10, 10), rng.randint(2, 5), rng.randint(0, 3)
+        lo, hi = M.occupied_window()
+        model = oracle._model_of_module(M, min(lo, a - l) - 2 - pad,
+                                        max(hi, a) + 2 + pad)
+        for probe in (("T", a, l), ("T", a, 1), ("F", a, 0)):
+            got = oracle._into(model, probe)
+            assert got == oracle_hom_ext(M, _probe_module(probe)), (M, probe)
+            for name, dim in zip(("hom", "ext"), got):
+                key = (name, probe[0], probe[2] > 1)
+                nonzero[key] = nonzero.get(key, 0) + (dim > 0)
+    assert len(nonzero) == 6 and min(nonzero.values()) >= 100, nonzero
 
 
 def test_reader_refuses_a_weight_outside_its_model():
@@ -344,21 +393,22 @@ def test_each_call_builds_one_model_per_module(monkeypatch):
     assert total > 0
 
 
-def test_step_builds_each_probe_once(monkeypatch):
+def test_probes_get_no_model(monkeypatch):
+    # every Hom and Ext^1 of a search is read off its subjects' models: the
+    # probes, however many, get none
     built = _built_models(monkeypatch)
     M = gm([], [(12, 12), (0, 1)])
     assert oracle_step(SITE_X, W, M) == step(SITE_X, W, M)
-    assert len(built) == len(set(built)) > 12
-
-
-def _wide_module(rng, site):
-    """A module past the sampling envelope: weights in [-12, 12], torsion
-    up to length 8 (at most n on Z_n), up to four summands of each kind."""
-    cap = 8 if site.kind == "X" else min(8, site.n)
-    free = [rng.randint(-12, 12) for _ in range(rng.randint(0, 4))] \
-        if site.kind == "X" else []
-    return gm(free, [(rng.randint(-12, 12), rng.randint(1, cap))
-                     for _ in range(rng.randint(0, 4))])
+    for direction in ("le", "ge"):
+        oracle_member(SITE_X, W, direction, 3, M)
+    assert built == [M, M, M]
+    del built[:]
+    comps = {-1: M, 0: F(2), 1: M}
+    for cfg in CFGS:
+        for which in ("le0", "ge0"):
+            oracle_aisle(cfg, 0, 1, comps, which)
+            assert set(built) <= {M, F(2)}
+    assert set(built) == {M, F(2)}
 
 
 def test_max_sub_closed_form_on_wide_modules():
