@@ -201,13 +201,13 @@ ORACLE_WEIGHT_BUDGET = 32
 # Most generators plus relations that --oracle accepts: those of a JSON
 # presentation, or of a module's (a torsion summand is one of each), summed
 # over the degrees of a formal object.  The oracles rank blocks of the
-# relation matrix by Bareiss elimination, so their cost grows about with the
-# third power of this size, and with the span.  On the same host, in fresh
-# processes, 66 free plus 66 torsion summands (size 198) in weights 3..32
-# took 2.6 s under `trunc --oracle`, 1.8 s under `decompose --oracle` and
-# 1.1 s under `step --oracle`, and 0.2-0.3 s each in weights 0..5.  Size 240
-# in weights 3..32 took 4.5 s under `trunc --oracle`, and 400 plus 400
-# summands in weights 0..5 took 32 s under `decompose --oracle`.
+# relation matrix by Bareiss elimination, so their cost grows up to the third
+# power of this size, and with the span; a module's relations are unit
+# diagonal, and the elimination leaves their rows as they are.  On the same
+# host, in fresh processes (3 runs each, about 0.13 s of each start-up), 66
+# free plus 66 torsion summands (size 198) in weights 3..32 took 0.13-0.18 s
+# under `trunc --oracle`, 0.24-0.26 s under `decompose --oracle` and
+# 0.24-0.29 s under `step --oracle`.
 ORACLE_SIZE_BUDGET = 200
 
 

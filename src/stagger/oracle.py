@@ -11,14 +11,15 @@ counterexample.
 
 Window soundness.  A finitely generated graded module is determined on the
 window [lo, hi] with lo = (min occupied weight) - 2 and hi = (max occupied
-weight) + 2: all torsion socles are >= lo + 2, so any string still alive
-at weight lo + 1 must be free, and nothing is generated above hi - 2.  The
-free part is truncated at the floor and recognized by its reach.
+weight) + 2: all torsion socles are >= lo + 2, so only free strings are
+alive at the floor lo, and nothing is generated above hi - 2.  A free
+string is counted at the floor and recognized by its reach.
 
-Ranks of x.  A graded k[x]-module is fixed by the ranks r(j, w) of the
-powers x^j : M_{w+j} -> M_w, with r(0, w) = dim M_w, and ``_strings``
-decodes them into the canonical decomposition.  Each is read straight off
-the presentation, as a rank of a block of its relation matrix
+Ranks of x.  A graded k[x]-module N is fixed by the ranks rho(s, a) of the
+powers x^(s-a) : N_s -> N_a, and ``_decode`` reads its canonical
+decomposition off a few of them, at its breakpoints (the generator and
+relation weights) and the floor.  Each rank is read straight off the
+presentation, as ranks of blocks of its relation matrix keyed by breakpoint
 (``_x_ranks``), with no basis or x-matrix built.  The decomposition, the
 hom/ext dimensions and the maximal sub (whose ranks are closed forms in the
 module's) read nothing else.  A model ranks a weight on the first read of
@@ -36,7 +37,7 @@ call only.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
@@ -78,8 +79,9 @@ def _mat_rank(rows: List[List[Fraction]]) -> int:
     which keeps the rank, and zero rows are dropped.  A step then replaces
     every row below the pivot row by (p * row - c * pivot_row) // p_prev,
     with p the pivot, c the row's entry in the pivot column and p_prev the
-    previous pivot (1 at first).  Every entry is then a minor of the scaled
-    matrix, so the division is exact and no entry outgrows the minors.
+    previous pivot (1 at first); a row with c = 0 is kept as it is when
+    p == p_prev.  Every entry is then a minor of the scaled matrix, so the
+    division is exact and no entry outgrows the minors.
     """
     mat = []
     for r in rows:
@@ -105,7 +107,8 @@ def _mat_rank(rows: List[List[Fraction]]) -> int:
         p = prow[c]
         for i in range(rank + 1, len(mat)):
             f = mat[i][c]
-            mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], prow)]
+            if f or p != prev:
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], prow)]
         prev = p
         rank += 1
         if rank == len(mat):
@@ -178,19 +181,22 @@ def _x_ranks(gens: Tuple[int, ...],
     the span of the coordinates of weight >= w + j modulo R_w.  Hence
     r(j, w) = #{g_i >= w + j} + rank(R_w on the rows w <= g_i < w + j)
     - rank(R_w on the rows g_i >= w), and r(0, w) = dim M_w.  A row block is
-    named by its highest generator weight, so each (w, block) is ranked
-    once (``_mat_rank``) for every j that reads it.
+    named by its highest generator weight, and R_w and its rows are those of
+    the breakpoint (generator or relation weight) at or above w, which keys
+    it: a block is ranked once (``_mat_rank``) whatever w and j read it.
     """
     asc = sorted(gens)
+    breaks = sorted(set(gens).union(v for v, _ in cols))
     blocks: Dict[Tuple[int, int], int] = {}
 
     def block(w: int, top: int) -> int:
-        """The rank of R_w on the rows w <= g_i <= top."""
-        rk = blocks.get((w, top))
+        """The rank of R_w on the rows w <= g_i <= top, for w <= asc[-1]."""
+        e = breaks[bisect_left(breaks, w)]
+        rk = blocks.get((e, top))
         if rk is None:
-            rows = [i for i, g in enumerate(gens) if w <= g <= top]
-            rk = blocks[(w, top)] = _mat_rank(
-                [[col.get(i, 0) for i in rows] for v, col in cols if v >= w])
+            rows = [i for i, g in enumerate(gens) if e <= g <= top]
+            rk = blocks[(e, top)] = _mat_rank(
+                [[col.get(i, 0) for i in rows] for v, col in cols if v >= e])
         return rk
 
     def x_rank(j: int, w: int) -> int:
@@ -213,62 +219,46 @@ def _model_of_module(M: GradedModule, lo: int, hi: int) -> WindowModel:
 
 
 # ---------------------------------------------------------------------------
-# string reconstruction (canonical form from window data)
+# string reconstruction (canonical form from ranks at breakpoints)
 # ---------------------------------------------------------------------------
 
 
-def _rank_table(lo: int, hi: int, ranks_at: Callable[[int], Iterable[int]]
-                ) -> Dict[Tuple[int, int], int]:
-    """(j, w) -> r_j(w), the rank of x^j : M_{w+j} -> M_w, for w in
-    [lo, hi]; ``ranks_at(w)`` yields r_0(w) = dim M_w, r_1(w), ... up to
-    j = hi - w.  A row stops at its first 0, since x^(j+1) out of w + j + 1
-    factors through x^j out of w + j; an absent entry means 0."""
-    r: Dict[Tuple[int, int], int] = {}
-    for w in range(lo, hi + 1):
-        for j, rk in enumerate(ranks_at(w)):
-            r[(j, w)] = rk
-            if rk == 0:
-                break
-    return r
+def _decode(rho: Callable[[int, int], int], tops: Iterable[int],
+            breaks: Sequence[int], floor: int) -> GradedModule:
+    """The canonical decomposition of a module N from ``rho(s, a)``, the
+    rank of x^(s-a) : N_s -> N_a, read at N's breakpoints.
 
-
-def _strings(lo: int, hi: int, r: Dict[Tuple[int, int], int]) -> GradedModule:
-    """Recover the canonical decomposition from ranks of iterated x-maps,
-    a ``_rank_table``.
-
-    r_j(w) = dim (x^j M)_w counts strings with generator weight >= w + j
-    still alive at w.  D_j(w) = r_j(w) - r_{j+1}(w) counts strings with
-    generator weight exactly w + j and length >= j + 1, so with
-    A(g, l) = D_{l-1}(g - l + 1) the number of T(g, n) summands is
-    A(g, n) - A(g, n + 1), and strings reaching length >= g - lo must be
-    free (their socle would be at the floor, which soundness of the window
-    rules out for torsion).
+    ``tops`` holds N's generator weights and ``breaks``, ascending, its
+    generator and relation weights.  f_g(a) = rho(g, a) - rho(g + 1, a)
+    counts the strings generated at g alive at a; a string ends just above
+    a relation weight, so with e_0 < e_1 < ... <= g the breakpoints up to g,
+    F(g) occurs f_g(floor) times and T(g, g - e_i) f_g(e_{i+1}) - f_g(e_i)
+    times, with ``floor`` below every socle.  rho(g + 1, a) = rho(g', a) for
+    the next top g' (0 past the last): both images are spanned by the
+    strings generated above g.  A negative count raises, and so do strings
+    that miss dim N at the floor, at a breakpoint or at the weight above it.
     """
-    def A(g: int, l: int) -> int:
-        w = g - l + 1
-        return r.get((l - 1, w), 0) - r.get((l, w), 0)
-
     frees: List[int] = []
     tors: List[Tuple[int, int]] = []
-    for g in range(lo, hi + 1):
-        reach = g - lo
-        if reach < 1:
-            continue
-        for _ in range(A(g, reach)):
-            frees.append(g)
-        for n in range(1, reach):
-            for _ in range(A(g, n) - A(g, n + 1)):
-                tors.append((g, n))
+    above = [0] * (len(breaks) + 1)  # rho(g', a) at the floor and breaks
+    for g in sorted(set(tops), reverse=True):
+        es = breaks[:bisect_right(breaks, g)]
+        here = [rho(g, a) for a in [floor] + es]
+        f = [r - r_above for r, r_above in zip(here, above)]
+        above = here
+        counts = [f[0]] + [hi - lo for lo, hi in zip(f[1:], f[2:])]
+        if min(counts) < 0:
+            raise AssertionError("negative string count at weight %d" % g)
+        frees += [g] * counts[0]
+        for e, k in zip(es, counts[1:]):
+            tors += [(g, g - e)] * k
     out = gm(frees, tors)
-    # sanity: the strings must reproduce the window dimensions exactly
-    for w in range(lo, hi + 1):
-        dim = sum(1 for d in out.free if d >= w) + sum(
-            1 for g, n in out.torsion if g >= w > g - n
-        )
-        if dim != r[(0, w)]:
+    for a in sorted({floor}.union(breaks, [e + 1 for e in breaks])):
+        dim = sum(1 for d in out.free if d >= a) + sum(
+            1 for g, n in out.torsion if g >= a > g - n)
+        if dim != rho(a, a):
             raise AssertionError(
-                "string reconstruction inconsistent at weight %d" % w
-            )
+                "string reconstruction inconsistent at weight %d" % a)
     return out
 
 
@@ -285,8 +275,8 @@ def oracle_decompose(p: Presentation) -> GradedModule:
     ws = list(p.gens) + list(p.rel.col_weights)
     lo, hi = min(ws) - 2, max(ws) + 2
     model = _model_of_presentation(p, lo, hi)
-    return _strings(lo, hi, _rank_table(
-        lo, hi, lambda w: (model.rank(j, w) for j in range(hi - w + 1))))
+    return _decode(lambda s, a: model.rank(s - a, a), p.gens,
+                   sorted(set(ws)), lo)
 
 
 Probe = Tuple[str, int, int]  # ("F", a, 0) is F(a), ("T", a, l) is T(a, l)
@@ -358,12 +348,13 @@ def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
 
     On Z_n, or on X with w >= 0, the sub S is M at the weights <= w; on X
     with w < 0 only torsion may generate, and S is the torsion at the
-    weights <= w.  With r the ranks of x on M, r_S(j, a) = 0 when a + j > w
-    and r_S(j, a) = r(j, a) otherwise, except on X with w < 0.  There S_b
-    is the torsion of M_b, which window soundness makes ker x^(b - lo) :
-    M_b -> M_lo.  It contains ker x^j for j <= b - lo, so x^j maps S_{a+j}
-    onto a space of dimension dim S_{a+j} - dim ker x^j, that is
-    r_S(j, a) = r(j, a) - r(a + j - lo, lo).
+    weights <= w.  With rho(s, a) the rank of x^(s-a) : M_s -> M_a,
+    rho_S(s, a) = 0 when s > w and rho_S(s, a) = rho(s, a) otherwise,
+    except on X with w < 0.  There S_s is the torsion of M_s, which window
+    soundness makes ker x^(s - lo) : M_s -> M_lo and which contains
+    ker x^(s-a) for a >= lo, so rho_S(s, a) = dim S_s - dim ker x^(s-a) =
+    rho(s, a) - rho(s, lo).  S is generated at M's generator weights <= w
+    and at w; its breakpoints are M's generator and relation weights and w.
     """
     check_on_site(site, M)
     if M.is_zero:
@@ -377,14 +368,17 @@ def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
         raise AssertionError("model window [%d, %d] misses [%d, %d]"
                              % (model.lo, model.hi, lo, hi))
     torsion_only = site.kind == "X" and w < 0
+    w = min(w, occ_hi)  # the same sub, and w + 1 stays in the window
 
-    def ranks_at(a: int) -> Iterable[int]:
-        for j in range(min(w, hi) - a + 1):
-            yield model.rank(j, a) - (model.rank(a + j - lo, lo)
-                                      if torsion_only else 0)
-        yield 0  # past w, or a > w
+    def rho(s: int, a: int) -> int:
+        if s > w:
+            return 0
+        return model.rank(s - a, a) - (model.rank(s - lo, lo)
+                                       if torsion_only else 0)
 
-    return _strings(lo, hi, _rank_table(lo, hi, ranks_at))
+    gens = M.gen_weights()
+    breaks = set(gens).union([g - n for g, n in M.torsion], [w])
+    return _decode(rho, [g for g in gens if g <= w] + [w], sorted(breaks), lo)
 
 
 def _member_family(site: Site, cfg: SConfig, bound: str, c: int,

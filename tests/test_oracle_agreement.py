@@ -316,7 +316,8 @@ _ENTRIES = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
 
 
 def _fraction_rank(rows):
-    """Rank by plain Gaussian elimination on ``Fraction`` entries."""
+    """Rank by Gauss-Jordan elimination to reduced row echelon form, on
+    ``Fraction`` entries."""
     mat = [[Fraction(e) for e in r] for r in rows]
     rank = 0
     for c in range(len(mat[0]) if mat else 0):
@@ -324,10 +325,11 @@ def _fraction_rank(rows):
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            f = mat[i][c] / prow[c]
-            mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
+        prow = mat[rank] = [e / mat[rank][c] for e in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
         rank += 1
     return rank
 
@@ -355,6 +357,27 @@ def test_mat_rank_equals_the_rref_rank():
         assert rows == before
         ranks.add(rank)
     assert ranks == set(range(7))
+
+
+def test_mat_rank_on_non_unit_pivots_over_zeros():
+    # Bareiss keeps a row whose pivot-column entry is 0 only while the pivot
+    # equals the previous one; past a pivot such as 2 or -3 that row must be
+    # scaled as well, or the next exact division goes wrong
+    rng = random.Random(28)
+    seen = {"p == 1": 0, "p != 1": 0}
+    for _ in range(2000):
+        m, n = rng.randint(2, 7), rng.randint(2, 7)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5, 6)) for _ in range(n)]
+                for _ in range(m)]
+        if rng.random() < 0.3:  # a dependent row
+            rows[0] = [rng.choice((2, -3)) * a + b
+                       for a, b in zip(rows[1], rows[-1])]
+        assert oracle._mat_rank(rows) == _fraction_rank(rows), rows
+        # the first step (p_prev = 1) meets a nonzero row with a 0 under p
+        piv = next((r[0] for r in rows if r[0]), None)
+        if piv is not None and any(not r[0] and any(r) for r in rows):
+            seen["p == 1" if piv == 1 else "p != 1"] += 1
+    assert min(seen.values()) >= 150, seen
 
 
 def _built_models(monkeypatch):
@@ -442,13 +465,14 @@ def test_max_sub_closed_form_on_wide_modules():
 _COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7))
 
 
-def _rank_presentation(rng):
+def _rank_presentation(rng, n=5, span=2):
     """A random presentation with dependent relation columns, Fraction
-    coefficients, zero columns and repeated weights, its generators in no
-    particular order."""
-    gens = [rng.randint(-2, 2) for _ in range(rng.randint(1, 5))]
+    coefficients, zero columns and repeated weights: up to n generators of
+    weights in [-span, span], in no particular order, and up to n
+    relations."""
+    gens = [rng.randint(-span, span) for _ in range(rng.randint(1, n))]
     cols = []  # (weight, {generator: coefficient})
-    for _ in range(rng.randint(0, 5)):
+    for _ in range(rng.randint(0, n)):
         kind = rng.random()
         if kind < 0.15:  # a zero column
             cols.append((rng.randint(min(gens) - 3, max(gens)), {}))
@@ -471,6 +495,21 @@ def _rank_presentation(rng):
     return Presentation(tuple(gens), rel)
 
 
+_KINDS = ("fraction", "dependent", "zero column", "repeated weight")
+
+
+def _count_kinds(kinds, p):
+    """Count in ``kinds`` which of ``_KINDS`` the presentation p has."""
+    cols = [[p.rel.entries.get((i, j), 0) for i in range(len(p.gens))]
+            for j in range(len(p.rel.col_weights))]
+    nonzero = [c for c in cols if any(c)]
+    kinds["fraction"] += any(type(c) is Fraction
+                             for c in p.rel.entries.values())
+    kinds["zero column"] += len(nonzero) < len(cols)
+    kinds["dependent"] += oracle._mat_rank(nonzero) < len(nonzero)
+    kinds["repeated weight"] += len(set(p.gens)) < len(p.gens)
+
+
 def _string_ranks(M, lo, hi):
     """(j, w) -> the rank of x^j : M_{w+j} -> M_w, counted off the strings
     of M: the free summands F(d) with d >= w + j and the T(g, n) with
@@ -482,8 +521,7 @@ def _string_ranks(M, lo, hi):
 
 def test_ranks_of_x_equal_the_string_counts():
     rng = random.Random(24)
-    kinds = {"fraction": 0, "dependent": 0, "zero column": 0,
-             "repeated weight": 0}
+    kinds = dict.fromkeys(_KINDS, 0)
     for _ in range(300):
         p = _rank_presentation(rng)
         lo, hi = _window_of(p)
@@ -492,17 +530,115 @@ def test_ranks_of_x_equal_the_string_counts():
         assert {(j, w): model.rank(j, w) for j, w in ref} == ref, \
             (p.gens, p.rel.col_weights, p.rel.entries)
         assert all(model.dims[w] == ref[(0, w)] for w in range(lo, hi + 1))
-        cols = [[p.rel.entries.get((i, j), 0) for i in range(len(p.gens))]
-                for j in range(len(p.rel.col_weights))]
-        nonzero = [c for c in cols if any(c)]
-        kinds["fraction"] += any(type(c) is Fraction
-                                 for c in p.rel.entries.values())
-        kinds["zero column"] += len(nonzero) < len(cols)
-        kinds["dependent"] += oracle._mat_rank(nonzero) < len(nonzero)
-        kinds["repeated weight"] += len(set(p.gens)) < len(p.gens)
+        _count_kinds(kinds, p)
         with pytest.raises(AssertionError, match="weight %d outside" % (hi + 1)):
             model.rank(hi - lo, lo + 1)
     assert all(kinds.values()), kinds
+
+
+# ---------------------------------------------------------------------------
+# the breakpoint decoder against the rank table it replaced
+#
+# _ref_rank_table and _ref_strings are the decoder the oracles used before
+# they read ranks at breakpoints: every rank of the window put in a table,
+# and every (generator weight, length) of the window walked.
+# ---------------------------------------------------------------------------
+
+
+def _ref_rank_table(lo, hi, ranks_at):
+    """(j, w) -> r_j(w), the rank of x^j : M_{w+j} -> M_w, for w in
+    [lo, hi]; ``ranks_at(w)`` yields r_0(w) = dim M_w, r_1(w), ... up to
+    j = hi - w.  A row stops at its first 0, since x^(j+1) out of w + j + 1
+    factors through x^j out of w + j; an absent entry means 0."""
+    r = {}
+    for w in range(lo, hi + 1):
+        for j, rk in enumerate(ranks_at(w)):
+            r[(j, w)] = rk
+            if rk == 0:
+                break
+    return r
+
+
+def _ref_strings(lo, hi, r):
+    """The canonical decomposition from a ``_ref_rank_table``.
+
+    D_j(w) = r_j(w) - r_{j+1}(w) counts strings with generator weight
+    exactly w + j and length >= j + 1, so with A(g, l) = D_{l-1}(g - l + 1)
+    the number of T(g, n) summands is A(g, n) - A(g, n + 1), and strings
+    reaching length >= g - lo must be free.  The strings must reproduce the
+    window dimensions.
+    """
+    def A(g, l):
+        w = g - l + 1
+        return r.get((l - 1, w), 0) - r.get((l, w), 0)
+
+    frees, tors = [], []
+    for g in range(lo + 1, hi + 1):
+        reach = g - lo
+        frees += [g] * A(g, reach)
+        for n in range(1, reach):
+            tors += [(g, n)] * (A(g, n) - A(g, n + 1))
+    out = gm(frees, tors)
+    assert all(weight_dim(out, w) == r[(0, w)] for w in range(lo, hi + 1))
+    return out
+
+
+def _ref_decompose(p):
+    lo, hi = _window_of(p)
+    model = oracle._model_of_presentation(p, lo, hi)
+    return _ref_strings(lo, hi, _ref_rank_table(
+        lo, hi, lambda w: (model.rank(j, w) for j in range(hi - w + 1))))
+
+
+def test_decompose_equals_the_table_reference():
+    # 7,000 presentations of the agreement suite's envelope, then 3,000
+    # wider ones (_rank_presentation with up to 9 generators and relations,
+    # weights in [-8, 8])
+    rng = random.Random(29)
+    kinds = dict.fromkeys(_KINDS, 0)
+    for i in range(7000 + 3000):
+        p = _random_presentation(rng) if i < 7000 \
+            else _rank_presentation(rng, n=9, span=8)
+        got = oracle_decompose(p)
+        assert got == canonical_decompose(p) == _ref_decompose(p), \
+            (p.gens, p.rel.col_weights, p.rel.entries)
+        if i >= 7000:
+            _count_kinds(kinds, p)
+    assert min(kinds.values()) >= 300, kinds
+
+
+def test_decoder_reads_strings_back_off_their_ranks():
+    # ranks counted off the strings of a module, with no presentation, decode
+    # back to the module; without one of its death weights among the
+    # breakpoints, or with ranks that give a negative count, the decoder
+    # raises.  Free strings are counted at the floor, where nothing else
+    # lives, so a string lost with its death weight is reported where it
+    # lives, above the floor, even when that weight was the lowest one
+    rng = random.Random(30)
+    dropped = lowest = 0
+    for _ in range(1500):
+        M = _wide_module(rng, SITE_X)
+        if M.is_zero:
+            continue
+
+        def rho(s, a, M=M):
+            return sum(1 for d in M.free if d >= s) + sum(
+                1 for g, n in M.torsion if g >= s and g - n < a)
+
+        gens = set(M.gen_weights())
+        deaths = {g - n for g, n in M.torsion}
+        floor = M.occupied_window()[0] - 1
+        assert oracle._decode(rho, gens, sorted(gens | deaths), floor) == M
+        for e in deaths - gens:
+            with pytest.raises(AssertionError, match="inconsistent") as exc:
+                oracle._decode(rho, gens, sorted(gens | deaths - {e}), floor)
+            assert int(str(exc.value).split()[-1]) > floor, (M, e)
+            dropped += 1
+            lowest += e < min(gens | deaths - {e})
+    assert dropped >= 1000 and lowest >= 300, (dropped, lowest)
+    with pytest.raises(AssertionError,
+                       match="negative string count at weight 0"):
+        oracle._decode(lambda s, a: int(s == 0 and a <= -2), [0], [-2, 0], -4)
 
 
 def test_oracles_share_no_algorithm_with_the_fast_paths(monkeypatch):
