@@ -108,7 +108,8 @@ def _mat_rank(rows: List[List[Fraction]]) -> int:
         for i in range(rank + 1, len(mat)):
             f = mat[i][c]
             if f or p != prev:
-                mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], prow)]
+                mat[i] = [(p * a - f * b) // prev
+                          for a, b in zip(mat[i], prow)]
         prev = p
         rank += 1
         if rank == len(mat):
