@@ -591,6 +591,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # malformed input; json.JSONDecodeError is a ValueError too
         print("error: %s" % e, file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -136,19 +136,19 @@ def flag_restrict_Z(M: BiGradedModule) -> List[int]:
     return sorted(m.weight + shift for m in basis)
 
 
-def flag_restrict_U(M: BiGradedModule, depth: int = 6) -> Tuple[int, int]:
+def flag_restrict_U(M: BiGradedModule) -> Tuple[int, int]:
     """(rank, step) of the restriction of a twist O(n) to the open orbit.
 
     The restriction is the free module on y^n over k[t], t = x/y; the
     element y^n t^k = x^k y^{n-k} has weight n - 2k, so modulo (t) the
     fiber is V_n and the sheaf is pure of step n.  The weights are
-    recomputed from monomials for every k up to depth.
+    recomputed from monomials for every k < 6.
     """
     if M.gen != Monomial(0, 0):
         raise ValueError("unsupported shape for restriction to U: %s" % M)
     n = M.twist
     weights = []
-    for k in range(depth):
+    for k in range(6):
         mono = Monomial(k, n - k)  # y^n t^k, expanded
         if not _check_bookkeeping(mono):
             raise AssertionError("bookkeeping broke on %s" % mono)

@@ -187,21 +187,6 @@ def _cell(c: Q, k: int) -> dict:
     return {"c": str(c), "k": k}
 
 
-def matrix_to_json(m: MonoMatrix) -> dict:
-    rows = []
-    for i in range(m.nrows):
-        row = []
-        for j in range(m.ncols):
-            c = m.get(i, j)
-            row.append(_cell(c, m.exp(i, j)) if c != 0 else None)
-        rows.append(row)
-    return {
-        "row_weights": list(m.row_weights),
-        "col_weights": list(m.col_weights),
-        "entries": rows,
-    }
-
-
 def _field(obj, key: str, what: str):
     """``obj[key]``, or a ValueError naming the field."""
     if not isinstance(obj, dict) or key not in obj:
@@ -253,9 +238,15 @@ def _read_cell(cell, i: int, j: int) -> Tuple[Q, int]:
 
 def presentation_to_json(p: Presentation) -> dict:
     """The JSON presentation that ``stagger decompose`` reads (kept for
-    writing such inputs: the benchmark's CLI workload builds them here)."""
-    return {"generators": list(p.gens),
-            "relations": matrix_to_json(p.rel)["entries"]}
+    writing such inputs: the benchmark's CLI workload builds them here).
+    The relations are one row per generator, a cell per relation column,
+    null where the entry is 0."""
+    m = p.rel
+    rows = [[None] * m.ncols for _ in range(m.nrows)]
+    for (i, j), c in m.entries.items():
+        if c != 0:
+            rows[i][j] = _cell(c, m.exp(i, j))
+    return {"generators": list(p.gens), "relations": rows}
 
 
 def presentation_from_json(obj: dict) -> Presentation:

@@ -46,8 +46,11 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 from .grmod import (GradedModule, MonoMatrix, Presentation, ZERO,
                     canonical_decompose, ext1_dim, fmt_module, gm, hom_dim,
                     present)
+from .derived import FormalObject
 from .report import SuiteReport
-from .sstruct import SConfig, SITE_U, SITE_X, Site, check_on_site, member, sigma, site_z, step
+from .sstruct import (SConfig, SITE_U, SITE_X, Site, check_on_site, member,
+                      sigma, site_z, step)
+from .stag import Perversity, aisle_member
 from . import sampling
 
 # ---------------------------------------------------------------------------
@@ -569,58 +572,71 @@ def _aisle_generators(cfg: SConfig, pU: int, pZ: int,
 # ---------------------------------------------------------------------------
 
 
-def _shrink_module(M: GradedModule, fails) -> GradedModule:
-    """Greedy minimization: drop summands, then shorten torsion strings,
-    taking the first smaller module that still fails until none does."""
+def _shrink_module(x, fails):
+    """Greedy minimization of a failing input: take the first input one step
+    smaller than x (``_smaller``) that still fails, until none does.  x is
+    a module or a dict of modules keyed by degree; any other input, such as
+    a presentation, has nothing smaller and comes back as it is."""
     while True:
-        for cand in _smaller(M):
+        for cand in _smaller(x):
             if fails(cand):
-                M = cand
+                x = cand
                 break
         else:
-            return M
+            return x
 
 
-def _smaller(M: GradedModule) -> Iterator[GradedModule]:
-    """M without one free summand, then without one torsion summand, then
-    with one torsion string shortened by 1."""
-    for i in range(len(M.free)):
-        yield gm(M.free[:i] + M.free[i + 1:], M.torsion)
-    for i in range(len(M.torsion)):
-        yield gm(M.free, M.torsion[:i] + M.torsion[i + 1:])
-    for i, (g, n) in enumerate(M.torsion):
+def _smaller(x) -> Iterator:
+    """The inputs one step smaller than x.  A module loses one free summand,
+    then one torsion summand, or has one torsion string shortened by 1; a
+    dict of modules keyed by degree loses one degree, or has one component
+    made smaller.  Nothing else is shrunk."""
+    if isinstance(x, dict):
+        for k in sorted(x):
+            yield {kk: m for kk, m in x.items() if kk != k}
+        for k in sorted(x):
+            yield from ({**x, k: m} for m in _smaller(x[k]))
+    if not isinstance(x, GradedModule):
+        return
+    for i in range(len(x.free)):
+        yield gm(x.free[:i] + x.free[i + 1:], x.torsion)
+    for i in range(len(x.torsion)):
+        yield gm(x.free, x.torsion[:i] + x.torsion[i + 1:])
+    for i, (g, n) in enumerate(x.torsion):
         if n > 1:
-            yield gm(M.free, M.torsion[:i] + ((g, n - 1),) + M.torsion[i + 1:])
+            yield gm(x.free, x.torsion[:i] + ((g, n - 1),) + x.torsion[i + 1:])
 
 
-def _record(check, M: GradedModule, fast, slow, describe) -> None:
-    """Record whether ``fast(M) == slow(M)``.  On a disagreement M is first
-    shrunk to a smaller module that still disagrees, and the message is
-    ``describe(M, fast(M), slow(M))``."""
-    if fast(M) == slow(M):
+def _record(check, args: tuple, fast, slow, describe) -> None:
+    """Record whether ``fast(*args) == slow(*args)``.  On a disagreement
+    each argument in turn is shrunk (``_shrink_module``) with the others
+    held fixed, and the message is ``describe(*args, fast(*args),
+    slow(*args))``: a presentation, a site or a level is echoed as drawn."""
+    if fast(*args) == slow(*args):
         check.record(True, "")
         return
-    M = _shrink_module(M, lambda m: fast(m) != slow(m))
-    check.record(False, describe(M, fast(M), slow(M)))
+    args = list(args)
+    for i in range(len(args)):
+        def fails(x, i=i):
+            trial = args[:i] + [x] + args[i + 1:]
+            return fast(*trial) != slow(*trial)
+        args[i] = _shrink_module(args[i], fails)
+    check.record(False, describe(*args, fast(*args), slow(*args)))
 
 
 def _random_presentation(rng: random.Random) -> Presentation:
     ngen = rng.randint(1, 4)
     gens = sorted((rng.randint(-5, 5) for _ in range(ngen)), reverse=True)
     ncol = rng.randint(0, 4)
-    colw = []
+    colw: List[int] = []
     entries: Dict[Tuple[int, int], Fraction] = {}
-    cols_kept = 0
     for _ in range(ncol):
         rows = [i for i in range(ngen) if rng.random() < 0.6]
         if not rows:
             continue
-        v = min(gens[i] for i in rows) - rng.randint(0, 3)
-        j = cols_kept
-        cols_kept += 1
-        colw.append(v)
+        colw.append(min(gens[i] for i in rows) - rng.randint(0, 3))
         for i in rows:
-            entries[(i, j)] = rng.choice([1, -1, 2, -2, 3])
+            entries[(i, len(colw) - 1)] = rng.choice([1, -1, 2, -2, 3])
     mat = MonoMatrix(tuple(gens), tuple(colw))
     for (i, j), c in entries.items():
         mat.set(i, j, c)
@@ -632,8 +648,9 @@ def agreement_suite(seed: int = 1, samples: int = 200) -> SuiteReport:
 
     Ops covered: canonical decomposition, hom/ext dimensions, membership on
     each site and mode, sigma truncation (maximal sub), step, and staggered
-    aisle membership.  Each runs on ``samples`` seeded random instances;
-    failures are shrunk before being recorded.
+    aisle membership.  Each runs on ``samples`` seeded random instances
+    through ``_record``: a disagreement over modules or formal objects is
+    shrunk before it is recorded, and one over a presentation is echoed.
     """
     rep = SuiteReport(suite="oracle-agreement", seed=seed, samples=samples,
                       mode="both")
@@ -642,32 +659,18 @@ def agreement_suite(seed: int = 1, samples: int = 200) -> SuiteReport:
 
     c_dec = rep.check("agree_decompose")
     for _ in range(samples):
-        p = _random_presentation(rng)
-        fast = canonical_decompose(p)
-        slow = oracle_decompose(p)
-        ok = fast == slow
-        c_dec.record(ok, "" if ok else
-                     "decompose mismatch: gens=%r cols=%r fast=%s oracle=%s"
-                     % (p.gens, p.rel.col_weights, fmt_module(fast),
-                        fmt_module(slow)))
+        _record(c_dec, (_random_presentation(rng),), canonical_decompose,
+                oracle_decompose, lambda p, f, o: "decompose mismatch: gens=%r "
+                "cols=%r fast=%s oracle=%s" % (p.gens, p.rel.col_weights,
+                                               fmt_module(f), fmt_module(o)))
 
     c_he = rep.check("agree_hom_ext")
-
-    def disagree(M, N):
-        return (hom_dim(M, N), ext1_dim(M, N)) != oracle_hom_ext(M, N)
-
     for _ in range(samples):
-        M = sampling.random_module(rng)
-        N = sampling.random_module(rng)
-        if disagree(M, N):
-            M = _shrink_module(M, lambda m: disagree(m, N))
-            N = _shrink_module(N, lambda n: disagree(M, n))
-            c_he.record(False, "hom/ext mismatch on (%s, %s): fast=%r oracle=%r"
-                        % (fmt_module(M), fmt_module(N),
-                           (hom_dim(M, N), ext1_dim(M, N)),
-                           oracle_hom_ext(M, N)))
-        else:
-            c_he.record(True, "")
+        M, N = sampling.random_module(rng), sampling.random_module(rng)
+        _record(c_he, (M, N), lambda M, N: (hom_dim(M, N), ext1_dim(M, N)),
+                oracle_hom_ext,
+                lambda M, N, f, o: "hom/ext mismatch on (%s, %s): fast=%r "
+                "oracle=%r" % (fmt_module(M), fmt_module(N), f, o))
 
     c_mem = rep.check("agree_member")
     sites = [SITE_X, SITE_U, site_z(1), site_z(2), site_z(3)]
@@ -682,11 +685,10 @@ def agreement_suite(seed: int = 1, samples: int = 200) -> SuiteReport:
             M = sampling.random_module(rng).free_part()
         else:
             M = sampling.random_torsion_module(rng, max_len=site.n)
-        _record(c_mem, M, lambda m: member(site, cfg, direction, w, m),
-                lambda m: oracle_member(site, cfg, direction, w, m),
-                lambda m, f, o: "member mismatch %s %s %s w=%d on %s: fast=%r "
-                "oracle=%r" % (site, cfg.z_mode, direction, w, fmt_module(m),
-                               f, o))
+        _record(c_mem, (site, cfg, direction, w, M), member, oracle_member,
+                lambda site, cfg, d, w, m, f, o: "member mismatch %s %s %s "
+                "w=%d on %s: fast=%r oracle=%r"
+                % (site, cfg.z_mode, d, w, fmt_module(m), f, o))
 
     c_sig = rep.check("agree_sigma")
     c_st = rep.check("agree_step")
@@ -698,20 +700,17 @@ def agreement_suite(seed: int = 1, samples: int = 200) -> SuiteReport:
             M = sampling.random_module(rng)
         else:
             M = sampling.random_torsion_module(rng, max_len=site.n)
-        _record(c_sig, M, lambda m: sigma(site, cfg, "le", w, m).sub,
-                lambda m: oracle_max_sub(site, cfg, w, m),
-                lambda m, f, o: "sigma mismatch %s %s w=%d on %s: fast=%s "
-                "oracle=%s" % (site, cfg.z_mode, w, fmt_module(m),
-                               fmt_module(f), fmt_module(o)))
-        fs = step(site, cfg, M)
-        ss = oracle_step(site, cfg, M)
-        c_st.record(fs == ss, "step mismatch %s %s on %s: fast=%r oracle=%r"
-                    % (site, cfg.z_mode, fmt_module(M), fs, ss))
+        _record(c_sig, (site, cfg, w, M),
+                lambda site, cfg, w, m: sigma(site, cfg, "le", w, m).sub,
+                oracle_max_sub,
+                lambda site, cfg, w, m, f, o: "sigma mismatch %s %s w=%d on "
+                "%s: fast=%s oracle=%s" % (site, cfg.z_mode, w, fmt_module(m),
+                                           fmt_module(f), fmt_module(o)))
+        _record(c_st, (site, cfg, M), step, oracle_step,
+                lambda site, cfg, m, f, o: "step mismatch %s %s on %s: "
+                "fast=%r oracle=%r" % (site, cfg.z_mode, fmt_module(m), f, o))
 
     c_ais = rep.check("agree_aisle")
-    from .derived import FormalObject
-    from .stag import Perversity, aisle_member
-
     for _ in range(samples):
         cfg = rng.choice(cfgs)
         pU = rng.choice([-1, 0, 1])
@@ -719,32 +718,13 @@ def agreement_suite(seed: int = 1, samples: int = 200) -> SuiteReport:
         comps = sampling.random_formal_components(rng, deg_lo=-2, deg_hi=2,
                                                   max_len=3)
         which = rng.choice(["le0", "ge0"])
-        p = Perversity(pU, pZ)
-        fast = aisle_member(cfg, p, FormalObject(components=dict(comps)),
-                            which)
-        slow = oracle_aisle(cfg, pU, pZ, comps, which)
-        if fast != slow:
-            # shrink by dropping whole degrees, then summands inside them
-            def bad(cc):
-                return aisle_member(cfg, p, FormalObject(components=dict(cc)),
-                                    which) != oracle_aisle(cfg, pU, pZ, cc, which)
-            for k in sorted(list(comps)):
-                trial = {kk: vv for kk, vv in comps.items() if kk != k}
-                if bad(trial):
-                    comps = trial
-            for k in sorted(list(comps)):
-                def badk(mm, _k=k):
-                    cc = dict(comps)
-                    cc[_k] = mm
-                    return bad(cc)
-                comps[k] = _shrink_module(comps[k], badk)
-            c_ais.record(False,
-                         "aisle mismatch %s p=(%d,%d) %s on %r: fast=%r oracle=%r"
-                         % (cfg.z_mode, pU, pZ, which,
-                            {k: fmt_module(m) for k, m in comps.items()},
-                            aisle_member(cfg, p, FormalObject(components=dict(comps)), which),
-                            oracle_aisle(cfg, pU, pZ, comps, which)))
-        else:
-            c_ais.record(True, "")
+        _record(c_ais, (cfg, pU, pZ, comps, which),
+                lambda cfg, pU, pZ, cc, which: aisle_member(
+                    cfg, Perversity(pU, pZ), FormalObject(cc), which),
+                oracle_aisle,
+                lambda cfg, pU, pZ, cc, which, f, o: "aisle mismatch %s "
+                "p=(%d,%d) %s on %r: fast=%r oracle=%r"
+                % (cfg.z_mode, pU, pZ, which,
+                   {k: fmt_module(m) for k, m in cc.items()}, f, o))
 
     return rep

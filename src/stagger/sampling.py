@@ -92,12 +92,11 @@ def random_sub_quotient(rng: random.Random, M: GradedModule):
 
 
 def random_formal_components(rng: random.Random, deg_lo: int = -2,
-                             deg_hi: int = 2, allow_free: bool = True,
-                             max_len: int = MAX_LEN) -> dict:
+                             deg_hi: int = 2, max_len: int = MAX_LEN) -> dict:
     comps = {}
     for k in range(deg_lo, deg_hi + 1):
         if rng.random() < 0.45:
-            m = random_module(rng, allow_free=allow_free, max_len=max_len)
+            m = random_module(rng, max_len=max_len)
             if not m.is_zero:
                 comps[k] = m
     return comps

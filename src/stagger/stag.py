@@ -791,16 +791,13 @@ def tstructure_suite(cfg: SConfig, seed: int = 1, samples: int = 200
                  % (Fo, level, p))
 
         # (iv) duality exchanges the truncations
-        c = rep.check("T4_duality_exchange")
         pd = dual_perversity(cfg, p)
-        if cfg.z_mode == "trivial" or validate_perversity(cfg, pd).strict:
-            trd = stag_truncate(cfg, pd, dualize(Fo), -level - 1)
-            ok = (dualize(tr.above) == trd.below) and \
-                (dualize(tr.below) == trd.above)
-            c.record(ok, "duality exchange failed: %s level %d p=%s"
-                     % (Fo, level, p))
-        else:
-            c.record(True, "")
+        pre = cfg.z_mode == "trivial" or validate_perversity(cfg, pd).strict
+        trd = stag_truncate(cfg, pd, dualize(Fo), -level - 1) if pre else None
+        rep.check("T4_duality_exchange").record(
+            not pre or (dualize(tr.above) == trd.below
+                        and dualize(tr.below) == trd.above),
+            "duality exchange failed: %s level %d p=%s" % (Fo, level, p))
 
         # (v) the lower aisle is stable under standard truncation
         c = rep.check("T5_std_stability")

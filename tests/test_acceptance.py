@@ -41,7 +41,7 @@ from stagger.stag import (
 )
 from stagger.flag import flag_verify
 from stagger.oracle import agreement_suite
-from stagger import sampling
+from stagger import sampling, sstruct
 import stagger.cli as cli
 
 W = SConfig("weight")
@@ -127,7 +127,7 @@ def test_criterion_07_self_duality_of_simples():
     _ok(7, "duality fixes O_X and sends S_Z(n) to S_Z(1-n)")
 
 
-def test_criterion_08_axiom_suite():
+def test_criterion_08_axiom_suite(monkeypatch):
     for mode in (W, TR):
         for seed in (1, 2, 3):
             rep = axiom_suite(mode, seed=seed, samples=200)
@@ -141,7 +141,8 @@ def test_criterion_08_axiom_suite():
         cut = w if direction == "le" else w - 1
         return dataclasses.replace(wit, w=w, cut=cut)
 
-    fault = axiom_suite(W, seed=1, samples=200, sigma_fn=bad_sigma)
+    monkeypatch.setattr(sstruct, "sigma", bad_sigma)
+    fault = axiom_suite(W, seed=1, samples=200)
     assert fault.violation_count() >= 1
     _ok(8, "S1-S9 + A1-A2 clean (both modes, seeds 1-3); fault test trips")
 
@@ -158,7 +159,7 @@ def test_criterion_09_tstructure_suite():
     rng = random.Random(9)
     for _ in range(50):
         Fo = FormalObject(
-            sampling.random_formal_components(rng, -2, 2, allow_free=True, max_len=3)
+            sampling.random_formal_components(rng, -2, 2, max_len=3)
         )
         n = rng.randint(-2, 2)
         tr = stag_truncate(TR, P01, Fo, n)
@@ -178,7 +179,7 @@ def test_criterion_10_duality_identities():
     rng = random.Random(10)
     for _ in range(200):
         Fo = FormalObject(
-            sampling.random_formal_components(rng, -2, 2, allow_free=True, max_len=4)
+            sampling.random_formal_components(rng, -2, 2, max_len=4)
         )
         n = rng.randint(1, 4)
         assert dualize(dualize(Fo)) == Fo

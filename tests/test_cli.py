@@ -432,18 +432,22 @@ def test_malformed_json_presentation_exit_one(capsys, text, names):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
-def _run_cli(*argv, timeout=20):
-    """``python -m stagger.cli *argv`` in a fresh process, with the
-    directory this ``stagger`` was imported from first on the child's
-    PYTHONPATH (the caller may have put it on ``sys.path`` some other
-    way); returns the finished process and its wall time."""
+def _child_env():
+    """The environment with the directory this ``stagger`` was imported
+    from first on PYTHONPATH (the caller may have put it on ``sys.path``
+    some other way)."""
     pkg_dir = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [pkg_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def _run_cli(*argv, timeout=20):
+    """``python -m stagger.cli *argv`` in a fresh process (``_child_env``);
+    returns the finished process and its wall time."""
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "stagger.cli", *argv],
                           capture_output=True, text=True, timeout=timeout,
-                          env=env)
+                          env=_child_env())
     return proc, time.perf_counter() - t0
 
 
@@ -488,6 +492,25 @@ def test_entry_point_subprocess():
     proc, _elapsed = _run_cli("decompose", "F(0)")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "F(0)"
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # the reader leaves after one line, and the rest of the 270 KB of
+    # output overflows the pipe
+    proc = subprocess.Popen([sys.executable, "-m", "stagger.cli", "simples",
+                             "--n-lo=-4999", "--n-hi=5000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env())
+    try:
+        assert proc.stdout.readline().startswith(b"OX")
+        proc.stdout.close()
+        rc = proc.wait(timeout=20)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in err and "Error" not in err
+    assert rc == 1
 
 
 @pytest.mark.parametrize("argv, what", [

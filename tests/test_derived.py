@@ -40,7 +40,7 @@ from stagger import sampling
 
 def _random_formal(rng):
     return FormalObject(
-        sampling.random_formal_components(rng, -2, 2, allow_free=True, max_len=4)
+        sampling.random_formal_components(rng, -2, 2, max_len=4)
     )
 
 
@@ -187,7 +187,7 @@ def test_pushforward_adjunction_reduced_point():
     rng = random.Random(7)
     for _ in range(200):
         Fo = FormalObject(
-            sampling.random_formal_components(rng, -1, 1, allow_free=True, max_len=3)
+            sampling.random_formal_components(rng, -1, 1, max_len=3)
         )
         G = formal(sampling.random_torsion_module(rng, max_len=1), rng.randint(-1, 1))
         assert derived_hom(site_z(1), li_star(Fo, 1), G) == derived_hom(

@@ -6,7 +6,9 @@ is the main correctness argument for both sides.
 """
 
 import random
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -107,6 +109,59 @@ def test_shrink_preserves_failure():
         small = _shrink_module(M, fails)
         assert fails(small)
         assert small.rank + len(small.torsion) == 1
+
+
+def test_shrink_module_on_components_drops_degrees_then_summands():
+    # a dict of modules keyed by degree loses whole degrees, then summands
+    comps = {-1: gm([3], [(0, 2)]), 0: gm([2, 2, -4], [(1, 3)]), 2: T(5, 1)}
+
+    def fails(cc):
+        return any(2 in m.free for m in cc.values())
+
+    assert _shrink_module(comps, fails) == {0: F(2)}
+
+
+# Each fault wounds one fast path where its input holds a given summand, so
+# the one minimal failing input is a single such summand.  ``real != cond``
+# flips a boolean answer exactly where ``cond`` holds.
+_FAULTS = {
+    "agree_decompose": ("canonical_decompose", lambda real: lambda p: ZERO,
+                        r"gens=(\(.*?\)) cols=(\(.*?\)) "),
+    "agree_hom_ext": ("hom_dim",
+                      lambda real: lambda M, N: real(M, N) + bool(M.free),
+                      r"on \(F\(-?\d+\), 0\): "),
+    "agree_member": ("member", lambda real: lambda s, c, d, w, M:
+                     real(s, c, d, w, M) != bool(M.torsion),
+                     r"on T\(-?\d+,1\): "),
+    "agree_sigma": ("sigma", lambda real: lambda s, c, d, w, M:
+                    SimpleNamespace(sub=grmod.direct_sum(
+                        real(s, c, d, w, M).sub, T(0, 1)) if M.torsion
+                        else real(s, c, d, w, M).sub),
+                    r"on T\(-?\d+,1\): "),
+    "agree_step": ("step", lambda real: lambda s, c, M:
+                   None if M.torsion else real(s, c, M),
+                   r"on T\(-?\d+,\d+\): fast=None oracle=-?\d+$"),
+    "agree_aisle": ("aisle_member", lambda real: lambda c, p, Fo, which:
+                    real(c, p, Fo, which)
+                    != any(2 in m.free for m in Fo.components.values()),
+                    r"on (\{-?\d+: 'F\(2\)'\}): "),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_FAULTS))
+def test_every_agreement_check_records_a_shrunk_witness(monkeypatch, label):
+    name, wound, pattern = _FAULTS[label]
+    monkeypatch.setattr(oracle, name, wound(getattr(oracle, name)))
+    rep = agreement_suite(seed=1, samples=60)
+    assert {k for k, c in rep.checks.items() if c.violations} == {label}
+    msgs = rep.checks[label].violations
+    assert msgs and all(re.search(pattern, m) for m in msgs), msgs
+    if label == "agree_decompose":
+        # a presentation is echoed as drawn: the first with a nonzero cokernel
+        rng = random.Random(1)
+        drawn = (_random_presentation(rng) for _ in range(60))
+        p = next(q for q in drawn if not canonical_decompose(q).is_zero)
+        assert "gens=%r cols=%r " % (p.gens, p.rel.col_weights) in msgs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from stagger.sstruct import (
     site_z,
     step,
 )
-from stagger import sampling
+from stagger import sampling, sstruct
 
 W = SConfig("weight")
 TR = SConfig("trivial")
@@ -267,7 +267,7 @@ def test_axiom_suite_clean(mode):
     assert rep.ok, "\n".join(rep.summary_lines())
 
 
-def test_axiom_suite_detects_faulty_sigma():
+def test_axiom_suite_detects_faulty_sigma(monkeypatch):
     """A sigma that cuts one weight too high while reporting the requested
     cut (a classic off-by-one) must be caught by the witness audit."""
     import dataclasses
@@ -278,6 +278,7 @@ def test_axiom_suite_detects_faulty_sigma():
         cut = w if direction == "le" else w - 1
         return dataclasses.replace(wit, w=w, cut=cut)
 
-    rep = axiom_suite(W, seed=1, samples=80, sigma_fn=bad_sigma)
+    monkeypatch.setattr(sstruct, "sigma", bad_sigma)
+    rep = axiom_suite(W, seed=1, samples=80)
     assert not rep.ok
     assert rep.violation_count() >= 1

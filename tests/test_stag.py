@@ -203,7 +203,7 @@ def test_truncation_random_audit():
 
     for _ in range(60):
         Fo = FormalObject(
-            sampling.random_formal_components(rng, -2, 2, allow_free=True, max_len=3)
+            sampling.random_formal_components(rng, -2, 2, max_len=3)
         )
         n = rng.randint(-3, 3)
         tr = stag_truncate(W, P01, Fo, n)
@@ -735,7 +735,7 @@ def test_truncation_other_perversities():
         for _ in range(25):
             Fo = FormalObject(
                 sampling.random_formal_components(
-                    rng, -2, 2, allow_free=True, max_len=3
+                    rng, -2, 2, max_len=3
                 )
             )
             tr = stag_truncate(W, p, Fo, rng.randint(-2, 2))
