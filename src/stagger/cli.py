@@ -17,6 +17,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from .grmod import (
+    GradedModule,
     Presentation,
     canonical_decompose,
     fmt_module,
@@ -55,7 +56,7 @@ from .stag import (
 )
 from .flag import flag_verify
 from .oracle import (
-    _shrink_module,
+    _disagreement,
     agreement_suite,
     oracle_aisle,
     oracle_decompose,
@@ -171,16 +172,6 @@ def _direction(args) -> tuple:
     raise _ArgError("one of --le W or --ge W is required")
 
 
-def _diff_payload(kind: str, expr_in: str, fast, slow, minimized) -> dict:
-    return {
-        "oracle_diff": kind,
-        "input": expr_in,
-        "fast": fast,
-        "oracle": slow,
-        "minimized": minimized,
-    }
-
-
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -188,13 +179,13 @@ def _diff_payload(kind: str, expr_in: str, fast, slow, minimized) -> dict:
 
 # Widest weight window that --oracle accepts: highest minus lowest of the
 # subject's occupied weights and of the level (member, sigma) or weight 0
-# (step), which the oracle's window also covers.  A search reads probes over
-# the whole window and ranks of x across it, so the oracles' cost grows with
-# about the third power of the span.  On a 2-vCPU host (Python 3.11, best of
-# 3), oracle_step on T(32,32)+T(0,1) takes 0.008-0.009 s in-process and `step
-# --oracle` on it 0.10-0.11 s in a fresh process, about 0.1 s of it start-up;
-# at span 64 oracle_step takes 0.057-0.060 s, and at span 200 oracle_member
-# 0.023-0.027 s.  `decompose --oracle` on a presentation of span 32 with
+# (step), which the oracle's probe search also reaches.  A search reads
+# probes over that span and ranks of x across it, so the oracles' cost grows
+# with about the third power of the span.  On a 2-vCPU host (Python 3.11,
+# best of 3), oracle_step on T(32,32)+T(0,1) takes 0.008-0.009 s in-process
+# and `step --oracle` on it 0.10-0.11 s in a fresh process, about 0.1 s of
+# it start-up; at span 64 oracle_step takes 0.057-0.060 s, and at span 200
+# oracle_member 0.023-0.027 s.  `decompose --oracle` on a presentation of span 32 with
 # dependent, non-diagonal relations takes 0.10-0.13 s in a fresh process.
 ORACLE_WEIGHT_BUDGET = 32
 
@@ -228,20 +219,21 @@ def _oracle_extent(subject, reach: Tuple[int, ...] = ()) -> Tuple[int, int]:
 
 
 def _checked(args, kind: str, subject, fast, oracle, render,
-             answer=lambda v: v, audit=None, shrink: bool = False,
+             answer=lambda v: v, audit=None,
              reach: Tuple[int, ...] = ()) -> int:
     """Run a verb whose answer the brute-force oracle can cross-check.
 
     ``fast(subject)`` is the verb's result and ``audit(result)`` lists its
     own self-check failures (exit 2).  With --oracle, ``answer(result)``
     (the result itself by default) must equal ``oracle(subject, result)``;
-    on a mismatch the input is shrunk to a minimal disagreement when
-    ``shrink`` is set (otherwise echoed back), the diff is emitted and the
-    exit code is 2.  Otherwise ``render(result)`` gives the payload and
-    the text lines.  An --oracle subject whose weights, with the weights
-    ``reach`` the oracle's window also covers (a level, or weight 0), span
-    more than ``ORACLE_WEIGHT_BUDGET``, or that has more generators plus
-    relations than ``ORACLE_SIZE_BUDGET``, is refused as an input error.
+    on a mismatch the diff is emitted with the subject shrunk to a minimal
+    disagreement (``oracle._disagreement``; a presentation or a formal
+    object has nothing smaller and is echoed back), and the exit code is 2.
+    Otherwise ``render(result)`` gives the payload and the text lines.  An
+    --oracle subject whose weights, with the weights ``reach`` its probe
+    search also reaches (a level, or weight 0), span more than
+    ``ORACLE_WEIGHT_BUDGET``, or that has more generators plus relations
+    than ``ORACLE_SIZE_BUDGET``, is refused as an input error.
     """
     span, size = _oracle_extent(subject, reach) if args.oracle else (0, 0)
     if span > ORACLE_WEIGHT_BUDGET:
@@ -260,13 +252,11 @@ def _checked(args, kind: str, subject, fast, oracle, render,
     if args.oracle:
         got, ref = answer(val), oracle(subject, val)
         if got != ref:
-            minimized = args.expr
-            if shrink:
-                def fails(m) -> bool:
-                    v = fast(m)
-                    return answer(v) != oracle(m, v)
-                minimized = fmt_module(_shrink_module(subject, fails))
-            _emit(args, _diff_payload(kind, args.expr, got, ref, minimized))
+            (small,) = _disagreement((subject,), lambda s: answer(fast(s)),
+                                     lambda s: oracle(s, fast(s)))
+            _emit(args, {"oracle_diff": kind, "input": args.expr, "fast": got,
+                         "oracle": ref, "minimized": fmt_module(small)
+                         if isinstance(small, GradedModule) else args.expr})
             return 2
     _emit(args, *render(val))
     return 0
@@ -290,7 +280,7 @@ def _cmd_member(args) -> int:
     cfg = SConfig(args.z_mode)
     direction, w = _direction(args)
     return _checked(
-        args, "member", parse_module(args.expr), shrink=True, reach=(w,),
+        args, "member", parse_module(args.expr), reach=(w,),
         fast=lambda m: member(site, cfg, direction, w, m),
         oracle=lambda m, _v: oracle_member(site, cfg, direction, w, m),
         render=lambda v: ({"member": v, "site": str(site),
@@ -304,7 +294,7 @@ def _cmd_sigma(args) -> int:
     cfg = SConfig(args.z_mode)
     direction, w = _direction(args)
     return _checked(
-        args, "sigma", parse_module(args.expr), shrink=True, reach=(w,),
+        args, "sigma", parse_module(args.expr), reach=(w,),
         fast=lambda m: sigma(site, cfg, direction, w, m),
         audit=lambda wit: wit.verify(),
         answer=lambda wit: fmt_module(wit.sub),
@@ -321,7 +311,7 @@ def _cmd_step(args) -> int:
     site = _parse_site(args.site)
     cfg = SConfig(args.z_mode)
     return _checked(
-        args, "step", parse_module(args.expr), shrink=True, reach=(0,),
+        args, "step", parse_module(args.expr), reach=(0,),
         fast=lambda m: step(site, cfg, m),
         oracle=lambda m, _v: oracle_step(site, cfg, m),
         render=lambda v: ({"step": v}, [str(v)]),

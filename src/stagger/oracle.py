@@ -1,7 +1,7 @@
 """Brute-force oracles for the graded-module and s-structure operations.
 
-Everything here recomputes results from first principles on a finite
-window of weights, with one exact rank algorithm over the rationals
+Everything here recomputes results from first principles, from the ranks
+of x on a module, with one exact rank algorithm over the rationals
 (fraction-free Bareiss elimination, ``_mat_rank``) and no code shared with
 the closed-form fast paths.  An integral entry is stored as an ``int`` and
 any other as a ``Fraction``.  The intended use is the agreement suite:
@@ -9,30 +9,29 @@ every optimized operation in the package is cross-checked against its
 oracle on randomized inputs, and a disagreement is shrunk to a small
 counterexample.
 
-Window soundness.  A finitely generated graded module is determined on the
-window [lo, hi] with lo = (min occupied weight) - 2 and hi = (max occupied
-weight) + 2: all torsion socles are >= lo + 2, so only free strings are
-alive at the floor lo, and nothing is generated above hi - 2.  A free
-string is counted at the floor and recognized by its reach.
-
 Ranks of x.  A graded k[x]-module N is fixed by the ranks rho(s, a) of the
 powers x^(s-a) : N_s -> N_a, and ``_decode`` reads its canonical
 decomposition off a few of them, at its breakpoints (the generator and
-relation weights) and the floor.  Each rank is read straight off the
+relation weights) and a floor.  Each rank is read straight off the
 presentation, as ranks of blocks of its relation matrix keyed by breakpoint
-(``_x_ranks``), with no basis or x-matrix built.  The decomposition, the
-hom/ext dimensions and the maximal sub (whose ranks are closed forms in the
-module's) read nothing else.  A model ranks a weight on the first read of
-it and never one that is not read.
+(``_x_ranks``), with no basis or x-matrix built, and is exact at every
+weight.  The decomposition, the hom/ext dimensions and the maximal sub
+(whose ranks are closed forms in the module's) read nothing else.  A model
+(``RankModel``) ranks a weight on the first read of it and never one that
+is not read.
+
+The floor.  A model's floor is its presentation's least generator or
+relation weight minus 2.  A torsion string is born at a relation weight, so
+its socle lies above the floor, and only free strings are alive there or
+below: a free string is counted at the floor and recognized by its reach.
 
 Probes.  ``oracle_aisle``, ``oracle_member`` and ``oracle_step`` decide by
 Hom-orthogonality against probes that are single strings, F(a) or T(a, l),
 named by (kind, weight, length) triples.  Hom and Ext^1 between a string
 and a module are a kernel and a cokernel of one power of x on the module
 (``_out_of``, ``_into``), so each call builds one model per distinct
-subject module, on one window in closed form from the subject and the
-probe range, and no probe module or probe model; the models live for that
-call only.
+subject module, and no probe module or probe model; the models live for
+that call only.
 """
 from __future__ import annotations
 
@@ -121,57 +120,43 @@ def _mat_rank(rows: List[List[Fraction]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# window models, ranked weight by weight on first read
+# rank models, exact at every weight
 # ---------------------------------------------------------------------------
 
 
-class _Lazy(dict):
-    """weight -> value, made by ``make(w)`` on the first read of a weight of
-    [lo, hi] and kept.  Read it by indexing: a weight outside the window
-    raises, since the model knows nothing there and reading 0 would answer
-    silently wrong."""
+class RankModel:
+    """The ranks of x on coker(p), read off the presentation p.
 
-    def __init__(self, make: Callable[[int], object], lo: int, hi: int):
-        super().__init__()
-        self.make, self.lo, self.hi = make, lo, hi
-
-    def __missing__(self, w: int):
-        if not self.lo <= w <= self.hi:
-            raise AssertionError("oracle read weight %d outside the window "
-                                 "[%d, %d]" % (w, self.lo, self.hi))
-        val = self[w] = self.make(w)
-        return val
-
-
-class WindowModel:
-    """Window model of coker of a monomial-graded matrix on [lo, hi].
-
-    ``dims[w]`` is dim M_w and ``rank(j, w)`` the rank of x^j : M_{w+j} ->
-    M_w, both read off ranks of blocks of the relation matrix (``_x_ranks``)
-    on their first read.  A weight outside [lo, hi] raises (``_Lazy``).
+    ``dim(w)`` is dim M_w and ``rank(j, w)`` the rank of x^j : M_{w+j} ->
+    M_w, both exact at every weight and read off ranks of blocks of the
+    relation matrix (``_x_ranks``); a block and a dimension are each
+    computed on their first read and kept.  ``floor`` is the least
+    generator or relation weight minus 2: it lies below every socle, so
+    only free strings are alive there.
     """
 
-    def __init__(self, gens: Sequence[int], colw: Sequence[int],
-                 entries: Dict[Tuple[int, int], Fraction], lo: int, hi: int):
-        self.lo, self.hi = lo, hi
-        gens = tuple(gens)
+    def __init__(self, p: Presentation):
+        self.floor = min(p.gens + p.rel.col_weights, default=0) - 2
         cols: List[Tuple[int, Dict[int, Fraction]]] = \
-            [(v, {}) for v in colw]  # (weight, {generator: coefficient})
-        for (i, j), c in entries.items():
+            [(v, {}) for v in p.rel.col_weights]  # (weight, {generator: c})
+        for (i, j), c in p.rel.entries.items():
             cols[j][1][i] = _q(c)
         # the reader closes over the data, not over the model, so that a
         # model is freed as soon as its call drops it, with no cycle to wait
         # for the garbage collector
-        x_rank = self._x_rank = _x_ranks(gens, cols)
-        self.dims = _Lazy(lambda w: x_rank(0, w), lo, hi)
+        self._x_rank = _x_ranks(p.gens, cols)
+        self._dims: Dict[int, int] = {}
+
+    def dim(self, w: int) -> int:
+        d = self._dims.get(w)
+        if d is None:
+            d = self._dims[w] = self._x_rank(0, w)
+        return d
 
     def rank(self, j: int, w: int) -> int:
-        """The rank of x^j : M_{w+j} -> M_w.  Both ends are read through
-        ``dims``, so a weight outside the window raises there."""
-        source, target = self.dims[w + j], self.dims[w]
-        if not (source and target):
-            return 0  # a map out of or into a zero space
-        return self._x_rank(j, w)
+        """The rank of x^j : M_{w+j} -> M_w: 0, with no block ranked, when
+        either end is zero."""
+        return self._x_rank(j, w) if self.dim(w + j) and self.dim(w) else 0
 
 
 def _x_ranks(gens: Tuple[int, ...],
@@ -214,12 +199,8 @@ def _x_ranks(gens: Tuple[int, ...],
     return x_rank
 
 
-def _model_of_presentation(p: Presentation, lo: int, hi: int) -> WindowModel:
-    return WindowModel(p.gens, p.rel.col_weights, p.rel.entries, lo, hi)
-
-
-def _model_of_module(M: GradedModule, lo: int, hi: int) -> WindowModel:
-    return _model_of_presentation(present(M), lo, hi)
+def _model_of_module(M: GradedModule) -> RankModel:
+    return RankModel(present(M))
 
 
 # ---------------------------------------------------------------------------
@@ -272,107 +253,96 @@ def _decode(rho: Callable[[int, int], int], tops: Iterable[int],
 
 
 def oracle_decompose(p: Presentation) -> GradedModule:
-    """Canonical form of coker(p) from the ranks of x on its window, read
-    off the relation matrix."""
+    """Canonical form of coker(p) from the ranks of x, read off the relation
+    matrix at its breakpoints and its model's floor."""
     if not p.gens:
         return ZERO
-    ws = list(p.gens) + list(p.rel.col_weights)
-    lo, hi = min(ws) - 2, max(ws) + 2
-    model = _model_of_presentation(p, lo, hi)
+    model = RankModel(p)
     return _decode(lambda s, a: model.rank(s - a, a), p.gens,
-                   sorted(set(ws)), lo)
+                   sorted(set(p.gens + p.rel.col_weights)), model.floor)
 
 
 Probe = Tuple[str, int, int]  # ("F", a, 0) is F(a), ("T", a, l) is T(a, l)
 
 
-def _ker_coker(model: WindowModel, top: int, m: int) -> Tuple[int, int]:
+def _ker_coker(model: RankModel, top: int, m: int) -> Tuple[int, int]:
     """(dim ker, dim coker) of x^m : M_top -> M_{top-m}, read off a model of
     M: d(top) - r(m, top-m) and d(top-m) - r(m, top-m), with d(w) = dim M_w
     and r(j, w) the rank of x^j : M_{w+j} -> M_w."""
     rk = model.rank(m, top - m)
-    return model.dims[top] - rk, model.dims[top - m] - rk
+    return model.dim(top) - rk, model.dim(top - m) - rk
 
 
-def _out_of(model: WindowModel, probe: Probe) -> Tuple[int, int]:
+def _out_of(model: RankModel, probe: Probe) -> Tuple[int, int]:
     """(dim Hom, dim Ext^1) out of a probe string into N, read off a model
     of N: (N_a, 0) out of F(a), and out of T(a, l) the kernel and cokernel
     of x^l : N_a -> N_{a-l} (apply Hom(-, N) to 0 -> F(a-l) -> F(a) ->
     T(a, l) -> 0)."""
     kind, a, l = probe
     if kind == "F":
-        return model.dims[a], 0
+        return model.dim(a), 0
     return _ker_coker(model, a, l)
 
 
-def _into(model: WindowModel, probe: Probe) -> Tuple[int, int]:
+def _into(model: RankModel, probe: Probe) -> Tuple[int, int]:
     """(dim Hom, dim Ext^1) out of M into a probe string, read off a model
     of M: the cokernel and the kernel of x^m : M_{a+1} -> M_{a+1-m}, with
     m = l for T(a, l) (Hom is M / x^l M at its socle weight).  For F(a),
-    m = a+1-lo with lo the window floor, where window soundness leaves only
-    free strings alive: the cokernel counts the free strings of M generated
-    at a or below, and the kernel the torsion strings alive at a+1."""
+    m = max(a+1-floor, 0) with the model's floor, where only free strings
+    are alive: the cokernel counts the free strings of M generated at a or
+    below, and the kernel the torsion strings alive at a+1.  Below the
+    floor m = 0, and both are 0."""
     kind, a, l = probe
-    m = l if kind == "T" else a + 1 - model.lo
+    m = l if kind == "T" else max(a + 1 - model.floor, 0)
     ker, coker = _ker_coker(model, a + 1, m)
     return coker, ker
 
 
-def _hom_ext(M: GradedModule, model: WindowModel) -> Tuple[int, int]:
-    """(dim Hom, dim Ext^1) out of M, read off a window model of the target,
-    summand by summand (``_out_of``).  A weight outside the model's window
-    raises (``_Lazy``): the model knows nothing there, and reading 0 would
-    answer silently wrong."""
+def _hom_ext(M: GradedModule, model: RankModel) -> Tuple[int, int]:
+    """(dim Hom, dim Ext^1) out of M, read off a model of the target,
+    summand by summand (``_out_of``)."""
     pairs = [_out_of(model, ("F", a, 0)) for a in M.free] + \
         [_out_of(model, ("T", g, n)) for g, n in M.torsion]
     return (sum(h for h, _ in pairs), sum(e for _, e in pairs))
 
 
 def oracle_hom_ext(M: GradedModule, N: GradedModule) -> Tuple[int, int]:
-    """(dim Hom, dim Ext^1) from the ranks of x on N, on the window of M
-    and N padded by 2 (see ``_hom_ext``)."""
+    """(dim Hom, dim Ext^1) from the ranks of x on N, read off one model of
+    N (see ``_hom_ext``)."""
     if M.is_zero or N.is_zero:
         return (0, 0)
-    ws = M.occupied_window() + N.occupied_window()
-    return _hom_ext(M, _model_of_module(N, min(ws) - 2, max(ws) + 2))
+    return _hom_ext(M, _model_of_module(N))
 
 
 def oracle_max_sub(site: Site, cfg: SConfig, w: int,
                    M: GradedModule) -> GradedModule:
     """Maximal submodule of M lying in C_{<=w}: its ranks of x are closed
     forms in those of M (``_max_sub``), decoded back into strings."""
-    return _max_sub(site, cfg, w, M, _model_of_module)
+    return _max_sub(site, cfg, w, M, _model_of_module(M))
 
 
 def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
-             model_of: Callable[[GradedModule, int, int], WindowModel]
-             ) -> GradedModule:
-    """``oracle_max_sub`` on its window [lo, hi], reading ``model_of(M, lo,
-    hi)``, a model of M whose window contains [lo, hi].
+             model: RankModel) -> GradedModule:
+    """``oracle_max_sub``, read off ``model``, a model of M.
 
     On Z_n, or on X with w >= 0, the sub S is M at the weights <= w; on X
     with w < 0 only torsion may generate, and S is the torsion at the
     weights <= w.  With rho(s, a) the rank of x^(s-a) : M_s -> M_a,
     rho_S(s, a) = 0 when s > w and rho_S(s, a) = rho(s, a) otherwise,
-    except on X with w < 0.  There S_s is the torsion of M_s, which window
-    soundness makes ker x^(s - lo) : M_s -> M_lo and which contains
-    ker x^(s-a) for a >= lo, so rho_S(s, a) = dim S_s - dim ker x^(s-a) =
-    rho(s, a) - rho(s, lo).  S is generated at M's generator weights <= w
-    and at w; its breakpoints are M's generator and relation weights and w.
+    except on X with w < 0.  There S_s is the torsion of M_s, which is
+    ker x^(s - lo) : M_s -> M_lo at any lo at or below the model's floor,
+    and which contains ker x^(s-a) for a >= lo, so rho_S(s, a) = dim S_s -
+    dim ker x^(s-a) = rho(s, a) - rho(s, lo).  S is generated at M's
+    generator weights <= w and at w; its breakpoints are M's generator and
+    relation weights and w, and it is decoded at lo = min(floor, w - 2).
     """
     check_on_site(site, M)
     if M.is_zero:
         return ZERO
     if cfg.z_mode == "trivial" or site.kind == "U":
         return M if w >= 0 else ZERO
-    occ_lo, occ_hi = M.occupied_window()
-    lo, hi = min(occ_lo, w) - 2, occ_hi + 2
-    model = model_of(M, lo, hi)
-    if model.lo > lo or model.hi < hi:
-        raise AssertionError("model window [%d, %d] misses [%d, %d]"
-                             % (model.lo, model.hi, lo, hi))
+    lo = min(model.floor, w - 2)
     torsion_only = site.kind == "X" and w < 0
-    w = min(w, occ_hi)  # the same sub, and w + 1 stays in the window
 
     def rho(s: int, a: int) -> int:
         if s > w:
@@ -423,49 +393,39 @@ def _member_family(site: Site, cfg: SConfig, bound: str, c: int,
         yield from (("F", b, 0) for b in range(lo, hi + 1))
 
 
-def _member_window(M: GradedModule, c: int) -> Tuple[int, int]:
-    """One window for M and every weight its member families at level c
-    read: with [lo, hi] M's occupied window and L its longest string (at
-    least 1), every read lies in [min(lo - L, c), hi + 1]; padded by 2."""
-    lo, hi = M.occupied_window()
-    return min(lo - max(1, M.max_torsion_length()), c) - 2, hi + 2
-
-
 def oracle_member(site: Site, cfg: SConfig, direction: str, w: int,
                   M: GradedModule) -> bool:
     """Membership by Hom-orthogonality against the opposite cone's family,
-    read off one window model of M."""
+    read off one model of M."""
     check_on_site(site, M)
     if M.is_zero:
         return True
+    model = _model_of_module(M)
     if direction == "ge":
-        model = _model_of_module(M, *_member_window(M, w - 1))
         return all(_out_of(model, C)[0] == 0
                    for C in _member_family(site, cfg, "le", w - 1, M))
     if direction == "le":
-        model = _model_of_module(M, *_member_window(M, w + 1))
         return all(_into(model, G)[0] == 0
                    for G in _member_family(site, cfg, "ge", w + 1, M))
     raise ValueError("direction must be 'le' or 'ge'")
 
 
 def oracle_step(site: Site, cfg: SConfig, M: GradedModule) -> Optional[int]:
-    """Step by exhaustive search over the window.
+    """Step by exhaustive search over M's weights and 0, one past each end.
 
     The first w with M in C_{<=w} (``oracle_member``'s 'le' test) is the
     step when the maximal sub in C_{<=w-1} is zero.  One model of M serves
-    the whole search; its window also covers that of the sub.
+    the whole search and the sub.
     """
     if M.is_zero:
         return None
     check_on_site(site, M)
     lo, hi = M.occupied_window()
-    ws = range(min(lo, 0) - 1, max(hi, 0) + 2)
-    model = _model_of_module(M, *_member_window(M, ws[0] - 1))
-    for w in ws:
+    model = _model_of_module(M)
+    for w in range(min(lo, 0) - 1, max(hi, 0) + 2):
         if all(_into(model, G)[0] == 0
                for G in _member_family(site, cfg, "ge", w + 1, M)):
-            sub = _max_sub(site, cfg, w - 1, M, lambda _N, _lo, _hi: model)
+            sub = _max_sub(site, cfg, w - 1, M, model)
             return w if sub.is_zero else None
     return None
 
@@ -486,25 +446,6 @@ def _probe_range(comps: Dict[int, GradedModule]) -> Tuple[range, range]:
                   max(hi for _, hi in windows) + pad + 1))
 
 
-class _Models:
-    """The window models of one ``oracle_aisle`` call: one window, in closed
-    form from the probe range and weight 0 (the structure sheaf's), and one
-    model on it per distinct component module, built on first use.  Every
-    probe is a single string, read off these; nothing is kept between calls.
-    """
-
-    def __init__(self, comps: Dict[int, GradedModule], lo: int, hi: int):
-        self.comps, self.lo, self.hi = comps, lo, hi
-        self.built: Dict[GradedModule, WindowModel] = {}
-
-    def at(self, k: int) -> Optional[WindowModel]:
-        """The model of the component in degree k, or None where it is 0."""
-        M = self.comps.get(k)
-        if M is not None and M not in self.built:
-            self.built[M] = _model_of_module(M, self.lo, self.hi)
-        return None if M is None else self.built[M]
-
-
 def oracle_aisle(cfg: SConfig, pU: int, pZ: int,
                  components: Dict[int, GradedModule], which: str) -> bool:
     """Aisle membership by orthogonality against shifted heart generators.
@@ -515,9 +456,9 @@ def oracle_aisle(cfg: SConfig, pU: int, pZ: int,
     generators placed by degree suffice.  Hom groups in degree 0 of the
     derived category,
     Hom_D(F, G)_0 = sum_k hom(F_k, G_k) + ext1(F_k, G_{k-1}),
-    are read off one model per distinct component module (``_Models``):
-    out of a probe by ``_out_of``, into one by ``_into``.  No probe module
-    or probe model is built.
+    are read off one model per distinct component module, kept for the
+    call: out of a probe by ``_out_of``, into one by ``_into``.  No probe
+    module or probe model is built.
     """
     if which not in ("le0", "ge0"):
         raise ValueError("which must be 'le0' or 'ge0'")
@@ -526,13 +467,12 @@ def oracle_aisle(cfg: SConfig, pU: int, pZ: int,
         return True
     if cfg.z_mode == "weight" and pZ != pU + 1:
         raise ValueError("weight-mode aisle oracle needs a strict perversity")
-    weights = _probe_range(comps)[1]
-    models = _Models(comps, min(weights[0], 0) - 2, max(weights[-1], 0) + 2)
+    models = {M: _model_of_module(M) for M in set(comps.values())}
     read, step = (_into, 1) if which == "le0" else (_out_of, -1)
     for d, probes in _aisle_generators(cfg, pU, pZ, comps, which):
         # Hom_D(F, C@d)_0 = hom(F_d, C) + ext1(F_{d+1}, C) on 'le0', and
         # Hom_D(C@d, F)_0 = hom(C, F_d) + ext1(C, F_{d-1}) on 'ge0'
-        hom_m, ext_m = models.at(d), models.at(d + step)
+        hom_m, ext_m = (models.get(comps.get(k)) for k in (d, d + step))
         for C in probes:
             if (hom_m and read(hom_m, C)[0]) or (ext_m and read(ext_m, C)[1]):
                 return False
@@ -607,21 +547,29 @@ def _smaller(x) -> Iterator:
             yield gm(x.free, x.torsion[:i] + ((g, n - 1),) + x.torsion[i + 1:])
 
 
-def _record(check, args: tuple, fast, slow, describe) -> None:
-    """Record whether ``fast(*args) == slow(*args)``.  On a disagreement
-    each argument in turn is shrunk (``_shrink_module``) with the others
-    held fixed, and the message is ``describe(*args, fast(*args),
-    slow(*args))``: a presentation, a site or a level is echoed as drawn."""
+def _disagreement(args: tuple, fast, slow) -> Optional[list]:
+    """None when ``fast(*args) == slow(*args)``; otherwise the arguments
+    with each in turn shrunk (``_shrink_module``) while the others are held
+    fixed, so that the two sides still disagree on them."""
     if fast(*args) == slow(*args):
-        check.record(True, "")
-        return
+        return None
     args = list(args)
     for i in range(len(args)):
         def fails(x, i=i):
             trial = args[:i] + [x] + args[i + 1:]
             return fast(*trial) != slow(*trial)
         args[i] = _shrink_module(args[i], fails)
-    check.record(False, describe(*args, fast(*args), slow(*args)))
+    return args
+
+
+def _record(check, args: tuple, fast, slow, describe) -> None:
+    """Record whether ``fast(*args) == slow(*args)``.  On a disagreement
+    the message is ``describe(*small, fast(*small), slow(*small))`` on the
+    shrunk arguments (``_disagreement``): a presentation, a site or a level
+    is echoed as drawn."""
+    small = _disagreement(args, fast, slow)
+    check.record(small is None, "" if small is None else
+                 describe(*small, fast(*small), slow(*small)))
 
 
 def _random_presentation(rng: random.Random) -> Presentation:

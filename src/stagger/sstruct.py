@@ -355,14 +355,13 @@ def axiom_suite(cfg: SConfig, seed: int = 1, samples: int = 200
                  and member(SITE_X, cfg, "le", w, Qt))
             or member(SITE_X, cfg, "le", w, M),
             "extension left C_{<=w}: " + ctx)
-        c = rep.check("S1_ge_sub_ext_X")
-        ok = True
-        if member(SITE_X, cfg, "ge", w, M):
-            ok = member(SITE_X, cfg, "ge", w, S)
-        if ok and member(SITE_X, cfg, "ge", w, S) \
-                and member(SITE_X, cfg, "ge", w, Qt):
-            ok = member(SITE_X, cfg, "ge", w, M)
-        c.record(ok, "C_{>=w} sub/ext closure failed: " + ctx)
+        rep.check("S1_ge_sub_ext_X").record(
+            (not member(SITE_X, cfg, "ge", w, M)
+             or member(SITE_X, cfg, "ge", w, S))
+            and (not (member(SITE_X, cfg, "ge", w, S)
+                      and member(SITE_X, cfg, "ge", w, Qt))
+                 or member(SITE_X, cfg, "ge", w, M)),
+            "C_{>=w} sub/ext closure failed: " + ctx)
 
         # ---- S2: nesting -------------------------------------------
         c = rep.check("S2_nesting")
@@ -442,14 +441,12 @@ def axiom_suite(cfg: SConfig, seed: int = 1, samples: int = 200
         SZ, _m, QZ = sampling.random_sub_quotient(rng, MZ)
         for nn in (n, MZ.max_torsion_length() + 1):
             zs = site_z(nn)
-            c = rep.check("S7_serre_ge_Zn")
-            ok = True
-            if member(zs, cfg, "ge", w, MZ):
-                ok = member(zs, cfg, "ge", w, SZ) and member(zs, cfg, "ge", w, QZ)
-            if ok and member(zs, cfg, "ge", w, SZ) and member(zs, cfg, "ge", w, QZ):
-                ok = member(zs, cfg, "ge", w, MZ)
-            c.record(ok, "S7 failed on %s sub %s quot %s w=%d n=%d"
-                     % (fmt_module(MZ), fmt_module(SZ), fmt_module(QZ), w, nn))
+            rep.check("S7_serre_ge_Zn").record(
+                member(zs, cfg, "ge", w, MZ)
+                == (member(zs, cfg, "ge", w, SZ)
+                    and member(zs, cfg, "ge", w, QZ)),
+                "S7 failed on %s sub %s quot %s w=%d n=%d"
+                % (fmt_module(MZ), fmt_module(SZ), fmt_module(QZ), w, nn))
 
         # ---- S8: tensor on Z_n --------------------------------------
         AZ = sampling.random_torsion_module(rng, max_len=n, nonzero=True)

@@ -807,7 +807,6 @@ def tstructure_suite(cfg: SConfig, seed: int = 1, samples: int = 200
                  "std truncation left the aisle: %s" % Fo)
 
         # (vi) pushforward from Z_n respects the aisles
-        c = rep.check("T6_push_z")
         nthick = rng.randint(1, 3)
         zc = {
             k: sampling.random_torsion_module(rng, max_len=nthick)
@@ -815,13 +814,11 @@ def tstructure_suite(cfg: SConfig, seed: int = 1, samples: int = 200
         }
         Gz = FormalObject(zc)
         zs = site_z(nthick)
-        ok = True
-        if aisle_member_z(cfg, p, zs, Gz, "le0"):
-            ok = aisle_member(cfg, p, push_z(nthick, Gz), "le0")
-        if ok and aisle_member_z(cfg, p, zs, Gz, "ge0"):
-            ok = aisle_member(cfg, p, push_z(nthick, Gz), "ge0")
-        c.record(ok, "push_z broke aisle membership: %s n=%d p=%s"
-                 % (Gz, nthick, p))
+        rep.check("T6_push_z").record(
+            all(not aisle_member_z(cfg, p, zs, Gz, which)
+                or aisle_member(cfg, p, push_z(nthick, Gz), which)
+                for which in ("le0", "ge0")),
+            "push_z broke aisle membership: %s n=%d p=%s" % (Gz, nthick, p))
 
         # (vii) boundedness and nondegeneracy; the scan window covers the
         # sampler's content (weights in [-6,6], degrees in [-2,2], lengths

@@ -482,6 +482,35 @@ def test_oracle_diff_exits_two_with_minimized(capsys, monkeypatch):
     assert js["minimized"] in ("F(2)", "F(4)")
 
 
+def test_oracle_diff_minimizes_through_the_suite_shrinker(capsys,
+                                                         monkeypatch):
+    # the --oracle diff is shrunk by the agreement suite's one
+    # compare-and-shrink, oracle._disagreement, called once and only on a
+    # disagreement; the fault flips membership wherever torsion is present
+    real_member, real_disagreement = cli.member, cli._disagreement
+    calls = []
+
+    def broken(site, cfg, direction, w, M):
+        return real_member(site, cfg, direction, w, M) != bool(M.torsion)
+
+    def counted(*args):
+        calls.append(real_disagreement(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(cli, "_disagreement", counted)
+    assert cli.main(["member", "--site", "X", "--le", "5", "F(2)+T(0,2)",
+                     "--oracle"]) == 0
+    assert calls == []
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "member", broken)
+    rc = cli.main(["member", "--site", "X", "--le", "5",
+                   "F(2)+T(0,2)+T(3,1)", "--oracle"])
+    js = json.loads(capsys.readouterr().out)
+    assert rc == 2 and js["oracle_diff"] == "member"
+    assert len(calls) == 1 and [fmt_module(m) for m in calls[0]] == ["T(3,1)"]
+    assert js["minimized"] == "T(3,1)"
+
+
 def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("STAGGER_SEED", "3")
     rc, _ = run(capsys, "axioms", "--samples", "20")

@@ -1,8 +1,8 @@
 """Independent brute-force oracles versus the closed-form fast paths.
 
-The oracles work with dense matrices over explicit weight windows and
-share no algorithms with the production code; agreement on random input
-is the main correctness argument for both sides.
+The oracles read exact ranks of x off a module's presentation and share
+no algorithms with the production code; agreement on random input is the
+main correctness argument for both sides.
 """
 
 import random
@@ -165,11 +165,11 @@ def test_every_agreement_check_records_a_shrunk_witness(monkeypatch, label):
 
 
 # ---------------------------------------------------------------------------
-# one window model per subject per call
+# one rank model per subject per call
 #
 # The references below are the per-probe definitions: each probe triple is
 # built into a module here, and read by one public oracle_hom_ext call, and
-# so one fresh window model, per probe.
+# so one fresh rank model, per probe.
 # ---------------------------------------------------------------------------
 
 
@@ -283,8 +283,7 @@ def test_aisle_window_covers_the_structure_sheaf_probe():
 
 def test_reads_into_a_probe_equal_the_hom_ext_oracle():
     # Hom and Ext^1 into a single string, read off the subject's own ranks
-    # of x on a window of any width, against oracle_hom_ext into the probe
-    # module built here
+    # of x, against oracle_hom_ext into the probe module built here
     rng = random.Random(27)
     nonzero = {}
     for _ in range(2500):
@@ -293,10 +292,8 @@ def test_reads_into_a_probe_equal_the_hom_ext_oracle():
                 for _ in range(rng.randint(0, 3))])
         if M.is_zero:
             continue
-        a, l, pad = rng.randint(-10, 10), rng.randint(2, 5), rng.randint(0, 3)
-        lo, hi = M.occupied_window()
-        model = oracle._model_of_module(M, min(lo, a - l) - 2 - pad,
-                                        max(hi, a) + 2 + pad)
+        a, l = rng.randint(-10, 10), rng.randint(2, 5)
+        model = oracle._model_of_module(M)
         for probe in (("T", a, l), ("T", a, 1), ("F", a, 0)):
             got = oracle._into(model, probe)
             assert got == oracle_hom_ext(M, _probe_module(probe)), (M, probe)
@@ -306,18 +303,8 @@ def test_reads_into_a_probe_equal_the_hom_ext_oracle():
     assert len(nonzero) == 6 and min(nonzero.values()) >= 100, nonzero
 
 
-def test_reader_refuses_a_weight_outside_its_model():
-    model = oracle._model_of_module(F(-6), -11, -1)
-    assert oracle._hom_ext(F(-7), model) == (1, 0)
-    with pytest.raises(AssertionError,
-                       match=r"weight 0 outside the window \[-11, -1\]"):
-        oracle._hom_ext(F(0), model)
-    with pytest.raises(AssertionError, match="weight -12 outside"):
-        oracle._hom_ext(T(-10, 2), model)
-
-
 # ---------------------------------------------------------------------------
-# lazy window models and the exact rank
+# rank models and the exact rank
 # ---------------------------------------------------------------------------
 
 
@@ -337,8 +324,8 @@ def test_lazy_model_reads_alike_in_any_order():
         rng.shuffle(shuffled)
         answers = []
         for order in (reads[::-1], reads, shuffled):
-            model = oracle._model_of_presentation(p, lo, hi)
-            first, again = (({w: model.dims[w] for _j, w in order},
+            model = oracle.RankModel(p)
+            first, again = (({w: model.dim(w) for _j, w in order},
                              {(j, w): model.rank(j, w) for j, w in order})
                             for _twice in range(2))
             assert first == again
@@ -349,21 +336,38 @@ def test_lazy_model_reads_alike_in_any_order():
         assert all(dims[w] == weight_dim(M, w) for w in ws)
 
 
-def test_lazy_model_never_reads_outside_its_window():
-    model = oracle._model_of_module(gm([2], [(0, 3)]), -5, 4)
-    for w in (-6, 5, 10 ** 9):
-        with pytest.raises(AssertionError,
-                           match=r"weight %d outside the window \[-5, 4\]" % w):
-            model.dims[w]
-    # x^j out of a weight above the window's ceiling
-    for j, w in ((1, 4), (10 ** 9, -5)):
-        with pytest.raises(AssertionError, match="weight %d outside" % (w + j)):
-            model.rank(j, w)
-    assert not model.dims
-    # x into the weight below the floor: only the source weight is read
-    with pytest.raises(AssertionError, match="weight -6 outside"):
-        model.rank(1, -6)
-    assert model.dims[-5] == 1 and list(model.dims) == [-5]
+def test_model_is_exact_at_every_weight():
+    # no window: a model reads dim and rank exactly at weights far from
+    # its presentation and below its floor, and the probe reads into and
+    # out of a single string equal hom_dim and ext1_dim there too
+    rng = random.Random(31)
+    below = 0
+    for i in range(400):
+        p = _rank_presentation(rng) if i % 2 else present(
+            _wide_module(rng, SITE_X))
+        if not p.gens:
+            continue
+        model, M = oracle.RankModel(p), canonical_decompose(p)
+        lo, hi = _window_of(p)
+        assert model.floor == lo
+        far = [-10 ** 9, lo - 7, lo - 1, hi + 3, 10 ** 9]
+        reads = [(j, w) for w in far + list(range(lo, hi + 1))
+                 for j in (0, 1, 5, max(hi - w + 2, 0), 10 ** 9)]
+        for j, w in reads:
+            assert model.rank(j, w) == _string_rank(M, j, w), \
+                (p.gens, p.rel.entries, j, w)
+            assert model.dim(w) == _string_rank(M, 0, w)
+        if M.is_zero:
+            continue
+        for a in [rng.randint(lo - 12, hi + 6) for _ in range(4)] + far[1:4]:
+            below += a + 1 < model.floor
+            for probe in (("F", a, 0), ("T", a, 1 + rng.randrange(4))):
+                C = _probe_module(probe)
+                assert oracle._into(model, probe) == \
+                    (hom_dim(M, C), ext1_dim(M, C)), (M, probe)
+                assert oracle._out_of(model, probe) == \
+                    (hom_dim(C, M), ext1_dim(C, M)), (M, probe)
+    assert below >= 300, below
 
 
 _ENTRIES = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
@@ -439,9 +443,9 @@ def _built_models(monkeypatch):
     built = []
     real = oracle._model_of_module
 
-    def counted(M, lo, hi):
+    def counted(M):
         built.append(M)
-        return real(M, lo, hi)
+        return real(M)
 
     monkeypatch.setattr(oracle, "_model_of_module", counted)
     return built
@@ -491,8 +495,7 @@ def test_probes_get_no_model(monkeypatch):
 
 def test_max_sub_closed_form_on_wide_modules():
     # the sub's ranks of x are closed forms in those of M; they must give
-    # sigma's sub on its own window and on a wider one, as oracle_step's
-    # shared models are
+    # sigma's sub at every level, far below and above M's weights
     rng = random.Random(26)
     kinds = {"X, w < 0": 0, "X, w >= 0": 0, "Z": 0, "proper": 0}
     for i in range(600):
@@ -500,10 +503,6 @@ def test_max_sub_closed_form_on_wide_modules():
         M, w = _wide_module(rng, site), rng.randint(-15, 15)
         sub = sigma(site, W, "le", w, M).sub
         assert oracle_max_sub(site, W, w, M) == sub, (site, w, M)
-        pad = rng.randint(1, 6)
-        wide = oracle._max_sub(site, W, w, M, lambda N, lo, hi:
-                               oracle._model_of_module(N, lo - pad, hi + pad))
-        assert wide == sub, (site, w, M, pad)
         if i % 5 == 0:  # its probes make oracle_step the costly call
             assert oracle_step(site, W, M) == step(site, W, M), (site, M)
         kinds["Z" if site.kind == "Z" else
@@ -565,12 +564,18 @@ def _count_kinds(kinds, p):
     kinds["repeated weight"] += len(set(p.gens)) < len(p.gens)
 
 
+def _string_rank(M, j, w):
+    """The rank of x^j : M_{w+j} -> M_w, counted off the strings of M: the
+    free summands F(d) with d >= w + j and the T(g, n) with g >= w + j and
+    g - n < w."""
+    return sum(1 for d in M.free if d >= w + j) \
+        + sum(1 for g, n in M.torsion if g >= w + j and g - n < w)
+
+
 def _string_ranks(M, lo, hi):
-    """(j, w) -> the rank of x^j : M_{w+j} -> M_w, counted off the strings
-    of M: the free summands F(d) with d >= w + j and the T(g, n) with
-    g >= w + j and g - n < w."""
-    return {(j, w): sum(1 for d in M.free if d >= w + j)
-            + sum(1 for g, n in M.torsion if g >= w + j and g - n < w)
+    """(j, w) -> ``_string_rank(M, j, w)`` for w in [lo, hi] and w + j <=
+    hi."""
+    return {(j, w): _string_rank(M, j, w)
             for w in range(lo, hi + 1) for j in range(hi - w + 1)}
 
 
@@ -580,14 +585,13 @@ def test_ranks_of_x_equal_the_string_counts():
     for _ in range(300):
         p = _rank_presentation(rng)
         lo, hi = _window_of(p)
-        model = oracle._model_of_presentation(p, lo, hi)
+        lo, hi = lo - 5, hi + 5
+        model = oracle.RankModel(p)
         ref = _string_ranks(canonical_decompose(p), lo, hi)
         assert {(j, w): model.rank(j, w) for j, w in ref} == ref, \
             (p.gens, p.rel.col_weights, p.rel.entries)
-        assert all(model.dims[w] == ref[(0, w)] for w in range(lo, hi + 1))
+        assert all(model.dim(w) == ref[(0, w)] for w in range(lo, hi + 1))
         _count_kinds(kinds, p)
-        with pytest.raises(AssertionError, match="weight %d outside" % (hi + 1)):
-            model.rank(hi - lo, lo + 1)
     assert all(kinds.values()), kinds
 
 
@@ -640,7 +644,7 @@ def _ref_strings(lo, hi, r):
 
 def _ref_decompose(p):
     lo, hi = _window_of(p)
-    model = oracle._model_of_presentation(p, lo, hi)
+    model = oracle.RankModel(p)
     return _ref_strings(lo, hi, _ref_rank_table(
         lo, hi, lambda w: (model.rank(j, w) for j in range(hi - w + 1))))
 
