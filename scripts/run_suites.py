@@ -8,6 +8,7 @@ Usage: python3 scripts/run_suites.py [--samples 200] [--seeds 1,2,3]
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -26,31 +27,24 @@ def main() -> int:
 
     failures = 0
     for seed in seeds:
-        for mode in ("weight", "trivial"):
-            cfg = SConfig(mode)
-            for name, run in (
-                ("axioms", lambda: axiom_suite(cfg, seed=seed, samples=args.samples)),
-                ("tstructure", lambda: tstructure_suite(cfg, seed=seed, samples=args.samples)),
-            ):
-                t0 = time.time()
-                rep = run()
-                dt = time.time() - t0
-                status = "ok" if rep.ok else "FAIL(%d)" % rep.violation_count()
-                print("%-11s mode=%-7s seed=%d  %-8s %.2fs"
-                      % (name, mode, seed, status, dt))
-                if not rep.ok:
-                    failures += 1
-                    for line in rep.summary_lines():
-                        print("   ", line)
-        t0 = time.time()
-        rep = agreement_suite(seed=seed, samples=args.samples)
-        dt = time.time() - t0
-        status = "ok" if rep.ok else "FAIL(%d)" % rep.violation_count()
-        print("%-11s %-14s seed=%d  %-8s %.2fs" % ("agreement", "", seed, status, dt))
-        if not rep.ok:
-            failures += 1
-            for line in rep.summary_lines():
-                print("   ", line)
+        runs = [("%-11s mode=%-7s" % (name, mode),
+                 partial(suite, SConfig(mode), seed=seed,
+                         samples=args.samples))
+                for mode in ("weight", "trivial")
+                for name, suite in (("axioms", axiom_suite),
+                                    ("tstructure", tstructure_suite))]
+        runs.append(("%-11s %-14s" % ("agreement", ""), partial(
+            agreement_suite, seed=seed, samples=args.samples)))
+        for label, run in runs:
+            t0 = time.time()
+            rep = run()
+            dt = time.time() - t0
+            status = "ok" if rep.ok else "FAIL(%d)" % rep.violation_count()
+            print("%s seed=%d  %-8s %.2fs" % (label, seed, status, dt))
+            if not rep.ok:
+                failures += 1
+                for line in rep.summary_lines():
+                    print("   ", line)
 
     print("\n%d suite run(s) failed" % failures if failures else "\nall suites clean")
     return 2 if failures else 0

@@ -4,10 +4,10 @@ Everything here recomputes results from first principles, from the ranks
 of x on a module, with one exact rank algorithm over the rationals
 (fraction-free Bareiss elimination, ``_mat_rank``) and no code shared with
 the closed-form fast paths.  An integral entry is stored as an ``int`` and
-any other as a ``Fraction``.  The intended use is the agreement suite:
-every optimized operation in the package is cross-checked against its
-oracle on randomized inputs, and a disagreement is shrunk to a small
-counterexample.
+any other as a ``Fraction``.  The intended use is the agreement suite, one
+loop over a table of checks (``_agreement_groups``): every optimized
+operation in the package is cross-checked against its oracle on randomized
+inputs, and a disagreement is shrunk to a small counterexample.
 
 Ranks of x.  A graded k[x]-module N is fixed by the ranks rho(s, a) of the
 powers x^(s-a) : N_s -> N_a, and ``_decode`` reads its canonical
@@ -64,11 +64,6 @@ from . import sampling
 _INT = frozenset([int])
 
 
-def _all_ints(values: Iterable[Fraction]) -> bool:
-    """Whether every value is an ``int``."""
-    return _INT.issuperset(map(type, values))
-
-
 def _q(x):
     """x as an ``int`` when it is integral."""
     return x if type(x) is int or x.denominator != 1 else x.numerator
@@ -87,7 +82,7 @@ def _mat_rank(rows: List[List[Fraction]]) -> int:
     """
     mat = []
     for r in rows:
-        if _all_ints(r):
+        if _INT.issuperset(map(type, r)):  # every entry an int
             row = list(r)
         else:
             den = lcm(*(e.denominator for e in r))
@@ -298,32 +293,28 @@ def _into(model: RankModel, probe: Probe) -> Tuple[int, int]:
     return coker, ker
 
 
-def _hom_ext(M: GradedModule, model: RankModel) -> Tuple[int, int]:
-    """(dim Hom, dim Ext^1) out of M, read off a model of the target,
-    summand by summand (``_out_of``)."""
+def oracle_hom_ext(M: GradedModule, N: GradedModule) -> Tuple[int, int]:
+    """(dim Hom, dim Ext^1) from the ranks of x on N, read off one model of
+    N summand by summand of M (``_out_of``)."""
+    if M.is_zero or N.is_zero:
+        return (0, 0)
+    model = _model_of_module(N)
     pairs = [_out_of(model, ("F", a, 0)) for a in M.free] + \
         [_out_of(model, ("T", g, n)) for g, n in M.torsion]
     return (sum(h for h, _ in pairs), sum(e for _, e in pairs))
-
-
-def oracle_hom_ext(M: GradedModule, N: GradedModule) -> Tuple[int, int]:
-    """(dim Hom, dim Ext^1) from the ranks of x on N, read off one model of
-    N (see ``_hom_ext``)."""
-    if M.is_zero or N.is_zero:
-        return (0, 0)
-    return _hom_ext(M, _model_of_module(N))
 
 
 def oracle_max_sub(site: Site, cfg: SConfig, w: int,
                    M: GradedModule) -> GradedModule:
     """Maximal submodule of M lying in C_{<=w}: its ranks of x are closed
     forms in those of M (``_max_sub``), decoded back into strings."""
-    return _max_sub(site, cfg, w, M, _model_of_module(M))
+    return _max_sub(site, cfg, w, M)
 
 
 def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
-             model: RankModel) -> GradedModule:
-    """``oracle_max_sub``, read off ``model``, a model of M.
+             model: Optional[RankModel] = None) -> GradedModule:
+    """``oracle_max_sub``, read off ``model``, a model of M, which is built
+    here, after the answers that read none, when the caller passes none.
 
     On Z_n, or on X with w >= 0, the sub S is M at the weights <= w; on X
     with w < 0 only torsion may generate, and S is the torsion at the
@@ -341,6 +332,7 @@ def _max_sub(site: Site, cfg: SConfig, w: int, M: GradedModule,
         return ZERO
     if cfg.z_mode == "trivial" or site.kind == "U":
         return M if w >= 0 else ZERO
+    model = model or _model_of_module(M)
     lo = min(model.floor, w - 2)
     torsion_only = site.kind == "X" and w < 0
 
@@ -562,16 +554,6 @@ def _disagreement(args: tuple, fast, slow) -> Optional[list]:
     return args
 
 
-def _record(check, args: tuple, fast, slow, describe) -> None:
-    """Record whether ``fast(*args) == slow(*args)``.  On a disagreement
-    the message is ``describe(*small, fast(*small), slow(*small))`` on the
-    shrunk arguments (``_disagreement``): a presentation, a site or a level
-    is echoed as drawn."""
-    small = _disagreement(args, fast, slow)
-    check.record(small is None, "" if small is None else
-                 describe(*small, fast(*small), slow(*small)))
-
-
 def _random_presentation(rng: random.Random) -> Presentation:
     ngen = rng.randint(1, 4)
     gens = sorted((rng.randint(-5, 5) for _ in range(ngen)), reverse=True)
@@ -591,88 +573,107 @@ def _random_presentation(rng: random.Random) -> Presentation:
     return Presentation(tuple(gens), mat)
 
 
-def agreement_suite(seed: int = 1, samples: int = 200) -> SuiteReport:
-    """Cross-check every optimized operation against its brute-force oracle.
+def _module_on(rng: random.Random, site: Site) -> GradedModule:
+    """A random module on ``site``: any module on X, the free part of one on
+    U, torsion of length at most n on Z_n."""
+    if site.kind == "X":
+        return sampling.random_module(rng)
+    if site.kind == "U":
+        return sampling.random_module(rng).free_part()
+    return sampling.random_torsion_module(rng, max_len=site.n)
 
-    Ops covered: canonical decomposition, hom/ext dimensions, membership on
-    each site and mode, sigma truncation (maximal sub), step, and staggered
-    aisle membership.  Each runs on ``samples`` seeded random instances
-    through ``_record``: a disagreement over modules or formal objects is
-    shrunk before it is recorded, and one over a presentation is echoed.
-    """
-    rep = SuiteReport(suite="oracle-agreement", seed=seed, samples=samples,
-                      mode="both")
-    rng = random.Random(seed)
+
+def _agreement_groups() -> List[Tuple[Callable, List[Tuple]]]:
+    """The agreement checks, in draw order: groups of a ``draw(rng)`` that
+    returns one argument tuple and the rows (name, fast, slow, describe)
+    that run on it.  Built on each suite run, so that a fast path patched
+    in this module reaches its row."""
     cfgs = [SConfig("weight"), SConfig("trivial")]
 
-    c_dec = rep.check("agree_decompose")
-    for _ in range(samples):
-        _record(c_dec, (_random_presentation(rng),), canonical_decompose,
-                oracle_decompose, lambda p, f, o: "decompose mismatch: gens=%r "
-                "cols=%r fast=%s oracle=%s" % (p.gens, p.rel.col_weights,
-                                               fmt_module(f), fmt_module(o)))
-
-    c_he = rep.check("agree_hom_ext")
-    for _ in range(samples):
-        M, N = sampling.random_module(rng), sampling.random_module(rng)
-        _record(c_he, (M, N), lambda M, N: (hom_dim(M, N), ext1_dim(M, N)),
-                oracle_hom_ext,
-                lambda M, N, f, o: "hom/ext mismatch on (%s, %s): fast=%r "
-                "oracle=%r" % (fmt_module(M), fmt_module(N), f, o))
-
-    c_mem = rep.check("agree_member")
-    sites = [SITE_X, SITE_U, site_z(1), site_z(2), site_z(3)]
-    for _ in range(samples):
+    def draw_member(rng):
         cfg = rng.choice(cfgs)
-        site = rng.choice(sites)
+        site = rng.choice([SITE_X, SITE_U, site_z(1), site_z(2), site_z(3)])
         w = rng.randint(-6, 6)
         direction = rng.choice(["le", "ge"])
-        if site.kind == "X":
-            M = sampling.random_module(rng)
-        elif site.kind == "U":
-            M = sampling.random_module(rng).free_part()
-        else:
-            M = sampling.random_torsion_module(rng, max_len=site.n)
-        _record(c_mem, (site, cfg, direction, w, M), member, oracle_member,
-                lambda site, cfg, d, w, m, f, o: "member mismatch %s %s %s "
-                "w=%d on %s: fast=%r oracle=%r"
-                % (site, cfg.z_mode, d, w, fmt_module(m), f, o))
+        return site, cfg, direction, w, _module_on(rng, site)
 
-    c_sig = rep.check("agree_sigma")
-    c_st = rep.check("agree_step")
-    for _ in range(samples):
+    def draw_sigma(rng):
         cfg = rng.choice(cfgs)
         site = rng.choice([SITE_X, site_z(1), site_z(2), site_z(3)])
         w = rng.randint(-6, 6)
-        if site.kind == "X":
-            M = sampling.random_module(rng)
-        else:
-            M = sampling.random_torsion_module(rng, max_len=site.n)
-        _record(c_sig, (site, cfg, w, M),
-                lambda site, cfg, w, m: sigma(site, cfg, "le", w, m).sub,
-                oracle_max_sub,
-                lambda site, cfg, w, m, f, o: "sigma mismatch %s %s w=%d on "
-                "%s: fast=%s oracle=%s" % (site, cfg.z_mode, w, fmt_module(m),
-                                           fmt_module(f), fmt_module(o)))
-        _record(c_st, (site, cfg, M), step, oracle_step,
-                lambda site, cfg, m, f, o: "step mismatch %s %s on %s: "
-                "fast=%r oracle=%r" % (site, cfg.z_mode, fmt_module(m), f, o))
+        return site, cfg, w, _module_on(rng, site)
 
-    c_ais = rep.check("agree_aisle")
-    for _ in range(samples):
+    def draw_aisle(rng):
         cfg = rng.choice(cfgs)
         pU = rng.choice([-1, 0, 1])
         pZ = pU + (1 if cfg.z_mode == "weight" else rng.choice([0, 1]))
         comps = sampling.random_formal_components(rng, deg_lo=-2, deg_hi=2,
                                                   max_len=3)
-        which = rng.choice(["le0", "ge0"])
-        _record(c_ais, (cfg, pU, pZ, comps, which),
-                lambda cfg, pU, pZ, cc, which: aisle_member(
-                    cfg, Perversity(pU, pZ), FormalObject(cc), which),
-                oracle_aisle,
-                lambda cfg, pU, pZ, cc, which, f, o: "aisle mismatch %s "
-                "p=(%d,%d) %s on %r: fast=%r oracle=%r"
-                % (cfg.z_mode, pU, pZ, which,
-                   {k: fmt_module(m) for k, m in cc.items()}, f, o))
+        return cfg, pU, pZ, comps, rng.choice(["le0", "ge0"])
 
+    return [
+        (lambda rng: (_random_presentation(rng),), [(
+            "agree_decompose", canonical_decompose, oracle_decompose,
+            lambda p, f, o: "decompose mismatch: gens=%r cols=%r fast=%s "
+            "oracle=%s" % (p.gens, p.rel.col_weights, fmt_module(f),
+                           fmt_module(o)))]),
+        (lambda rng: (sampling.random_module(rng),
+                      sampling.random_module(rng)), [(
+            "agree_hom_ext", lambda M, N: (hom_dim(M, N), ext1_dim(M, N)),
+            oracle_hom_ext,
+            lambda M, N, f, o: "hom/ext mismatch on (%s, %s): fast=%r "
+            "oracle=%r" % (fmt_module(M), fmt_module(N), f, o))]),
+        (draw_member, [(
+            "agree_member", member, oracle_member,
+            lambda site, cfg, d, w, m, f, o: "member mismatch %s %s %s "
+            "w=%d on %s: fast=%r oracle=%r"
+            % (site, cfg.z_mode, d, w, fmt_module(m), f, o))]),
+        (draw_sigma, [(
+            "agree_sigma",
+            lambda site, cfg, w, m: sigma(site, cfg, "le", w, m).sub,
+            oracle_max_sub,
+            lambda site, cfg, w, m, f, o: "sigma mismatch %s %s w=%d on "
+            "%s: fast=%s oracle=%s" % (site, cfg.z_mode, w, fmt_module(m),
+                                       fmt_module(f), fmt_module(o))), (
+            "agree_step", lambda site, cfg, w, m: step(site, cfg, m),
+            lambda site, cfg, w, m: oracle_step(site, cfg, m),
+            lambda site, cfg, w, m, f, o: "step mismatch %s %s on %s: "
+            "fast=%r oracle=%r" % (site, cfg.z_mode, fmt_module(m), f, o))]),
+        (draw_aisle, [(
+            "agree_aisle", lambda cfg, pU, pZ, cc, which: aisle_member(
+                cfg, Perversity(pU, pZ), FormalObject(cc), which),
+            oracle_aisle,
+            lambda cfg, pU, pZ, cc, which, f, o: "aisle mismatch %s "
+            "p=(%d,%d) %s on %r: fast=%r oracle=%r"
+            % (cfg.z_mode, pU, pZ, which,
+               {k: fmt_module(m) for k, m in cc.items()}, f, o))]),
+    ]
+
+
+def agreement_suite(seed: int = 1, samples: int = 200) -> SuiteReport:
+    """Cross-check every optimized operation against its brute-force oracle.
+
+    One loop over the table ``_agreement_groups``, whose groups draw in
+    turn: a presentation (``agree_decompose``); two modules
+    (``agree_hom_ext``); a module on a site, with a mode, direction and
+    level (``agree_member``); a module on a site other than U, with a mode
+    and level (``agree_sigma``, the maximal sub, and ``agree_step``); a
+    formal object, with a mode, perversity and side (``agree_aisle``).
+    Each group draws ``samples`` argument tuples, and each of its rows
+    compares its fast path with its oracle on every one.  A disagreement is
+    recorded as ``describe(*small, fast(*small), slow(*small))`` on the
+    arguments shrunk by ``_disagreement``: modules and formal objects are
+    shrunk, and a presentation, a site or a level is echoed as drawn.
+    """
+    rep = SuiteReport(suite="oracle-agreement", seed=seed, samples=samples,
+                      mode="both")
+    rng = random.Random(seed)
+    for draw, rows in _agreement_groups():
+        for _ in range(samples):
+            args = draw(rng)
+            for name, fast, slow, describe in rows:
+                small = _disagreement(args, fast, slow)
+                rep.check(name).record(small is None, "" if small is None
+                                       else describe(*small, fast(*small),
+                                                     slow(*small)))
     return rep

@@ -105,10 +105,6 @@ class SConfig:
             raise ValueError("z_mode must be 'weight' or 'trivial'")
 
 
-WEIGHT = SConfig("weight")
-TRIVIAL = SConfig("trivial")
-
-
 _SHOWN_DIGITS = 40  # an error echoes a longer number by its digit count
 
 

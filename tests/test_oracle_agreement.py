@@ -5,6 +5,8 @@ no algorithms with the production code; agreement on random input is the
 main correctness argument for both sides.
 """
 
+import json
+import os
 import random
 import re
 from fractions import Fraction
@@ -13,9 +15,9 @@ from types import SimpleNamespace
 import pytest
 
 from stagger.formats import parse_formal
-from stagger.grmod import (F, T, V, ZERO, MonoMatrix, Presentation,
-                           canonical_decompose, gm, hom_dim, ext1_dim,
-                           present, weight_dim)
+from stagger.grmod import (F, T, V, ZERO, GradedModule, MonoMatrix,
+                           Presentation, canonical_decompose, ext1_dim,
+                           fmt_module, gm, hom_dim, present, weight_dim)
 from stagger.oracle import (
     _random_presentation,
     _shrink_module,
@@ -34,6 +36,7 @@ from stagger import grmod, oracle, sampling
 W = SConfig("weight")
 CFGS = (W, SConfig("trivial"))
 SITES = (SITE_X, SITE_U, site_z(1), site_z(2), site_z(3))
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def test_oracle_decompose_matches_fast_path():
@@ -162,6 +165,66 @@ def test_every_agreement_check_records_a_shrunk_witness(monkeypatch, label):
         drawn = (_random_presentation(rng) for _ in range(60))
         p = next(q for q in drawn if not canonical_decompose(q).is_zero)
         assert "gens=%r cols=%r " % (p.gens, p.rel.col_weights) in msgs[0]
+
+
+def _shown(x):
+    """One argument of a fast-path call as the draw-stream golden prints it:
+    a module by ``fmt_module``, a presentation by its generators, columns
+    and entries, a config by its mode, anything else by ``str``."""
+    if isinstance(x, GradedModule):
+        return fmt_module(x)
+    if isinstance(x, Presentation):
+        return "gens=%r cols=%r entries=%r" % (
+            x.gens, x.rel.col_weights, sorted(x.rel.entries.items()))
+    if isinstance(x, SConfig):
+        return x.z_mode
+    return str(x)
+
+
+def _fast_path_calls(monkeypatch, seed, samples):
+    """Every call ``agreement_suite`` makes to its six fast paths, in order,
+    each fast path wrapped in ``oracle``'s namespace as _FAULTS wounds it."""
+    calls = []
+    for name in ("canonical_decompose", "hom_dim", "member", "sigma", "step",
+                 "aisle_member"):
+        def record(*args, name=name, real=getattr(oracle, name)):
+            calls.append("%s(%s)" % (name, ", ".join(map(_shown, args))))
+            return real(*args)
+        monkeypatch.setattr(oracle, name, record)
+    agreement_suite(seed=seed, samples=samples)
+    return calls
+
+
+def test_agreement_suite_draw_stream_is_pinned(monkeypatch):
+    # a clean run prints only pass counts, so a change in what the suite
+    # draws, or in the order it draws it, shows only here.  A deliberate
+    # change regenerates the golden: ``_fast_path_calls`` at seed 3 and 20
+    # samples, dumped as a JSON list of one call per line.
+    calls = _fast_path_calls(monkeypatch, seed=3, samples=20)
+    assert len(calls) == 6 * 20
+    with open(os.path.join(GOLDEN, "oracle_draw_stream.json")) as fh:
+        assert calls == json.load(fh)
+
+
+def test_a_new_row_needs_no_other_edit(monkeypatch):
+    # one more group in the table is one more check of the suite: a wrong
+    # fast path there is reported, shrunk, under its row's name, and it
+    # draws after every other group, whose checks pass as before
+    before = agreement_suite(seed=1, samples=60)
+    table = oracle._agreement_groups
+    monkeypatch.setattr(oracle, "_agreement_groups", lambda: table() + [(
+        lambda rng: (sampling.random_module(rng),),
+        [("agree_dummy", lambda M: bool(M.torsion), lambda M: False,
+          lambda M, f, o: "dummy mismatch on %s: fast=%r oracle=%r"
+          % (fmt_module(M), f, o))])])
+    rep = agreement_suite(seed=1, samples=60)
+    dummy = rep.checks.pop("agree_dummy")
+    assert dummy.passes > 0 and dummy.passes + len(dummy.violations) == 60
+    assert dummy.violations and all(
+        re.fullmatch(r"dummy mismatch on T\(-?\d+,1\): fast=True oracle=False",
+                     m) for m in dummy.violations), dummy.violations
+    assert {k: (c.passes, c.violations) for k, c in rep.checks.items()} == \
+        {k: (c.passes, c.violations) for k, c in before.checks.items()}
 
 
 # ---------------------------------------------------------------------------
