@@ -28,9 +28,10 @@ The chain layer (``ChainComplex``, ``free_embed``, ``chain_map_on_embeds``,
 honestly: a formal object is embedded as an honest complex of free modules,
 maps are checked to be chain maps, and ``normal_form`` recovers the
 cohomology of a complex of free modules from the persistence pairing of
-the weight filtration (``grmod._pairing_homology``, the one pairing, which
-also gives ``canonical_decompose``), checked by an independent per-weight
-rank certificate (by the one rule, ``grmod.dim_mismatch``).  A free term is
+the weight filtration (``grmod._pairing_homology``: one ``grmod._sweep``
+per degree, the sweep of ``canonical_decompose``, ``free_kernel`` and
+``kernel_image_cokernel``), checked by an independent per-weight rank
+certificate (by the one rule, ``grmod.dim_mismatch``).  A free term is
 only its tuple of generator weights, and a differential or a component of a
 chain map is a bare ``MonoMatrix``; every step, and ``derived_hom``, visits
 only occupied degrees and the weights that occur, so its cost does not grow
@@ -217,11 +218,6 @@ class GammaObject:
 
     torsion: Dict[int, GradedModule] = field(default_factory=dict)
     cofree: Dict[int, Tuple[CoFree, ...]] = field(default_factory=dict)
-
-    def weight_dim(self, k: int, w: int) -> int:
-        d = weight_dim(self.torsion.get(k, ZERO), w)
-        d += sum(1 for c in self.cofree.get(k, ()) if w >= c.socle)
-        return d
 
     def __str__(self) -> str:
         degs = sorted(set(self.torsion) | set(self.cofree))
@@ -477,9 +473,10 @@ def normal_form(c: ChainComplex) -> FormalObject:
 
     H^k is the persistence pairing of the weight filtration (Zomorodian &
     Carlsson 2005, "Computing persistent homology"), read off by
-    ``grmod._pairing_homology`` with clearing (Chen & Kerber 2011); it is
-    the same sweep that gives ``canonical_decompose``, a presentation being
-    a two-term complex.
+    ``grmod._pairing_homology`` with clearing (Chen & Kerber 2011): one
+    ``grmod._sweep`` per degree, as in ``canonical_decompose`` (a
+    presentation being a two-term complex), ``free_kernel`` and
+    ``kernel_image_cokernel``.
 
     Every reconstructed weight dimension is then checked against rank
     arithmetic on the differentials (``_certify``).  A complex whose

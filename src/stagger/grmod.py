@@ -309,15 +309,6 @@ class MonoMatrix:
             out.entries[(i, j + off)] = c
         return out
 
-    def restrict_rows(self, rows: Sequence[int]) -> "MonoMatrix":
-        """Submatrix on the given rows (in the given order)."""
-        pos = {r: k for k, r in enumerate(rows)}
-        out = MonoMatrix([self.row_weights[r] for r in rows], self.col_weights)
-        for (i, j), c in self.entries.items():
-            if i in pos:
-                out.entries[(pos[i], j)] = c
-        return out
-
     def compose(self, other: "MonoMatrix") -> "MonoMatrix":
         """Matrix of self o other (other applied first)."""
         if self.col_weights != other.row_weights:
@@ -393,15 +384,13 @@ def present(M: GradedModule) -> Presentation:
 # by descending weight into an echelon basis yields the rank at every weight
 # at once (``_rank_steps``).  The same sweep decides membership in the image
 # of a relation matrix (``_in_relation_span``): an element of weight w is in
-# it iff it reduces to zero against the relation columns of weight >= w.  It
-# also yields kernels (``free_kernel``) and the persistence pairing
-# (``_pairing_homology``), the one read-out of homology: the cohomology of a
-# complex of free modules, and a presentation's canonical form
-# (``canonical_decompose``) as the H^0 of its two-term complex.  Reducing a
-# column of weight v by one of weight v' >= v subtracts x^(v' - v) times
-# it, a genuine polynomial multiple.  The sweep keeps every column and basis
-# vector sparse, as a {key: coefficient} dict of its nonzeros; no column is
-# ever expanded to a dense vector.
+# it iff it reduces to zero against the relation columns of weight >= w.
+# Both key rows by index, as their sparse matrices have no fill-in to save.
+# The other sweeps (``_sweep``) reduce each column at its youngest row, as
+# homology needs, which also shortens dense reductions.  Reducing a column
+# of weight v by one of weight v' >= v subtracts x^(v' - v) times it, a
+# genuine polynomial multiple.  Columns and basis vectors stay sparse, each
+# a {key: coefficient} dict of its nonzeros.
 #
 # The sweep is fraction-free, in the style of Bareiss (1968, Math. Comp. 22)
 # but with content (gcd) removal in place of his exact division by the last
@@ -414,8 +403,9 @@ def present(M: GradedModule) -> Presentation:
 # that elimination over Q would hold at the same step, and scaling never
 # changes which entries are zero, so every step meets the same pivot rows,
 # and ranks, span answers and dependent sets are those of elimination over
-# Q.  ``Fraction`` comes back only at the boundary: each ``free_kernel``
-# vector is divided by its entry at its own column.
+# Q.  ``Fraction`` comes back only in ``free_kernel``, each vector divided
+# by its entry at its own column; ``kernel_image_cokernel`` reads canonical
+# forms only.
 
 
 def _integral(col: Dict[int, Q]) -> Dict[int, int]:
@@ -526,40 +516,75 @@ def _in_relation_span(rel: MonoMatrix, elems: MonoMatrix) -> bool:
     return True
 
 
-def free_kernel(mat: MonoMatrix) -> MonoMatrix:
-    """Basis of ker(mat) between free modules.
+def _oldest_first(ws: Sequence[int]) -> List[int]:
+    """A term's generator indices by descending weight, ties by index."""
+    return sorted(range(len(ws)), key=ws.__getitem__, reverse=True)
 
-    Returns a MonoMatrix whose columns are a free basis of the kernel,
-    expressed over the source generators (rows = source weights).
 
-    Pivot rule: the columns enter the sweep by descending weight, in index
-    order within a weight, each reduced at its lowest nonzero row; column
-    j carries its unit vector under key ``nrows + j`` and is scaled to
-    integers with it.  A column that reduces to zero on the rows is
-    dependent, and its transform, divided by its entry at its own column,
-    is its kernel vector: ``Fraction`` entries, 1 at its own column and 0
-    at the other dependent ones, since a basis vector's transform involves
-    only independent columns.  At each weight w the dependent columns of
-    weight >= w count dim ker at w, so these vectors are a basis.
-    Uniqueness: for a fixed dependent set that normalization fixes the
-    basis (two candidates differ by a kernel element on independent columns
-    only, which is 0), and the greedy order fixes the set: a column is
-    dependent iff it lies in the span of the columns before it.
-    """
+def _sweep(mat: MonoMatrix, skip=(), carry: int = 0, orders=None):
+    """Sweep the columns of ``mat`` not in ``skip`` in ``_oldest_first``
+    order (``orders``: the columns' and rows', if the caller has them),
+    each reduced at its youngest row, the rows keyed in the reverse order.
+    Returns ``kills``, the weight of the column that stopped at each row,
+    and ``vanish``, the transform of each column that reduced to zero, in
+    sweep order: primitive integer coefficients {column: c} of the first
+    ``carry`` columns (j < carry carries its unit vector under key
+    ``nrows + j``), empty or None if it carried none."""
     cw, nrows = mat.col_weights, mat.nrows
-    cols: List[Dict[int, Q]] = [{nrows + j: 1} for j in range(len(cw))]
+    order, rows = orders or (_oldest_first(cw), _oldest_first(mat.row_weights))
+    young = rows[::-1]
+    key = dict(zip(young, range(nrows)))
+    cols = {j: {nrows + j: 1} for j in range(carry)}
     for (i, j), c in mat.entries.items():
-        cols[j][i] = c
-    ints = [_integral(col) for col in cols]
+        cols.setdefault(j, {})[key[i]] = c
     basis: Dict[int, Dict[int, int]] = {}
-    dependent: List[int] = []
-    for j in sorted(range(len(cw)), key=lambda j: -cw[j]):
-        if _echelon_insert(basis, ints[j], nrows) is None:
-            dependent.append(j)
-    dependent.sort()
-    out = MonoMatrix(cw, [cw[j] for j in dependent])
-    out.entries = {(t - nrows, k): Q(c, ints[j][nrows + j])
-                   for k, j in enumerate(dependent) for t, c in ints[j].items()}
+    kills, vanish = {}, {}
+    for j in order:
+        if j in skip:
+            continue
+        vec = cols.get(j)
+        if vec:
+            vec = _integral(vec)
+            r = _echelon_insert(basis, vec, nrows)
+            if r is not None:
+                kills[young[r]] = cw[j]
+                continue
+            if vec:  # only the transform is left
+                g = gcd(*vec.values())
+                vec = {t - nrows: c // g for t, c in vec.items()}
+        vanish[j] = vec
+    return kills, vanish
+
+
+def _homology(gens: Sequence[int], kills: Dict[int, int], free=None):
+    """The pairing's read-out at a term of weights ``gens``: F(w_j) for j in
+    ``free`` (None: every generator not killed), T(w_i, w_i - v) for i
+    killed by a column of weight v, nothing when w_i == v."""
+    if free is None:
+        free = [i for i in range(len(gens)) if i not in kills]
+    return _canonical([gens[j] for j in free],
+                      [(gens[i], gens[i] - v) for i, v in kills.items()
+                       if gens[i] > v])
+
+
+def free_kernel(mat: MonoMatrix) -> MonoMatrix:
+    """Basis of ker(mat) between free modules, as the columns of a
+    MonoMatrix over the source generators (rows = source weights).
+
+    Pivot rule: one ``_sweep`` carrying every column, each column reduced
+    at its youngest row.  A dependent column's transform, divided by its
+    entry at that column, is its kernel vector: ``Fraction`` entries, 1
+    there and 0 at the other dependent columns.  These are a basis, and the
+    unique one: the column order alone fixes the dependent set, whatever
+    the pivot rows (a column is dependent iff it lies in the span of those
+    before it), and two such bases differ by kernel elements on the
+    independent columns only, which are 0.
+    """
+    cw = mat.col_weights
+    dependent = sorted(_sweep(mat, carry=len(cw))[1].items())
+    out = MonoMatrix(cw, [cw[j] for j, _vec in dependent])
+    out.entries = {(t, k): Q(c, vec[j]) for k, (j, vec) in enumerate(dependent)
+                   for t, c in vec.items()}
     return out
 
 
@@ -570,17 +595,11 @@ def _pairing_homology(terms: Dict[int, Tuple[int, ...]],
     ``terms[k]`` holds the generator weights of term k and ``diffs[k]`` :
     term_k -> term_{k+1} is a ``MonoMatrix``; a degree missing from either
     is zero.  H^k is the persistence pairing of the weight filtration
-    (Zomorodian & Carlsson 2005, "Computing persistent homology").  Each
-    term has one total order, descending weight with ties by index: its
-    columns in d_k are swept in it, and its rows in d_{k-1} are keyed by its
-    reverse, youngest first, so a column is reduced only by columns of
-    weight at least its own, at its least-weight (youngest) generator.  For
-    k ascending the columns of d_k are swept once; a column of weight v
-    that stops at row i kills generator i of term k + 1, which gives
-    T(w_i, w_i - v) in H^{k+1}, or cancels when w_i == v, and the killed
+    (Zomorodian & Carlsson 2005, "Computing persistent homology").  For k
+    ascending the columns of d_k are swept once (``_sweep``), and the
+    kills and vanishing columns read out (``_homology``).  A killed
     generator's column in d_{k+1} is skipped (clearing: Chen & Kerber 2011,
-    "Persistent homology computation with a twist").  A generator whose
-    column vanishes and that nothing killed gives F(w) in H^k.
+    "Persistent homology computation with a twist").
 
     Pivoting at an older row would be wrong: generators of weight 2 and 0
     with the relation e1 + x^2 e0 present F(2), not T(2,2) + F(0).
@@ -591,47 +610,27 @@ def _pairing_homology(terms: Dict[int, Tuple[int, ...]],
     canonical form, unique by Krull-Schmidt, whatever order equal weights
     are taken in.
     """
-    # oldest first: descending weight, ties by index (the sort is stable)
-    order = {k: sorted(range(len(ws)), key=ws.__getitem__, reverse=True)
-             for k, ws in terms.items()}
+    order = {k: _oldest_first(ws) for k, ws in terms.items()}
     out: Dict[int, GradedModule] = {}
     killed: Dict[int, int] = {}  # generator of term k -> weight of its killer
     for k in sorted(terms):
         gens = terms[k]
         if not gens:
             continue
-        young = order.get(k + 1, [])[::-1]  # the rows of d_k by key
-        key = {i: r for r, i in enumerate(young)}
-        cols: Dict[int, Dict[int, Q]] = {}
         dk = diffs.get(k)
-        if dk is not None:
-            for (i, j), q in dk.entries.items():
-                cols.setdefault(j, {})[key[i]] = q
-        free: List[int] = []
-        tors = [(gens[i], gens[i] - v) for i, v in killed.items()
-                if gens[i] > v]
-        nxt: Dict[int, int] = {}
-        basis: Dict[int, Dict[int, int]] = {}
-        for j in order[k]:
-            if j in killed:
-                continue
-            col = cols.get(j)
-            r = _echelon_insert(basis, _integral(col), len(young)) \
-                if col else None
-            if r is None:
-                free.append(gens[j])
-            else:
-                nxt[young[r]] = gens[j]
-        out[k] = _canonical(free, tors)
-        killed = nxt
+        if dk is None:
+            out[k], killed = _homology(gens, killed), {}
+        else:
+            nxt, free = _sweep(dk, killed,
+                               orders=(order[k], order.get(k + 1, [])))
+            out[k], killed = _homology(gens, killed, free), nxt
     return out
 
 
 def canonical_decompose(p: Presentation) -> GradedModule:
     """Canonical form of the presented module: H^0 of the two-term free
-    complex rel: +F(v_j) -> +F(w_i), read off by ``_pairing_homology``."""
-    return _pairing_homology({-1: p.rel.col_weights, 0: p.gens},
-                             {-1: p.rel}).get(0, ZERO)
+    complex rel: +F(v_j) -> +F(w_i), one ``_sweep`` read by ``_homology``."""
+    return _homology(p.gens, _sweep(p.rel)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -713,31 +712,35 @@ class KernelImageCokernel:
     cokernel: GradedModule
 
 
+def _coker_ker(mat: MonoMatrix, n: int) -> Tuple[GradedModule, MonoMatrix]:
+    """One ``_sweep`` of ``mat`` carrying its first ``n`` columns: the
+    canonical form of coker(mat), and the nonzero transforms, ker(mat) on
+    those columns, as the columns of a matrix, each of its weight."""
+    kills, vanish = _sweep(mat, carry=n)
+    vecs = [(mat.col_weights[j], vec) for j, vec in vanish.items() if vec]
+    ker = MonoMatrix(mat.col_weights[:n], [v for v, _vec in vecs])
+    ker.entries = {(t, k): c for k, (_v, vec) in enumerate(vecs)
+                   for t, c in vec.items()}
+    return _homology(mat.row_weights, kills), ker
+
+
 def kernel_image_cokernel(f: GradedMap) -> KernelImageCokernel:
     """Kernel, image, cokernel of a map of presented modules (canonical forms).
 
-    * cokernel: target generators modulo (target relations + image columns);
-    * image: submodule of the target generated by the image columns;
-    * kernel: elements of the source whose lift maps into the target
-      relations; obtained from the kernel of [f | rel_dst] on free covers,
-      then presented as a submodule of the source, its relations the
-      syzygies of those elements modulo rel_src.
+    Three sweeps: ``_coker_ker`` of [f | rel_dst] gives the cokernel and
+    ``kgens``, the elements of the source cover that f maps into rel_dst;
+    of [kgens | rel_src], the image (the source cover modulo ``kgens``,
+    which span rel_src) and the syzygies of ``kgens`` modulo rel_src; then
+    ``canonical_decompose`` gives the kernel, ``kgens`` modulo syzygies.
+    Transforms stay integers, as only canonical forms are read.
 
-    The kernel of [f | rel_dst] is computed once: its top block (rows = the
-    source generators) is both the image's relation matrix (the syzygies of
-    the image columns modulo rel_dst) and the kernel's generators.  So a
-    call costs two ``free_kernel`` runs (that one and the kernel's own
-    syzygies) and three ``canonical_decompose`` runs, each the H^0 of a
-    two-term complex by the one pairing ``_pairing_homology``.
+    Precondition: f is well defined.  Otherwise the second sweep gives
+    coker(kgens + rel_src), and ``image`` is unspecified; ``kernel`` and
+    ``cokernel`` are still those of the matrix, as read by
+    ``sstruct.SigmaWitness.verify`` after a failed check.
     """
-    coker = canonical_decompose(
-        Presentation(f.dst.gens, f.dst.rel.hstack(f.mat))
-    )
-    big = free_kernel(f.mat.hstack(f.dst.rel))
-    kgens = big.restrict_rows(range(len(f.src.gens)))
-    image = canonical_decompose(Presentation(f.src.gens, kgens))
-    krel = free_kernel(kgens.hstack(f.src.rel)).restrict_rows(
-        range(kgens.ncols))
+    coker, kgens = _coker_ker(f.mat.hstack(f.dst.rel), len(f.src.gens))
+    image, krel = _coker_ker(kgens.hstack(f.src.rel), kgens.ncols)
     kernel = canonical_decompose(Presentation(kgens.col_weights, krel))
     return KernelImageCokernel(kernel, image, coker)
 

@@ -14,7 +14,10 @@ checked against are gone, and the goldens pass unchanged.  The sweep is
 fraction-free: its tests pin that every basis vector is a primitive
 integer vector with a positive pivot entry, and that inputs whose
 coefficients overflow 64 bits give the oracle's answers, with ``Fraction``
-kernel entries.
+kernel entries.  ``kernel_image_cokernel`` is checked against the
+five-sweep composition it replaced, rebuilt here from the public
+``free_kernel`` and ``canonical_decompose``, and the work of the sweep is
+pinned as counts of inserts, reduction steps and pivot entries touched.
 """
 
 import ast
@@ -27,7 +30,7 @@ from fractions import Fraction
 
 import pytest
 
-from stagger import grmod
+from stagger import grmod, sampling
 from stagger.grmod import (
     GradedMap,
     MonoMatrix,
@@ -43,6 +46,7 @@ from stagger.grmod import (
     weight_dim,
 )
 from stagger.oracle import _mat_rank, oracle_decompose
+from stagger.sstruct import SITE_X, SConfig, sigma, site_z
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -341,6 +345,142 @@ def test_kernel_image_cokernel_identities():
                 == weight_dim(M, w)
             assert weight_dim(kic.image, w) + weight_dim(kic.cokernel, w) \
                 == weight_dim(N, w)
+
+
+# ---------------------------------------------------------------------------
+# kernel / image / cokernel against the five-sweep composition
+# ---------------------------------------------------------------------------
+
+
+def _top_rows(m, n):
+    """The first ``n`` rows of ``m``."""
+    return MonoMatrix(m.row_weights[:n], m.col_weights,
+                      {(i, j): c for (i, j), c in m.entries.items() if i < n})
+
+
+def _five_sweep_kic(f):
+    """The composition ``kernel_image_cokernel`` replaced, from the public
+    ``free_kernel`` and ``canonical_decompose``: the cokernel and the image
+    as presentations, the kernel from the normalized kernel of [f | rel_dst]
+    and the kernel of its syzygies modulo rel_src."""
+    coker = canonical_decompose(
+        Presentation(f.dst.gens, f.dst.rel.hstack(f.mat)))
+    kgens = _top_rows(free_kernel(f.mat.hstack(f.dst.rel)), len(f.src.gens))
+    image = canonical_decompose(Presentation(f.src.gens, kgens))
+    krel = _top_rows(free_kernel(kgens.hstack(f.src.rel)), kgens.ncols)
+    kernel = canonical_decompose(Presentation(kgens.col_weights, krel))
+    return kernel, image, coker
+
+
+def _triple(f):
+    kic = kernel_image_cokernel(f)
+    return kic.kernel, kic.image, kic.cokernel
+
+
+def _sigma_maps(rng, count):
+    """The inclusion and projection of ``count`` random sigma witnesses, on
+    X and on the thickenings Z_1..Z_3, in both modes and directions."""
+    sites = [SITE_X] + [site_z(n) for n in (1, 2, 3)]
+    for _ in range(count):
+        site = rng.choice(sites)
+        M = sampling.random_module(rng) if site is SITE_X else \
+            sampling.random_torsion_module(rng, max_len=site.n)
+        wit = sigma(site, SConfig(rng.choice(["weight", "trivial"])),
+                    rng.choice(["le", "ge"]), rng.randint(-7, 7), M)
+        yield wit.inclusion
+        yield wit.projection
+
+
+def test_kernel_image_cokernel_agrees_with_five_sweeps():
+    for n in (20, 40, 80):
+        for seed in range(3):
+            M, _p, iso, _wide = _scrambled(seed, n)
+            assert _triple(iso) == _five_sweep_kic(iso) == (ZERO, M, ZERO)
+    rng = random.Random(1212)
+    for _ in range(2000):
+        f = _random_map(rng)
+        assert _triple(f) == _five_sweep_kic(f), f
+    for f in _sigma_maps(random.Random(1313), 500):
+        assert _triple(f) == _five_sweep_kic(f), f
+
+
+def _ill_defined_map(rng):
+    """A map between small canonical modules that ignores the torsion of
+    its source: ``_random_map``'s entries without its well-definedness
+    rule, drawn until the relations are not respected."""
+    while True:
+        M, N = (gm([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))],
+                   [(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 3))]) for _ in range(2))
+        src, dst = present(M), present(N)
+        mat = MonoMatrix(dst.gens, src.gens, {
+            (i, j): rng.choice(COEFFS) for i, h in enumerate(dst.gens)
+            for j, g in enumerate(src.gens) if h >= g and rng.random() < 0.6})
+        f = GradedMap(src, dst, mat)
+        if not f.is_well_defined():
+            return f
+
+
+def test_kernel_image_cokernel_ill_defined_kernel_and_cokernel():
+    # kernel_image_cokernel's image assumes f is well defined; its kernel
+    # and cokernel are those of the matrix either way, and
+    # SigmaWitness.verify reads them after a failed well-definedness check
+    rng = random.Random(1414)
+    for _ in range(600):
+        f = _ill_defined_map(rng)
+        kernel, _image, coker = _triple(f)
+        ref = _five_sweep_kic(f)
+        assert (kernel, coker) == (ref[0], ref[2]), f
+
+
+# ---------------------------------------------------------------------------
+# work counts
+# ---------------------------------------------------------------------------
+
+
+def _counted_sweeps(monkeypatch):
+    """Wrap ``grmod._echelon_insert`` to count its calls, its reduction
+    steps (a basis vector found at the pivot row) and the pivot entries
+    those steps touch.  The basis is handed in behind a probe that counts
+    each ``get`` that finds a vector; the insert reads and writes the basis
+    through ``get`` and item assignment alone."""
+    real, counts = grmod._echelon_insert, {}
+
+    class Probe:
+        def __init__(self, basis):
+            self.basis = basis
+
+        def get(self, r):
+            piv = self.basis.get(r)
+            if piv is not None:
+                counts["steps"] += 1
+                counts["entries"] += len(piv)
+            return piv
+
+        def __setitem__(self, r, vec):
+            self.basis[r] = vec
+
+    def insert(basis, vec, nrows):
+        counts["inserts"] += 1
+        return real(Probe(basis), vec, nrows)
+
+    monkeypatch.setattr(grmod, "_echelon_insert", insert)
+    return counts
+
+
+def test_elimination_work_counts_pinned(monkeypatch):
+    # counts of steps, not of seconds, so no host or Python version moves
+    # them; pivots at the lowest row index and the five-sweep composition
+    # counted 69 / 578 / 12,775 and 526 / 1,933 / 12,582
+    _M, _p, iso, wide = _scrambled(0, 80)
+    counts = _counted_sweeps(monkeypatch)
+    ceilings = ((lambda: free_kernel(wide), (69, 384, 8519)),
+                (lambda: kernel_image_cokernel(iso), (324, 1274, 7675)))
+    for run, ceiling in ceilings:
+        counts.update(inserts=0, steps=0, entries=0)
+        run()
+        got = (counts["inserts"], counts["steps"], counts["entries"])
+        assert all(g <= c for g, c in zip(got, ceiling)), (got, ceiling)
 
 
 # ---------------------------------------------------------------------------
